@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE all build test race vet vet-bitset fmt bench bench-smoke bench-diff bench-kernel bench-kernel-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff
+.PHONY: FORCE all build test race vet vet-bitset fmt bench bench-smoke bench-diff bench-kernel bench-kernel-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff test-bench
 
 all: build test
 
@@ -24,6 +24,13 @@ test-chaos:
 
 vet:
 	$(GO) vet ./...
+
+# test-bench vets the benchmark module and runs its smoke test (every
+# workload at a tiny size, checking correctness and the metric set) under
+# the race detector. bench/ is its own Go module, so the root build and
+# test never compile it, yet it calls into the solver packages.
+test-bench:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
 # vet-bitset is the dedicated vet gate for the word-parallel mask layer:
 # every engine's per-seed state rides this package, so it stays vet-clean

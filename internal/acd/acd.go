@@ -55,38 +55,31 @@ func (c Class) String() string {
 type Options struct {
 	// EpsFriend is the ε of friend edges and density (default 0.20).
 	EpsFriend float64
-	// EpsSparse is ε_sp: sparse means ζ_v ≥ ε_sp·d(v); uneven means
-	// η_v ≥ ε_sp·d(v) (default 0.04, i.e. ε²_friend, following AA20's
-	// relationship between density and sparsity constants).
-	EpsSparse float64
-	// EpsAC is ε_ac used by Verify for conditions (iii)/(iv)
-	// (default 1.0, i.e. factor-2 slop, which the friend construction
-	// guarantees for EpsFriend ≤ 1/5 at our scales).
-	EpsAC float64
-	// MinCliqueSize dissolves smaller friend components into Vsparse
-	// (default 2: singleton "cliques" are meaningless).
-	MinCliqueSize int
 }
 
 func (o Options) withDefaults() Options {
 	if o.EpsFriend == 0 {
 		o.EpsFriend = 0.20
 	}
-	if o.EpsSparse == 0 {
-		o.EpsSparse = o.EpsFriend * o.EpsFriend
-	}
-	if o.EpsAC == 0 {
-		o.EpsAC = 1.0
-	}
-	if o.MinCliqueSize == 0 {
-		o.MinCliqueSize = 2
-	}
 	return o
 }
 
+// epsSparse is ε_sp: sparse means ζ_v ≥ ε_sp·d(v); uneven means
+// η_v ≥ ε_sp·d(v). It is ε²_friend, following AA20's relationship between
+// density and sparsity constants.
+func (o Options) epsSparse() float64 { return o.EpsFriend * o.EpsFriend }
+
+// epsAC is the ε_ac Verify checks conditions (iii)/(iv) against: factor-2
+// slop, which the friend construction guarantees for EpsFriend ≤ 1/5 at
+// our scales.
+const epsAC = 1.0
+
+// minCliqueSize dissolves smaller friend components into Vsparse:
+// singleton "cliques" are meaningless.
+const minCliqueSize = 2
+
 // ACD is the decomposition result.
 type ACD struct {
-	Opts     Options
 	Class    []Class
 	CliqueOf []int32   // clique index per node, −1 unless Class == Dense
 	Cliques  [][]int32 // sorted member lists
@@ -179,7 +172,7 @@ func ComputePar(r *par.Runner, in *d1lc.Instance, opts Options) *ACD {
 	kept := cliques[:0]
 	remap := make([]int32, len(cliques))
 	for i, c := range cliques {
-		if len(c) < opts.MinCliqueSize {
+		if len(c) < minCliqueSize {
 			remap[i] = -1
 			for _, v := range c {
 				dense[v] = false
@@ -198,18 +191,19 @@ func ComputePar(r *par.Runner, in *d1lc.Instance, opts Options) *ACD {
 	}
 
 	// Classify the rest.
+	epsSp := opts.epsSparse()
 	class := make([]Class, n)
 	for v := int32(0); v < int32(n); v++ {
 		switch {
 		case dense[v]:
 			class[v] = Dense
-		case pr.IsEpsUneven(v, opts.EpsSparse, g.Degree(v)) && !pr.IsEpsSparse(v, opts.EpsSparse, g.Degree(v)):
+		case pr.IsEpsUneven(v, epsSp, g.Degree(v)) && !pr.IsEpsSparse(v, epsSp, g.Degree(v)):
 			class[v] = Uneven
 		default:
 			class[v] = Sparse
 		}
 	}
-	return &ACD{Opts: opts, Class: class, CliqueOf: cliqueOf, Cliques: cliques, Params: pr}
+	return &ACD{Class: class, CliqueOf: cliqueOf, Cliques: cliques, Params: pr}
 }
 
 // Violation describes one failed Definition 3 condition.
@@ -225,7 +219,6 @@ type Violation struct {
 // healthy decomposition).
 func (a *ACD) Verify(g *graph.Graph) []Violation {
 	var out []Violation
-	eps := a.Opts.EpsAC
 	for ci, members := range a.Cliques {
 		size := float64(len(members))
 		for _, v := range members {
@@ -236,10 +229,10 @@ func (a *ACD) Verify(g *graph.Graph) []Violation {
 					inC++
 				}
 			}
-			if d > (1+eps)*size {
+			if d > (1+epsAC)*size {
 				out = append(out, Violation{Node: v, Clique: int32(ci), Condition: "iii:degree>(1+eps)|C|"})
 			}
-			if size > (1+eps)*float64(inC) {
+			if size > (1+epsAC)*float64(inC) {
 				out = append(out, Violation{Node: v, Clique: int32(ci), Condition: "iv:|C|>(1+eps)|N(v)∩C|"})
 			}
 		}

@@ -143,14 +143,14 @@ func TestCliqueDiameterTwo(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.EpsFriend != 0.20 || o.EpsAC != 1.0 || o.MinCliqueSize != 2 {
-		t.Fatalf("defaults: %+v", o)
+	if o.EpsFriend != 0.20 || epsAC != 1.0 || minCliqueSize != 2 {
+		t.Fatalf("defaults: %+v, epsAC %v, minCliqueSize %d", o, epsAC, minCliqueSize)
 	}
-	if o.EpsSparse < 0.04-1e-12 || o.EpsSparse > 0.04+1e-12 {
-		t.Fatalf("eps sparse default: %f", o.EpsSparse)
+	if eps := o.epsSparse(); eps < 0.04-1e-12 || eps > 0.04+1e-12 {
+		t.Fatalf("eps sparse default: %f", eps)
 	}
 	custom := Options{EpsFriend: 0.1}.withDefaults()
-	if custom.EpsSparse < 0.1*0.1-1e-12 || custom.EpsSparse > 0.1*0.1+1e-12 {
+	if eps := custom.epsSparse(); eps < 0.1*0.1-1e-12 || eps > 0.1*0.1+1e-12 {
 		t.Fatal("eps sparse should track eps friend")
 	}
 }

@@ -159,7 +159,7 @@ func TestForEachAscendingAndComplete(t *testing.T) {
 // ragged-count × worker matrix, run under -race in CI.
 func TestFillParWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS default
-		prev := par.SetMaxWorkers(workers)
+		r := par.NewRunner(workers)
 		for _, n := range raggedSizes {
 			pred := func(i int) bool { return i%3 == 0 || i%7 == 2 }
 			want := New(n)
@@ -170,7 +170,7 @@ func TestFillParWorkerInvariance(t *testing.T) {
 			for i := range got {
 				got[i] = ^uint64(0)
 			}
-			got.FillPar(nil, n, pred)
+			got.FillPar(r, n, pred)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("workers=%d n=%d: FillPar word %d = %x, want %x", workers, n, i, got[i], want[i])
@@ -187,7 +187,7 @@ func TestFillParWorkerInvariance(t *testing.T) {
 					xs[i] = -1
 				}
 			}
-			got.FromNeq32(nil, xs, -1)
+			got.FromNeq32(r, xs, -1)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("workers=%d n=%d: FromNeq32 word %d mismatch", workers, n, i)
@@ -201,7 +201,6 @@ func TestFillParWorkerInvariance(t *testing.T) {
 				}
 			}
 		}
-		par.SetMaxWorkers(prev)
 	}
 }
 

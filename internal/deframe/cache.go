@@ -121,7 +121,7 @@ func (c *Cache) putState(st *hknt.State) {
 // a nil cache). Each recursion level holds its own arena for the lifetime
 // of its residual instance — checked out before ReduceUncolored, returned
 // only after the recursive solve and the coloring write-back complete, so
-// at most MaxDepth arenas are live at once.
+// at most maxDepth arenas are live at once.
 func (c *Cache) getReduceArena() *d1lc.ReduceArena {
 	if c != nil {
 		if a, _ := c.reduce.Get().(*d1lc.ReduceArena); a != nil {

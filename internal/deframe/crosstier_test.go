@@ -32,7 +32,7 @@ func TestSeedSelectionMatchesClusterProtocol(t *testing.T) {
 		},
 	}
 	o := Options{SeedBits: 6}.withDefaults(g.MaxDegree())
-	chunkOf, numChunks, _ := chunkAssignment(nil, g, o.ChunkRadius, o.MaxChunkGraphEdges)
+	chunkOf, numChunks, _ := chunkAssignment(nil, g, chunkRadius, o.MaxChunkGraphEdges)
 	parts := step.Participants(st)
 	gen := buildPRG(o, numChunks, step.Bits)
 

@@ -39,7 +39,6 @@ package deframe
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
@@ -83,20 +82,11 @@ type Options struct {
 	// results (seed, score, certificate, coloring); the naive path is the
 	// oracle for differential tests and ablation baselines.
 	NaiveScoring bool
-	// ChunkRadius is the power-graph radius for chunk assignment
-	// (Lemma 10 uses 4τ; default 4·max τ of the schedule).
-	ChunkRadius int
 	// MaxChunkGraphEdges bounds the materialized power graph; beyond it
 	// the derandomizer falls back to identity chunking (one chunk per
 	// node), which preserves correctness and costs only PRG output length.
 	// Default 2_000_000.
 	MaxChunkGraphEdges int
-	// MaxDepth is the recursion depth over deferred residues before the
-	// greedy base case (Theorem 12's r = O(1/δ); default 3).
-	MaxDepth int
-	// GreedyThreshold: residues at most this size skip recursion and go
-	// straight to the single-machine greedy (default 64).
-	GreedyThreshold int
 	// Tunables configures the underlying HKNT pipeline.
 	Tunables hknt.Tunables
 	// Par scopes every parallel loop (trial proposes, table fills,
@@ -118,6 +108,19 @@ type Options struct {
 	MemoGraph *graph.Graph
 }
 
+// Fixed constants of Theorem 12's driver.
+const (
+	// chunkRadius is the power-graph radius for chunk assignment: Lemma
+	// 10's 4τ with τ = 2, the TryRandomColor/MultiTrial shape.
+	chunkRadius = 8
+	// maxDepth is the recursion depth over deferred residues before the
+	// greedy base case (Theorem 12's r = O(1/δ)).
+	maxDepth = 3
+	// greedyThreshold: residues at most this size skip recursion and go
+	// straight to the single-machine greedy.
+	greedyThreshold = 64
+)
+
 func (o Options) withDefaults(delta int) Options {
 	if o.KWiseK == 0 {
 		o.KWiseK = 4
@@ -125,17 +128,8 @@ func (o Options) withDefaults(delta int) Options {
 	if o.SeedBits == 0 {
 		o.SeedBits = prg.SeedBitsForDelta(delta, 12)
 	}
-	if o.ChunkRadius == 0 {
-		o.ChunkRadius = 8 // 4τ with τ=2 (TryRandomColor/MultiTrial shape)
-	}
 	if o.MaxChunkGraphEdges == 0 {
 		o.MaxChunkGraphEdges = 2_000_000
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 3
-	}
-	if o.GreedyThreshold == 0 {
-		o.GreedyThreshold = 64
 	}
 	return o
 }
@@ -225,10 +219,9 @@ func buildPRG(o Options, numChunks, bitsPer int) prg.PRG {
 // per-step report.
 //
 // Seed scoring runs on the incremental contribution-table engine
-// (engine.go) whenever the objective decomposes over participants; the
-// monolithic per-seed path is used for custom Score objectives or when
-// Options.NaiveScoring forces it. Both are bit-identical in everything but
-// cost, which Evals reports.
+// (engine.go) unless Options.NaiveScoring forces the monolithic per-seed
+// path. Both are bit-identical in everything but cost, which Evals
+// reports.
 func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks int, o Options) (StepReport, error) {
 	parts := step.Participants(st)
 	rep := StepReport{Name: step.Name, Participants: len(parts), SeedSpace: 1 << o.SeedBits, Chunks: numChunks}
@@ -241,7 +234,7 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 	var res condexp.Result
 	var prop hknt.Proposal
 	var err error
-	if o.NaiveScoring || !step.Decomposable() {
+	if o.NaiveScoring {
 		res, prop, err = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
 	} else {
 		eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks, o.Cache)
@@ -313,7 +306,7 @@ func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen pr
 func Run(ctx context.Context, in *d1lc.Instance, o Options) (*d1lc.Coloring, *Report, error) {
 	o = o.withDefaults(in.G.MaxDegree())
 	o.Par = o.Par.WithContext(ctx)
-	return run(in, o, o.MaxDepth)
+	return run(in, o, maxDepth)
 }
 
 func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, error) {
@@ -328,7 +321,7 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	if err := o.Par.Err(); err != nil {
 		return nil, rep, err
 	}
-	if n <= o.GreedyThreshold || depth <= 0 {
+	if n <= greedyThreshold || depth <= 0 {
 		// Base case: the residue fits on one machine (Theorem 12's final
 		// greedy step).
 		sp := trace.Begin(o.Trace, "deframe", "greedy-residue", st.Meter.Rounds, n)
@@ -347,7 +340,7 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	if err := o.Par.Err(); err != nil {
 		return nil, rep, err // cancelled mid-build: the schedule is empty
 	}
-	chunkOf, numChunks, mode := o.Cache.getChunks(o.Par, in.G, o.ChunkRadius, o.MaxChunkGraphEdges, in.G == o.MemoGraph)
+	chunkOf, numChunks, mode := o.Cache.getChunks(o.Par, in.G, chunkRadius, o.MaxChunkGraphEdges, in.G == o.MemoGraph)
 	rep.ChunkMode = mode
 	for i := range build.Schedule.Steps {
 		if err := o.Par.Err(); err != nil {
@@ -459,17 +452,4 @@ func (r *Report) LevelCount() int {
 		return 1
 	}
 	return 1 + r.Recursed.LevelCount()
-}
-
-// EffectiveSeedBits mirrors the paper's d = Θ(log Δ): exposed for the E6
-// ablation tables.
-func EffectiveSeedBits(delta int, cap int) int {
-	if cap <= 0 {
-		cap = 12
-	}
-	d := prg.SeedBitsForDelta(delta, cap)
-	if d < 1 {
-		d = 1
-	}
-	return int(math.Min(float64(d), float64(cap)))
 }

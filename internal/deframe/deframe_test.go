@@ -203,7 +203,7 @@ func TestRunRecursionTerminates(t *testing.T) {
 	if err := d1lc.Verify(in, col); err != nil {
 		t.Fatal(err)
 	}
-	if rep.LevelCount() > o.MaxDepth+2 {
+	if rep.LevelCount() > 2 {
 		t.Fatalf("recursion too deep: %d", rep.LevelCount())
 	}
 }

@@ -38,10 +38,8 @@ import (
 // The fill loop runs on the step's par.Runner: the owning solve's worker
 // budget bounds the walk, and its context cancels it between seeds.
 //
-// The engine requires a decomposable objective (Step.Score == nil, true
-// for every pipeline step); custom objectives fall back to the naive path,
-// which also remains available via Options.NaiveScoring as the oracle for
-// differential tests.
+// The naive path remains available via Options.NaiveScoring as the
+// oracle for differential tests.
 
 // stepEngine scores one step's seed space incrementally.
 type stepEngine struct {

@@ -21,7 +21,7 @@ func benchSelection(b *testing.B, n int, bitwise, naive bool) {
 	st := hknt.NewState(in)
 	build := hknt.BuildColorMiddle(st, hknt.Tunables{LowDeg: 4})
 	o := Options{SeedBits: 5, Bitwise: bitwise, NaiveScoring: naive}.withDefaults(in.G.MaxDegree())
-	chunkOf, numChunks, _ := chunkAssignment(nil, in.G, o.ChunkRadius, o.MaxChunkGraphEdges)
+	chunkOf, numChunks, _ := chunkAssignment(nil, in.G, chunkRadius, o.MaxChunkGraphEdges)
 	var step *hknt.Step
 	var parts []int32
 	for i := range build.Schedule.Steps {

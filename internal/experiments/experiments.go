@@ -89,13 +89,3 @@ func Run(id string, cfg Config) (*stats.Table, error) {
 	}
 	return r(cfg.withDefaults()), nil
 }
-
-// RunAll executes the whole suite in id order.
-func RunAll(cfg Config) []*stats.Table {
-	var out []*stats.Table
-	for _, id := range IDs() {
-		t, _ := Run(id, cfg)
-		out = append(out, t)
-	}
-	return out
-}

@@ -174,7 +174,7 @@ func RandomRegular(n, d int, seed uint64) *Graph {
 // PowerLaw returns a preferential-attachment (Barabási–Albert style) graph:
 // nodes arrive one at a time and attach to k existing nodes chosen
 // proportionally to degree+1. Produces the heavy-tailed degree
-// distributions that exercise the degree-range machinery of HKNT22.
+// distributions that exercise the high-degree machinery of HKNT22.
 func PowerLaw(n, k int, seed uint64) *Graph {
 	if n <= 0 {
 		return Empty(0)
@@ -414,6 +414,39 @@ func Named(name string, n int, seed uint64) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("graph: unknown generator %q", name)
 	}
+}
+
+// NamedArcs estimates the arc count (twice the edge count) of
+// Named(name, n, seed) without building the graph, so that a caller can
+// bound a request before materializing it: the expectation for the G(n,p)
+// generators and an upper bound for the others. Unknown names are an
+// error, as in Named.
+func NamedArcs(name string, n int) (float64, error) {
+	gnp := func(n int, p float64) float64 { return p * float64(n) * float64(n-1) }
+	cliques := func(t, c int) float64 { return float64(t*c*(c-1) + 2*(t-1)) }
+	caterpillar := func(spine, legs int) float64 { return float64(2 * (spine*(1+legs) - 1)) }
+	switch name {
+	case "gnp-sparse":
+		return gnp(n, 6/float64(maxInt(n, 7))), nil
+	case "gnp-dense":
+		return gnp(n, 0.3), nil
+	case "regular", "powerlaw", "chunglu":
+		// 8 random matchings; 4 attachments per node; n·8/2 candidate edges.
+		return 8 * float64(n), nil
+	case "cliques":
+		return cliques(maxInt(n/32, 1), 32), nil
+	case "mixed":
+		third := n / 3
+		return gnp(third, 8/float64(maxInt(third, 9))) + cliques(maxInt(third/24, 1), 24) +
+			caterpillar(maxInt(third/5, 1), 4) + 4, nil
+	case "caterpillar":
+		return caterpillar(maxInt(n/5, 1), 4), nil
+	case "cycle":
+		return 2 * float64(maxInt(n, 3)), nil
+	case "complete":
+		return float64(n) * float64(n-1), nil
+	}
+	return 0, fmt.Errorf("graph: unknown generator %q", name)
 }
 
 func maxInt(a, b int) int {

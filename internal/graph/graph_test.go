@@ -375,6 +375,35 @@ func TestNamedGenerators(t *testing.T) {
 	}
 }
 
+// TestNamedArcsBoundsBuiltGraphs pins NamedArcs to what Named builds: the
+// estimate never undercounts the arcs by more than rounding and random
+// variation allow, so a bound checked on it cannot be evaded, and at
+// n = 3000 it overcounts by at most 10%.
+func TestNamedArcsBoundsBuiltGraphs(t *testing.T) {
+	for _, name := range []string{"gnp-sparse", "gnp-dense", "regular", "powerlaw", "chunglu", "cliques", "mixed", "caterpillar", "cycle", "complete"} {
+		for _, n := range []int{1, 2, 10, 200, 3000} {
+			g, err := Named(name, n, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			est, err := NamedArcs(name, n)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			arcs := float64(2 * g.M())
+			if arcs > 1.1*est+16 {
+				t.Errorf("%s n=%d: %v arcs built, estimate %v", name, n, arcs, est)
+			}
+			if n == 3000 && est > 1.1*arcs {
+				t.Errorf("%s n=%d: estimate %v overcounts %v arcs", name, n, est, arcs)
+			}
+		}
+	}
+	if _, err := NamedArcs("nope", 10); err == nil {
+		t.Fatal("expected error for unknown generator")
+	}
+}
+
 func TestFromAdjacencyCompletesSymmetry(t *testing.T) {
 	g := FromAdjacency([][]int32{{1, 2}, {}, {}})
 	if g.M() != 2 || !g.HasEdge(1, 0) {

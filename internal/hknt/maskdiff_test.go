@@ -104,17 +104,17 @@ func randomProposal(st *State, rng *rand.Rand) Proposal {
 			prop.Color[v] = c
 		}
 	}
-	prop.RecomputeWin(nil)
+	prop.RecomputeWin(st.Par)
 	return prop
 }
 
 func TestPostStatsMatchesNaiveScan(t *testing.T) {
 	for _, workers := range []int{1, 4, 0} {
-		prev := par.SetMaxWorkers(workers)
 		for _, n := range raggedNs {
 			rng := rand.New(rand.NewSource(int64(n)*31 + int64(workers)))
 			in := d1lc.TrivialPalettes(graph.Gnp(n, 4.0/float64(n+1), uint64(n)))
 			st := NewState(in)
+			st.Par = par.NewRunner(workers)
 			scrambleState(st, rng)
 			for trial := 0; trial < 3; trial++ {
 				prop := randomProposal(st, rng)
@@ -128,7 +128,6 @@ func TestPostStatsMatchesNaiveScan(t *testing.T) {
 				}
 			}
 		}
-		par.SetMaxWorkers(prev)
 	}
 }
 

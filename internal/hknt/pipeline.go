@@ -42,8 +42,9 @@ func BuildColorMiddle(st *State, tun Tunables) *BuildResult {
 		// st.Par.Err / their runner and never execute the empty schedule.
 		return &BuildResult{ACD: a, Tunables: tun}
 	}
-	cliques := ComputeCliqueInfos(st.Par, g, a, tun.Ell)
-	vs := IdentifyVstart(st, a, tun.Vstart)
+	ell := ellFor(g.MaxDegree())
+	cliques := ComputeCliqueInfos(st.Par, g, a, ell)
+	vs := IdentifyVstart(st, a)
 
 	highDeg := func(v int32) bool { return g.Degree(v) >= tun.LowDeg }
 	classOf := func(v int32) acd.Class { return a.Class[v] }
@@ -97,11 +98,11 @@ func BuildColorMiddle(st *State, tun Tunables) *BuildResult {
 	// 1. Leaders/outliers computed above. 2. GenerateSlack on dense nodes.
 	steps = append(steps, stepGenerateSlack("dense/genslack", dense, maxPal))
 	// 3. Put-aside sets for low-slack cliques.
-	steps = append(steps, stepPutAside("dense/putaside", cliques, tun))
+	steps = append(steps, stepPutAside("dense/putaside", cliques, ell))
 	// 4. SlackColor the outliers.
 	steps = append(steps, SlackColorSchedule("dense/outliers", outliers, maxPal, tun)...)
 	// 5. SynchColorTrial for the inliers.
-	steps = append(steps, stepSynch("dense/synch", cliques, maxPal, tun))
+	steps = append(steps, stepSynch("dense/synch", cliques, maxPal))
 	// 6. SlackColor Vdense \ P.
 	steps = append(steps, SlackColorSchedule("dense/inliers", dense, maxPal, tun)...)
 
@@ -113,14 +114,23 @@ func BuildColorMiddle(st *State, tun Tunables) *BuildResult {
 	return &BuildResult{Schedule: sched, ACD: a, Cliques: cliques, Vstart: vs, Tunables: tun}
 }
 
+// putAsideDen sets Algorithm 9's sampling resolution: probabilities are
+// multiples of 1/(16·putAsideDen), and a low-slack clique needs one
+// marked inlier per 4·putAsideDen live ones.
+const putAsideDen = 4
+
+// synchFailFrac is SynchColorTrial's SSP tolerance: a clique succeeds if
+// at most this fraction of its live inliers remain uncolored (paper: O(t)
+// with polylog t).
+const synchFailFrac = 0.5
+
 // stepPutAside wraps PutAsidePropose as a Step. The sampling probability
-// follows Algorithm 9: p_s = ℓ²/(48·Δ_C), realized per clique with the
-// tunable cap 1/PutAsideDen; the Bits budget covers one Bernoulli draw.
+// follows Algorithm 9: p_s = ℓ²/(48·Δ_C), realized per clique in units of
+// 1/(16·putAsideDen); the Bits budget covers one Bernoulli draw.
 // SSP (per Lemma 13): v succeeds iff its clique is not low-slack, or the
 // proposed put-aside set of v's clique is non-trivial, or the clique is
 // small enough not to need one.
-func stepPutAside(name string, cliques []CliqueInfo, tun Tunables) Step {
-	den := tun.PutAsideDen
+func stepPutAside(name string, cliques []CliqueInfo, ell float64) Step {
 	cliqueOf := map[int32]*CliqueInfo{}
 	for i := range cliques {
 		for _, v := range cliques[i].Members {
@@ -130,7 +140,7 @@ func stepPutAside(name string, cliques []CliqueInfo, tun Tunables) Step {
 	return Step{
 		Name: name,
 		Tau:  1,
-		Bits: PutAsideBits(den * 16),
+		Bits: PutAsideBits(putAsideDen * 16),
 		Participants: func(st *State) []int32 {
 			var out []int32
 			for i := range cliques {
@@ -147,7 +157,7 @@ func stepPutAside(name string, cliques []CliqueInfo, tun Tunables) Step {
 		},
 		Propose: func(st *State, parts []int32, src RandSource, sc *Scratch) Proposal {
 			return PutAsidePropose(st, cliques, func(c *CliqueInfo) (int, int) {
-				return PutAsideProb(tun.Ell, c.MaxDeg, den*16)
+				return PutAsideProb(ell, c.MaxDeg, putAsideDen*16)
 			}, src, sc)
 		},
 		SSP: func(st *State, parts []int32, prop Proposal, v int32) bool {
@@ -166,18 +176,18 @@ func stepPutAside(name string, cliques []CliqueInfo, tun Tunables) Step {
 				}
 			}
 			// Small cliques do not need a put-aside set; larger ones need
-			// at least one marked node per 4·PutAsideDen live inliers.
-			need := live / (4 * den)
+			// at least one marked node per 4·putAsideDen live inliers.
+			need := live / (4 * putAsideDen)
 			return marked >= need
 		},
 	}
 }
 
 // stepSynch wraps SynchColorTrialPropose. SSP (per Lemma 13 /
-// [HKNT22, Lemma 7]): v succeeds iff at most SynchFailFrac of its clique's
+// [HKNT22, Lemma 7]): v succeeds iff at most synchFailFrac of its clique's
 // live inliers remain uncolored under the proposal, or v is not a live
 // inlier of any clique.
-func stepSynch(name string, cliques []CliqueInfo, maxPal int, tun Tunables) Step {
+func stepSynch(name string, cliques []CliqueInfo, maxPal int) Step {
 	maxClique := 1
 	for _, c := range cliques {
 		if len(c.Members) > maxClique {
@@ -239,7 +249,7 @@ func stepSynch(name string, cliques []CliqueInfo, maxPal int, tun Tunables) Step
 					fails++
 				}
 			}
-			return live == 0 || float64(fails) <= tun.SynchFailFrac*float64(live)
+			return live == 0 || float64(fails) <= synchFailFrac*float64(live)
 		},
 	}
 }

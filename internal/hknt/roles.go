@@ -135,33 +135,17 @@ func maxOf(a, b int) int {
 
 // --- Vstart identification (Section 5.2) ----------------------------------
 
-// VstartOptions carries the ε₁..ε₅ constants of the Vstart definition and
-// the heavy-color threshold. Zero values select the listed defaults, which
-// follow the structure of [HKNT22] with constants scaled to be meaningful
-// at laptop-size degrees.
-type VstartOptions struct {
-	Eps1       float64 // Vbalanced fraction (default 0.5)
-	Eps2       float64 // Vdisc discrepancy fraction (default 0.3)
-	Eps3       float64 // dense-neighbor fraction for Veasy (default 0.3)
-	Eps4       float64 // heavy-mass fraction for Vheavy (default 0.3)
-	Eps5       float64 // easy-neighbor fraction for Vstart (default 0.3)
-	HeavyConst float64 // per-color heaviness threshold (default 1.0)
-}
-
-func (o VstartOptions) withDefaults() VstartOptions {
-	def := func(p *float64, v float64) {
-		if *p == 0 {
-			*p = v
-		}
-	}
-	def(&o.Eps1, 0.5)
-	def(&o.Eps2, 0.3)
-	def(&o.Eps3, 0.3)
-	def(&o.Eps4, 0.3)
-	def(&o.Eps5, 0.3)
-	def(&o.HeavyConst, 1.0)
-	return o
-}
+// The ε₁..ε₅ constants of the Vstart definition and the heavy-color
+// threshold. They follow the structure of [HKNT22] with constants scaled
+// to be meaningful at laptop-size degrees.
+const (
+	eps1       = 0.5 // Vbalanced fraction
+	eps2       = 0.3 // Vdisc discrepancy fraction
+	eps3       = 0.3 // dense-neighbor fraction for Veasy
+	eps4       = 0.3 // heavy-mass fraction for Vheavy
+	eps5       = 0.3 // easy-neighbor fraction for Vstart
+	heavyConst = 1.0 // per-color heaviness threshold
+)
 
 // VstartSets reports the Section 5.2 breakdown of Vsparse ∪ Vuneven.
 type VstartSets struct {
@@ -176,8 +160,7 @@ type VstartSets struct {
 // the decomposition, per the display in Section 5.2. Membership tests use
 // the original-instance degrees and palettes (the sets are computed before
 // any coloring).
-func IdentifyVstart(st *State, a *acd.ACD, opts VstartOptions) VstartSets {
-	opts = opts.withDefaults()
+func IdentifyVstart(st *State, a *acd.ACD) VstartSets {
 	g := st.In.G
 	n := g.N()
 	var sets VstartSets
@@ -197,12 +180,12 @@ func IdentifyVstart(st *State, a *acd.ACD, opts VstartOptions) VstartSets {
 					cnt++
 				}
 			}
-			if float64(cnt) >= opts.Eps1*float64(d) {
+			if float64(cnt) >= eps1*float64(d) {
 				sets.Balanced = append(sets.Balanced, v)
 				inEasy[v] = true
 			}
 			// Vdisc: high discrepancy.
-			if a.Params.Discrepancy[v] >= opts.Eps2*float64(d) {
+			if a.Params.Discrepancy[v] >= eps2*float64(d) {
 				sets.Disc = append(sets.Disc, v)
 				inEasy[v] = true
 			}
@@ -213,7 +196,7 @@ func IdentifyVstart(st *State, a *acd.ACD, opts VstartOptions) VstartSets {
 					dense++
 				}
 			}
-			if float64(dense) >= opts.Eps3*float64(d) {
+			if float64(dense) >= eps3*float64(d) {
 				inEasy[v] = true
 			}
 		}
@@ -235,8 +218,8 @@ func IdentifyVstart(st *State, a *acd.ACD, opts VstartOptions) VstartSets {
 		if d == 0 {
 			continue
 		}
-		_, sumH := heavyMass(st, v, opts.HeavyConst)
-		if sumH >= opts.Eps4*float64(d) {
+		_, sumH := heavyMass(st, v, heavyConst)
+		if sumH >= eps4*float64(d) {
 			sets.Heavy = append(sets.Heavy, v)
 			inHeavy[v] = true
 		}
@@ -255,7 +238,7 @@ func IdentifyVstart(st *State, a *acd.ACD, opts VstartOptions) VstartSets {
 				easy++
 			}
 		}
-		if float64(easy) >= opts.Eps5*float64(d) {
+		if float64(easy) >= eps5*float64(d) {
 			sets.Start = append(sets.Start, v)
 		}
 	}

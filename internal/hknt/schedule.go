@@ -9,11 +9,10 @@ import (
 )
 
 // Step is one normal (τ,Δ)-round distributed procedure in the sense of
-// Definition 5, in trial form: Propose is the randomized procedure (pure),
-// SSP the strong success property evaluated against the proposal, and
-// Score the pessimistic estimator minimized by the method of conditional
-// expectations (defaulting to the number of SSP failures, exactly the
-// estimator of Lemma 10).
+// Definition 5, in trial form: Propose is the randomized procedure (pure)
+// and SSP the strong success property evaluated against the proposal. The
+// method of conditional expectations minimizes the number of SSP
+// failures, exactly the estimator of Lemma 10 (see DefaultScore).
 type Step struct {
 	Name string
 	// Tau is the LOCAL round count of the procedure.
@@ -37,26 +36,13 @@ type Step struct {
 	// SSP reports participant v's strong success property under the
 	// proposal. Nil means trivially true (never defers).
 	SSP func(st *State, parts []int32, prop Proposal, v int32) bool
-	// Score overrides the seed-selection objective; nil selects
-	// #SSP-failures, or −#wins when SSP is also nil.
-	Score func(st *State, parts []int32, prop Proposal) int64
 }
 
-// Decomposable reports whether the objective decomposes over participants
-// (DefaultScore == Σ over any partition of ScoreChunk). A custom Score
-// override is opaque, so only the default objectives decompose; the
-// contribution-table scoring engine requires this.
-func (s *Step) Decomposable() bool { return s.Score == nil }
-
-// ScoreChunk evaluates the default objective restricted to parts[lo:hi] —
-// one machine's local contribution in Lemma 10's converge-cast. Summing
+// ScoreChunk evaluates the objective restricted to parts[lo:hi] — one
+// machine's local contribution in Lemma 10's converge-cast. Summing
 // ScoreChunk over a partition of the participants reproduces DefaultScore
-// exactly (integer arithmetic, no rounding). Panics on non-decomposable
-// steps.
+// exactly (integer arithmetic, no rounding).
 func (s *Step) ScoreChunk(st *State, parts []int32, prop Proposal, lo, hi int) int64 {
-	if s.Score != nil {
-		panic("hknt: ScoreChunk on a step with a custom Score objective")
-	}
 	if s.SSP != nil {
 		var fails int64
 		for _, v := range parts[lo:hi] {
@@ -75,13 +61,10 @@ func (s *Step) ScoreChunk(st *State, parts []int32, prop Proposal, lo, hi int) i
 	return -wins
 }
 
-// DefaultScore evaluates the seed-selection objective for a step. The
-// default (decomposable) objectives reduce over participant chunks in
-// parallel; a custom Score runs as-is.
+// DefaultScore evaluates the seed-selection objective for a step: the
+// number of SSP failures, or −#wins when SSP is nil. It reduces over
+// participant chunks in parallel.
 func (s *Step) DefaultScore(st *State, parts []int32, prop Proposal) int64 {
-	if s.Score != nil {
-		return s.Score(st, parts, prop)
-	}
 	return st.Par.ReduceChunked(len(parts), func(lo, hi int) int64 {
 		return s.ScoreChunk(st, parts, prop, lo, hi)
 	})
@@ -152,10 +135,12 @@ type Schedule struct {
 	Finisher func(st *State)
 }
 
-// Tunables collects every constant of the pipeline. Zero values take the
-// documented defaults. The paper's asymptotic settings (log⁷n low-degree
-// threshold, ℓ = log^{2.1}Δ, smin = Ω(ℓ)) are reproduced structurally with
-// magnitudes that remain meaningful at laptop-scale n.
+// Tunables collects the pipeline constants that callers vary. Zero values
+// take the documented defaults. The paper's asymptotic settings (log⁷n
+// low-degree threshold, smin = Ω(ℓ)) are reproduced structurally with
+// magnitudes that remain meaningful at laptop-scale n; the remaining
+// constants (ℓ, the put-aside cap, the SynchColorTrial tolerance and the
+// Vstart ε's) are fixed where they are used.
 type Tunables struct {
 	// LowDeg: nodes with degree below this are left to the low-degree
 	// solver (paper: log⁷n). Default: max(8, ⌈(log₂ n)^1.5⌉).
@@ -167,24 +152,13 @@ type Tunables struct {
 	Smin int
 	// Kappa: SlackColor's κ ∈ (1/smin, 1] (default 0.5).
 	Kappa float64
-	// Ell: the ℓ slackability threshold for low-slack cliques
-	// (paper log^{2.1}Δ; default max(4, (log₂(Δ+2))^1.3)).
-	Ell float64
-	// PutAsideNum/Den: sampling probability for Algorithm 9
-	// (paper ℓ²/(48Δ_C); default computed per clique, capped at 1/4).
-	PutAsideDen int
-	// SynchFailFrac: SSP tolerance for SynchColorTrial — a clique succeeds
-	// if at most this fraction of its live inliers remain uncolored
-	// (paper: O(t) with polylog t; default 0.5).
-	SynchFailFrac float64
-	// Vstart: the ε constants of Section 5.2.
-	Vstart VstartOptions
 	// ACD: decomposition constants.
 	ACD acd.Options
 }
 
-// WithDefaults fills zero fields given the instance size and Δ.
-func (t Tunables) WithDefaults(n, delta int) Tunables {
+// WithDefaults fills zero fields for an n-node instance. No default
+// depends on the second argument, the maximum degree.
+func (t Tunables) WithDefaults(n, _ int) Tunables {
 	if t.LowDeg == 0 {
 		l := math.Ceil(math.Pow(math.Log2(float64(n+2)), 1.5))
 		t.LowDeg = int(math.Max(8, l))
@@ -198,17 +172,14 @@ func (t Tunables) WithDefaults(n, delta int) Tunables {
 	if t.Kappa == 0 {
 		t.Kappa = 0.5
 	}
-	if t.Ell == 0 {
-		t.Ell = math.Max(4, math.Pow(math.Log2(float64(delta+2)), 1.3))
-	}
-	if t.PutAsideDen == 0 {
-		t.PutAsideDen = 4
-	}
-	if t.SynchFailFrac == 0 {
-		t.SynchFailFrac = 0.5
-	}
-	t.Vstart = t.Vstart.withDefaults()
 	return t
+}
+
+// ellFor is the ℓ slackability threshold below which a clique is
+// low-slack, for maximum degree delta: max(4, (log₂(Δ+2))^1.3), the
+// laptop-scale stand-in for the paper's log^{2.1}Δ.
+func ellFor(delta int) float64 {
+	return math.Max(4, math.Pow(math.Log2(float64(delta+2)), 1.3))
 }
 
 // maxPalette returns the largest initial palette size of the instance.

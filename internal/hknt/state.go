@@ -114,9 +114,6 @@ type StatePool struct {
 	pool sync.Pool // of *State with detached In/Col
 }
 
-// NewStatePool returns an empty pool.
-func NewStatePool() *StatePool { return &StatePool{} }
-
 // Get returns an initialized State for the instance, reusing pooled
 // backing arrays when available. The result is indistinguishable from
 // NewState's.

@@ -75,8 +75,9 @@ func (e *Engine) Run(r Round) {
 	if active == nil {
 		active = func(int32) bool { return true }
 	}
+	var pr *par.Runner // nil: GOMAXPROCS workers, no cancellation
 	// Phase 1: snapshot all sends.
-	par.For(n, func(i int) {
+	pr.For(n, func(i int) {
 		v := int32(i)
 		e.bcast[v] = nil
 		e.uni[v] = nil
@@ -103,7 +104,7 @@ func (e *Engine) Run(r Round) {
 	})
 	// Phase 2: deliver.
 	nodeWords := make([]int64, n)
-	par.For(n, func(i int) {
+	pr.For(n, func(i int) {
 		v := int32(i)
 		if !active(v) || r.Receive == nil {
 			return

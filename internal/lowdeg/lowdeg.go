@@ -262,7 +262,8 @@ func ComponentGreedy(in *d1lc.Instance, maxComponent int) (*d1lc.Coloring, error
 		buckets[comp[v]] = append(buckets[comp[v]], v)
 	}
 	errs := make([]error, len(buckets))
-	par.For(len(buckets), func(ci int) {
+	var r *par.Runner // nil: GOMAXPROCS workers, no cancellation
+	r.For(len(buckets), func(ci int) {
 		for _, v := range buckets[ci] {
 			blocked := map[int32]bool{}
 			for _, u := range in.G.Neighbors(v) {

@@ -201,8 +201,7 @@ func Randomized(g *graph.Graph, seed uint64, maxRounds int) Result {
 
 // Options configures the derandomized run.
 type Options struct {
-	SeedBits  int // PRG seed length (default Θ(log Δ) capped at 10)
-	MaxRounds int // safety cap (default 4·log₂ n + 8)
+	SeedBits int // PRG seed length (default Θ(log Δ) capped at 10)
 	// Bitwise switches seed selection from flat enumeration to the
 	// bit-by-bit method of conditional expectations (same guarantee; on the
 	// table path the branch means are subset sums of precomputed totals).
@@ -241,9 +240,7 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 	if o.SeedBits == 0 {
 		o.SeedBits = prg.SeedBitsForDelta(g.MaxDegree(), 10)
 	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 4*log2(n+2) + 8
-	}
+	maxRounds := 4*log2(n+2) + 8 // safety cap
 	o.Par = o.Par.WithContext(ctx)
 	state := make([]NodeState, n)
 	res := Result{State: state}
@@ -251,7 +248,7 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 	for v := range chunkOf {
 		chunkOf[v] = int32(v)
 	}
-	for r := 0; r < o.MaxRounds; r++ {
+	for r := 0; r < maxRounds; r++ {
 		if err := o.Par.Err(); err != nil {
 			return Result{}, err
 		}
@@ -286,7 +283,7 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 		res.Rounds++
 		sp.End(sel.Evals, decided, 0)
 	}
-	// Any undecided leftovers (possible only if MaxRounds hit) are decided
+	// Any undecided leftovers (possible only if maxRounds hit) are decided
 	// greedily, preserving independence and reaching maximality.
 	for v := int32(0); v < int32(n); v++ {
 		if state[v] != Undecided {

@@ -11,9 +11,8 @@
 // worker bound with an optional cancellation context, threaded by value
 // through the solve path (parcolor.Solver → deframe/mis/lowdeg/mpc/
 // sparsify → condexp/hknt) so that two concurrent solves with different
-// budgets never observe each other's bound. The package-level functions
-// run on the process-wide default Runner; leaf helpers (graph builders,
-// bitset word fills) that have no per-solve budget use them directly.
+// budgets never observe each other's bound. Leaf helpers (graph builders,
+// bitset word fills) that have no per-solve budget use a nil Runner.
 //
 // All functions are deterministic in their observable results: work is
 // partitioned into contiguous index chunks, each chunk writes only to its
@@ -29,42 +28,9 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers bounds the number of worker goroutines used by the *default*
-// Runner (the package-level functions and any Runner without an explicit
-// bound). The zero value means runtime.GOMAXPROCS(0). Per-solve bounds are
-// carried by explicit Runners and never touch this value.
-var maxWorkers int
-
-var maxWorkersMu sync.RWMutex
-
-// SetMaxWorkers sets the default worker bound. n <= 0 restores the default
-// (GOMAXPROCS). It returns the previous bound (0 meaning default). It
-// configures only the process-wide default Runner — an explicit
-// NewRunner(w) bound is unaffected — so concurrent solves with their own
-// Runners cannot race through it.
-func SetMaxWorkers(n int) int {
-	maxWorkersMu.Lock()
-	defer maxWorkersMu.Unlock()
-	prev := maxWorkers
-	if n <= 0 {
-		maxWorkers = 0
-	} else {
-		maxWorkers = n
-	}
-	return prev
-}
-
-func defaultBound() int {
-	maxWorkersMu.RLock()
-	w := maxWorkers
-	maxWorkersMu.RUnlock()
-	return w
-}
-
 // Runner is a scoped parallelism handle: a worker bound plus an optional
-// cancellation context. A nil *Runner is valid everywhere and means "the
-// process-wide default": GOMAXPROCS workers (or SetMaxWorkers' bound) and
-// no cancellation. Runners are immutable after construction and safe for
+// cancellation context. A nil *Runner is valid everywhere and means
+// GOMAXPROCS workers and no cancellation. Runners are immutable after construction and safe for
 // concurrent use; two Runners never share mutable state, which is what
 // lets concurrent solves honor distinct bounds.
 type Runner struct {
@@ -73,7 +39,7 @@ type Runner struct {
 }
 
 // NewRunner returns a Runner bounded to at most workers goroutines per
-// parallel loop. workers <= 0 means the process default (GOMAXPROCS).
+// parallel loop. workers <= 0 means GOMAXPROCS.
 func NewRunner(workers int) *Runner {
 	if workers < 0 {
 		workers = 0
@@ -92,7 +58,7 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 	return nr
 }
 
-// Bound reports the configured worker bound (0 = process default).
+// Bound reports the configured worker bound (0 = GOMAXPROCS).
 func (r *Runner) Bound() int {
 	if r == nil {
 		return 0
@@ -124,9 +90,6 @@ func (r *Runner) Context() context.Context {
 // use: min(bound, n), at least 1.
 func (r *Runner) Workers(n int) int {
 	w := r.Bound()
-	if w <= 0 {
-		w = defaultBound()
-	}
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -198,9 +161,6 @@ func (r *Runner) Split(k int) []*Runner {
 		k = 1
 	}
 	w := r.Bound()
-	if w <= 0 {
-		w = defaultBound()
-	}
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -357,32 +317,4 @@ func (r *Runner) ReduceMin(n int, body func(i int) int64) (min int64, argmin int
 		}
 	}
 	return min, argmin
-}
-
-// --- Package-level functions: the default Runner ---------------------------
-
-// Workers reports the number of workers a default-Runner loop over n items
-// will use.
-func Workers(n int) int { return (*Runner)(nil).Workers(n) }
-
-// For is Runner.For on the default Runner.
-func For(n int, body func(i int)) { (*Runner)(nil).For(n, body) }
-
-// ForChunked is Runner.ForChunked on the default Runner.
-func ForChunked(n int, body func(lo, hi int)) { (*Runner)(nil).ForChunked(n, body) }
-
-// ForChunkedWorker is Runner.ForChunkedWorker on the default Runner.
-func ForChunkedWorker(n int, body func(w, lo, hi int)) { (*Runner)(nil).ForChunkedWorker(n, body) }
-
-// ReduceChunked is Runner.ReduceChunked on the default Runner.
-func ReduceChunked(n int, body func(lo, hi int) int64) int64 {
-	return (*Runner)(nil).ReduceChunked(n, body)
-}
-
-// ReduceInt is Runner.ReduceInt on the default Runner.
-func ReduceInt(n int, body func(i int) int64) int64 { return (*Runner)(nil).ReduceInt(n, body) }
-
-// ReduceMin is Runner.ReduceMin on the default Runner.
-func ReduceMin(n int, body func(i int) int64) (min int64, argmin int) {
-	return (*Runner)(nil).ReduceMin(n, body)
 }

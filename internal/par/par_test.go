@@ -12,7 +12,7 @@ import (
 func TestForCoversAllIndicesOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000} {
 		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		NewRunner(0).For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d index %d visited %d times", n, i, h)
@@ -24,7 +24,7 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 func TestForChunkedPartition(t *testing.T) {
 	n := 1003
 	seen := make([]int32, n)
-	ForChunked(n, func(lo, hi int) {
+	NewRunner(0).ForChunked(n, func(lo, hi int) {
 		if lo < 0 || hi > n || lo > hi {
 			t.Errorf("bad chunk [%d,%d)", lo, hi)
 		}
@@ -45,7 +45,7 @@ func TestReduceIntMatchesSequential(t *testing.T) {
 		for _, v := range vals {
 			want += int64(v)
 		}
-		got := ReduceInt(len(vals), func(i int) int64 { return int64(vals[i]) })
+		got := NewRunner(0).ReduceInt(len(vals), func(i int) int64 { return int64(vals[i]) })
 		return got == want
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -55,7 +55,7 @@ func TestReduceIntMatchesSequential(t *testing.T) {
 
 func TestReduceMinFindsSmallestIndexTie(t *testing.T) {
 	vals := []int64{5, 3, 9, 3, 3, 8}
-	min, arg := ReduceMin(len(vals), func(i int) int64 { return vals[i] })
+	min, arg := NewRunner(0).ReduceMin(len(vals), func(i int) int64 { return vals[i] })
 	if min != 3 || arg != 1 {
 		t.Fatalf("got (%d,%d), want (3,1)", min, arg)
 	}
@@ -66,7 +66,7 @@ func TestReduceMinProperty(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		min, arg := ReduceMin(len(vals), func(i int) int64 { return int64(vals[i]) })
+		min, arg := NewRunner(0).ReduceMin(len(vals), func(i int) int64 { return int64(vals[i]) })
 		// arg must attain min, and nothing earlier may be <= min-1 or equal.
 		if int64(vals[arg]) != min {
 			return false
@@ -86,36 +86,17 @@ func TestReduceMinProperty(t *testing.T) {
 	}
 }
 
-func TestSetMaxWorkersRestoresAndBounds(t *testing.T) {
-	prev := SetMaxWorkers(3)
-	defer SetMaxWorkers(prev)
-	if w := Workers(100); w != 3 {
-		t.Fatalf("Workers(100)=%d want 3", w)
-	}
-	if w := Workers(2); w != 2 {
-		t.Fatalf("Workers(2)=%d want 2", w)
-	}
-	if w := Workers(0); w != 1 {
-		t.Fatalf("Workers(0)=%d want 1", w)
-	}
-	SetMaxWorkers(0)
-	if w := Workers(1); w != 1 {
-		t.Fatalf("Workers(1)=%d want 1", w)
-	}
-}
-
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	vals := make([]int64, 999)
 	for i := range vals {
 		vals[i] = int64((i*2654435761 + 17) % 1000)
 	}
-	ref := ReduceInt(len(vals), func(i int) int64 { return vals[i] })
-	refMin, refArg := ReduceMin(len(vals), func(i int) int64 { return vals[i] })
+	ref := NewRunner(0).ReduceInt(len(vals), func(i int) int64 { return vals[i] })
+	refMin, refArg := NewRunner(0).ReduceMin(len(vals), func(i int) int64 { return vals[i] })
 	for _, w := range []int{1, 2, 3, 5, 8} {
-		prev := SetMaxWorkers(w)
-		sum := ReduceInt(len(vals), func(i int) int64 { return vals[i] })
-		min, arg := ReduceMin(len(vals), func(i int) int64 { return vals[i] })
-		SetMaxWorkers(prev)
+		r := NewRunner(w)
+		sum := r.ReduceInt(len(vals), func(i int) int64 { return vals[i] })
+		min, arg := r.ReduceMin(len(vals), func(i int) int64 { return vals[i] })
 		if sum != ref || min != refMin || arg != refArg {
 			t.Fatalf("workers=%d: results differ", w)
 		}
@@ -124,10 +105,11 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 
 func TestForChunkedWorkerPartitionAndSlots(t *testing.T) {
 	n := 777
-	w := Workers(n)
+	r := NewRunner(0)
+	w := r.Workers(n)
 	seen := make([]int32, n)
 	slotHits := make([]int32, w)
-	ForChunkedWorker(n, func(wk, lo, hi int) {
+	r.ForChunkedWorker(n, func(wk, lo, hi int) {
 		if wk < 0 || wk >= w {
 			t.Errorf("worker slot %d out of [0,%d)", wk, w)
 		}
@@ -152,12 +134,13 @@ func TestForChunkedWorkerMatchesForChunkedBounds(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 1000} {
 		var a, b [][2]int
 		var mu sync.Mutex
-		ForChunked(n, func(lo, hi int) {
+		r := NewRunner(0)
+		r.ForChunked(n, func(lo, hi int) {
 			mu.Lock()
 			a = append(a, [2]int{lo, hi})
 			mu.Unlock()
 		})
-		ForChunkedWorker(n, func(_, lo, hi int) {
+		r.ForChunkedWorker(n, func(_, lo, hi int) {
 			mu.Lock()
 			b = append(b, [2]int{lo, hi})
 			mu.Unlock()
@@ -179,7 +162,7 @@ func TestReduceChunkedMatchesSequential(t *testing.T) {
 		for _, v := range vals {
 			want += int64(v)
 		}
-		got := ReduceChunked(len(vals), func(lo, hi int) int64 {
+		got := NewRunner(0).ReduceChunked(len(vals), func(lo, hi int) int64 {
 			var acc int64
 			for i := lo; i < hi; i++ {
 				acc += int64(vals[i])
@@ -205,11 +188,9 @@ func TestReduceChunkedDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return acc
 	}
-	ref := ReduceChunked(len(vals), body)
+	ref := NewRunner(0).ReduceChunked(len(vals), body)
 	for _, w := range []int{1, 2, 3, 7, 16} {
-		prev := SetMaxWorkers(w)
-		got := ReduceChunked(len(vals), body)
-		SetMaxWorkers(prev)
+		got := NewRunner(w).ReduceChunked(len(vals), body)
 		if got != ref {
 			t.Fatalf("workers=%d: %d != %d", w, got, ref)
 		}
@@ -221,9 +202,10 @@ func BenchmarkReduceChunked(b *testing.B) {
 	for i := range x {
 		x[i] = int64(i)
 	}
+	r := NewRunner(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ReduceChunked(len(x), func(lo, hi int) int64 {
+		_ = r.ReduceChunked(len(x), func(lo, hi int) int64 {
 			var acc int64
 			for j := lo; j < hi; j++ {
 				acc += x[j]
@@ -235,8 +217,9 @@ func BenchmarkReduceChunked(b *testing.B) {
 
 func BenchmarkForOverhead(b *testing.B) {
 	x := make([]int64, 1<<14)
+	r := NewRunner(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		For(len(x), func(j int) { x[j]++ })
+		r.For(len(x), func(j int) { x[j]++ })
 	}
 }

@@ -30,8 +30,7 @@ func TestRunnerWorkersBound(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunnersHonorOwnBounds is the regression test for the
-// SetMaxWorkers global-mutation race: two runners with different bounds
+// TestConcurrentRunnersHonorOwnBounds: two runners with different bounds
 // running concurrently must each cap their own observed parallelism, with
 // no cross-contamination. Run under -race this also proves the handles
 // share no mutable state.

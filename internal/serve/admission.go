@@ -7,8 +7,7 @@ import (
 )
 
 // admission is the bounded-queue admission controller in front of the
-// solver pool — the same semaphore discipline SolveBatch streams through,
-// lifted to the server level. At most maxInflight solves run at once;
+// solver pool. At most maxInflight solves run at once;
 // requests beyond that wait in a queue whose depth is capped by the
 // watermark maxQueue. A request arriving when the queue is at the
 // watermark is rejected immediately (the caller answers 429 with a

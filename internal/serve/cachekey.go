@@ -23,12 +23,16 @@ import (
 //     *is* the content, and hits skip generation as well as solving.
 //     A generator spec and its materialized edge list hash differently —
 //     cheaper keys were preferred over cross-form unification.
-//   - The solver configuration enters as the ten result-affecting values
+//   - The solver configuration enters as ten values in the order
 //     algorithm, seed, seed bits, Nisan PRG, bitwise, bins, mid-degree,
-//     low-degree cutoff, degree ranges and degree sharding, in that
-//     order. A request can set five of them (solveConfig); the other five
-//     always take their defaults. The server's worker bound never enters:
-//     it changes cost, never the coloring.
+//     low-degree cutoff, degree ranges and degree sharding. A request can
+//     set five of them (solveConfig). Nisan, bins and mid-degree are
+//     Solver options no request sets; the low-degree cutoff (always auto)
+//     and degree-range peeling (always off) are not settable at all. All
+//     five are written as fixed bytes, their default values, so that keys
+//     stay stable.
+//     The server's worker bound never enters: it changes cost, never the
+//     coloring.
 
 // keyVersion guards the serialization: bump it whenever the canonical
 // form changes so stale keys can never alias new ones.
@@ -48,8 +52,8 @@ func writeBool(h hash.Hash, v bool) {
 	}
 }
 
-// writeOptions folds the ten result-affecting solver values into h; the
-// five a request cannot set are written as their defaults.
+// writeOptions folds the ten keyed solver values into h; the five a
+// request cannot set are written as fixed default bytes.
 func writeOptions(h hash.Hash, c solveConfig) {
 	writeU64(h, uint64(c.alg))
 	writeU64(h, c.seed)

@@ -115,39 +115,62 @@ func (r *SolveRequest) config() (solveConfig, error) {
 }
 
 // timeout resolves the request's effective solve deadline under the
-// server default: requests may lower it, never raise it.
+// server default: requests may lower it, never raise it. The comparison
+// runs in milliseconds, so no timeout_ms overflows the conversion.
 func (r *SolveRequest) timeout(serverDefault time.Duration) time.Duration {
-	if r.TimeoutMillis <= 0 {
+	if r.TimeoutMillis <= 0 || r.TimeoutMillis > serverDefault.Milliseconds() {
 		return serverDefault
 	}
-	d := time.Duration(r.TimeoutMillis) * time.Millisecond
-	if d > serverDefault {
-		return serverDefault
-	}
-	return d
+	return time.Duration(r.TimeoutMillis) * time.Millisecond
 }
 
-// buildGraph materializes the request's graph. maxNodes bounds accepted
-// instance sizes (admission-time resource control, before any O(n) work).
-func (s *GraphSpec) buildGraph(maxNodes int) (*parcolor.Graph, error) {
+// maxArcsPerNode scales MaxNodes into the bounds on a request's arcs
+// (generator specs, estimated before building) and on its Δ+1 palette
+// entries (n·(Δ+1), checked before the palettes exist). 64 admits every
+// generator of bounded degree at n = MaxNodes (the densest, cliques, has
+// about 32 arcs per node) and stops complete, gnp-dense and Δ+1 palettes
+// on high-degree graphs such as a star long before they exhaust memory.
+const maxArcsPerNode = 64
+
+// validate checks the spec before any cache key is computed or graph
+// built: n in (0, maxNodes], exactly one of the two forms, and for the
+// generator form a known name whose estimated arc count is in bounds.
+func (s *GraphSpec) validate(maxNodes int) error {
 	if s.N <= 0 {
-		return nil, fmt.Errorf("graph.n must be positive, got %d", s.N)
+		return fmt.Errorf("graph.n must be positive, got %d", s.N)
 	}
 	if s.N > maxNodes {
-		return nil, fmt.Errorf("graph.n %d exceeds the server's limit %d", s.N, maxNodes)
+		return fmt.Errorf("graph.n %d exceeds the server's limit %d", s.N, maxNodes)
 	}
-	hasEdges := s.Edges != nil
-	hasGen := s.Generator != ""
+	hasEdges, hasGen := s.Edges != nil, s.Generator != ""
 	switch {
 	case hasEdges && hasGen:
-		return nil, fmt.Errorf("graph gives both edges and generator; pick one")
+		return fmt.Errorf("graph gives both edges and generator; pick one")
+	case !hasEdges && !hasGen:
+		return fmt.Errorf("graph needs either edges or a generator name")
 	case hasGen:
-		g, err := graph.Named(s.Generator, s.N, s.Seed)
+		arcs, err := graph.NamedArcs(s.Generator, s.N)
 		if err != nil {
+			return err
+		}
+		if limit := maxArcsPerNode * float64(maxNodes); arcs > limit {
+			return fmt.Errorf("graph %q at n=%d has about %.3g arcs, above the server's limit %.3g", s.Generator, s.N, arcs, limit)
+		}
+	}
+	return nil
+}
+
+// buildGraph materializes a validated spec's graph and, under Δ+1
+// palettes, rejects it when the n·(Δ+1) palette entries would exceed the
+// bound maxArcsPerNode·maxNodes.
+func (s *GraphSpec) buildGraph(paletteMode string, maxNodes int) (*parcolor.Graph, error) {
+	var g *parcolor.Graph
+	if s.Generator != "" {
+		var err error
+		if g, err = graph.Named(s.Generator, s.N, s.Seed); err != nil {
 			return nil, err
 		}
-		return g, nil
-	case hasEdges:
+	} else {
 		b := graph.NewBuilder(s.N)
 		b.Reserve(len(s.Edges))
 		for i, e := range s.Edges {
@@ -157,10 +180,15 @@ func (s *GraphSpec) buildGraph(maxNodes int) (*parcolor.Graph, error) {
 			}
 			b.AddEdge(u, v)
 		}
-		return b.Build(), nil
-	default:
-		return nil, fmt.Errorf("graph needs either edges or a generator name")
+		g = b.Build()
 	}
+	if paletteMode == "deltaplus1" {
+		entries, limit := float64(g.N())*float64(g.MaxDegree()+1), maxArcsPerNode*float64(maxNodes)
+		if entries > limit {
+			return nil, fmt.Errorf("deltaplus1 palettes on n=%d, Δ=%d need %.3g entries, above the server's limit %.3g", g.N(), g.MaxDegree(), entries, limit)
+		}
+	}
+	return g, nil
 }
 
 // buildInstance wraps the graph in the requested palette regime.

@@ -14,11 +14,10 @@
 // # Admission model
 //
 // Requests that miss the cache pass through a bounded-queue admission
-// controller (the SolveBatch semaphore discipline at server scope): at
-// most MaxInflight solves run concurrently, at most MaxQueue requests
-// wait behind them, and a request arriving with the queue at its
-// watermark is answered 429 with a Retry-After estimated from an EWMA of
-// recent solve times. Each admitted request rides Solver.Solve(ctx) under
+// controller: at most MaxInflight solves run concurrently, at most
+// MaxQueue requests wait behind them, and a request arriving with the
+// queue at its watermark is answered 429 with a Retry-After estimated
+// from an EWMA of recent solve times. Each admitted request rides Solver.Solve(ctx) under
 // a per-request deadline, and the request context is the client
 // connection's — a disconnect cancels the underlying solve promptly
 // (every long loop in the solver checks the context), releasing the slot.
@@ -78,11 +77,9 @@ type Config struct {
 	// (0 = 64 MiB; negative disables caching).
 	CacheBytes int64
 	// MaxNodes rejects instances larger than this before any per-node
-	// work (0 = 2,000,000).
+	// work (0 = 2,000,000). Scaled by maxArcsPerNode, it also bounds a
+	// request's arcs and Δ+1 palette entries.
 	MaxNodes int
-	// MaxSolvers bounds the warm-solver pool: distinct option sets kept
-	// warm before further configurations get one-shot Solvers (0 = 64).
-	MaxSolvers int
 	// MaxBodyBytes bounds the request body (0 = 64 MiB).
 	MaxBodyBytes int64
 }
@@ -103,13 +100,14 @@ func (c *Config) fillDefaults() {
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 2_000_000
 	}
-	if c.MaxSolvers <= 0 {
-		c.MaxSolvers = 64
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
 }
+
+// maxSolvers bounds the warm-solver pool: distinct option sets kept warm
+// before further configurations get one-shot Solvers.
+const maxSolvers = 64
 
 // Server is the HTTP front end. Construct with New, mount via Handler
 // (or ServeHTTP directly). Safe for concurrent use.
@@ -177,7 +175,7 @@ func (s *Server) QueueDepth() int { return int(s.adm.queued.Load()) }
 func (s *Server) CanceledTotal() int64 { return s.canceled.Load() }
 
 // solverFor returns the warm Solver for this configuration, constructing
-// and pooling it on first use. Beyond MaxSolvers distinct configurations
+// and pooling it on first use. Beyond maxSolvers distinct configurations
 // the Solver is constructed un-pooled — correctness is identical, only the
 // scratch-pool warmth is lost.
 func (s *Server) solverFor(c solveConfig) (*parcolor.Solver, error) {
@@ -186,7 +184,7 @@ func (s *Server) solverFor(c solveConfig) (*parcolor.Solver, error) {
 		s.solverMu.Unlock()
 		return sv, nil
 	}
-	pool := len(s.solvers) < s.cfg.MaxSolvers
+	pool := len(s.solvers) < maxSolvers
 	s.solverMu.Unlock()
 
 	sv, err := parcolor.NewSolver(
@@ -205,7 +203,7 @@ func (s *Server) solverFor(c solveConfig) (*parcolor.Solver, error) {
 		s.solverMu.Lock()
 		if cached, ok := s.solvers[c]; ok {
 			sv = cached // lost the construction race; keep the warm one
-		} else if len(s.solvers) < s.cfg.MaxSolvers {
+		} else if len(s.solvers) < maxSolvers {
 			s.solvers[c] = sv
 		}
 		s.solverMu.Unlock()
@@ -223,8 +221,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleSolve is the request path: decode → canonical cache key → cache
-// probe → admission → build → Solve(ctx+deadline) → cache fill → respond.
+// handleSolve is the request path: decode → spec checks → canonical cache
+// key → cache probe → admission → build → Solve(ctx+deadline) → cache
+// fill → respond.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
@@ -251,21 +250,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The content address. The generator form is addressed by its spec
-	// (no materialization needed to probe the cache); the edge-list form
-	// is addressed by the built CSR, so the build happens before
-	// admission — bounded work, the body size cap has already limited m.
+	// The content address. The spec's form is checked first, so no key
+	// is computed for a spec the build would reject. The generator form
+	// is addressed by its spec (no materialization needed to probe the
+	// cache); the edge-list form is addressed by the built CSR, so the
+	// build happens before admission — bounded work, the body size cap
+	// has already limited m.
+	if err := req.Graph.validate(s.cfg.MaxNodes); err != nil {
+		s.failed.Add(1)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	var g *parcolor.Graph
 	var key string
 	if req.Graph.Generator != "" {
-		if req.Graph.N <= 0 || req.Graph.N > s.cfg.MaxNodes {
-			s.failed.Add(1)
-			writeError(w, http.StatusBadRequest, "graph.n %d outside (0, %d]", req.Graph.N, s.cfg.MaxNodes)
-			return
-		}
 		key = KeyForGenerator(req.Graph.Generator, req.Graph.N, req.Graph.Seed, paletteMode, conf)
 	} else {
-		g, err = req.Graph.buildGraph(s.cfg.MaxNodes)
+		g, err = req.Graph.buildGraph(paletteMode, s.cfg.MaxNodes)
 		if err != nil {
 			s.failed.Add(1)
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -314,7 +315,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	if g == nil {
-		g, err = req.Graph.buildGraph(s.cfg.MaxNodes)
+		g, err = req.Graph.buildGraph(paletteMode, s.cfg.MaxNodes)
 		if err != nil {
 			s.failed.Add(1)
 			writeError(w, http.StatusBadRequest, "%v", err)

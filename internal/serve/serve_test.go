@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -367,6 +368,86 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/solve: want 405, got %d", resp.StatusCode)
+	}
+}
+
+// TestRequestTimeoutClamp pins the deadline a timeout_ms resolves to under
+// a 60 s server default, including values whose conversion to a Duration
+// would overflow.
+func TestRequestTimeoutClamp(t *testing.T) {
+	def := 60 * time.Second
+	cases := []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{-5, def},
+		{0, def},
+		{250, 250 * time.Millisecond},
+		{60_000, def},
+		{60_001, def},
+		{10_000_000_000_000, def},
+		{math.MaxInt64, def},
+	}
+	for _, c := range cases {
+		r := SolveRequest{TimeoutMillis: c.ms}
+		if got := r.timeout(def); got != c.want {
+			t.Errorf("timeout_ms %d: got %v, want %v", c.ms, got, c.want)
+		}
+	}
+}
+
+// TestSpecCheckedBeforeCacheProbe sends a spec naming both a generator and
+// edges before and after its generator-only form is cached: both must be
+// rejected, the second without being answered from the cache.
+func TestSpecCheckedBeforeCacheProbe(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	gen := GraphSpec{Generator: "cycle", N: 10, Seed: 1}
+	both := gen
+	both.Edges = [][2]int32{{0, 1}}
+	for i, spec := range []GraphSpec{both, gen, both} {
+		want := http.StatusBadRequest
+		if spec.Edges == nil {
+			want = http.StatusOK
+		}
+		if _, resp := postSolve(t, hs.URL, SolveRequest{Graph: spec}); resp.StatusCode != want {
+			t.Errorf("request %d: want %d, got %d", i, want, resp.StatusCode)
+		}
+	}
+}
+
+// TestQuadraticRequestsRejected: a complete graph at n = MaxNodes and a
+// star edge list under Δ+1 palettes both need quadratic memory, so both
+// are answered 400 before any solve starts.
+func TestQuadraticRequestsRejected(t *testing.T) {
+	const n = 1500
+	s, hs := newTestServer(t, Config{Workers: 1, MaxNodes: n})
+	star := make([][2]int32, n-1)
+	for i := range star {
+		star[i] = [2]int32{0, int32(i + 1)}
+	}
+	for name, req := range map[string]SolveRequest{
+		"complete":        {Graph: GraphSpec{Generator: "complete", N: n}},
+		"star deltaplus1": {Graph: GraphSpec{N: n, Edges: star}, Palettes: "deltaplus1"},
+	} {
+		if sr, resp := postSolve(t, hs.URL, req); sr != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: want 400, got %d", name, resp.StatusCode)
+		}
+	}
+	if st := s.stats(false); st.Solved != 0 || st.Inflight != 0 {
+		t.Fatalf("rejected requests reached the solver: %+v", st)
+	}
+}
+
+// TestEveryBoundedDegreeGeneratorAdmitted checks that the arc bound admits
+// every generator except the two quadratic ones at the default MaxNodes.
+func TestEveryBoundedDegreeGeneratorAdmitted(t *testing.T) {
+	const maxNodes = 2_000_000
+	for _, name := range parcolor.GraphNames() {
+		err := (&GraphSpec{Generator: name, N: maxNodes}).validate(maxNodes)
+		quadratic := name == "complete" || name == "gnp-dense"
+		if quadratic != (err != nil) {
+			t.Errorf("%s at n=%d: validate = %v", name, maxNodes, err)
+		}
 	}
 }
 

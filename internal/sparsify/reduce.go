@@ -123,7 +123,7 @@ func (a *restrictedArena) build(r *par.Runner, in *d1lc.Instance, part *Partitio
 func ColorReduce(ctx context.Context, in *d1lc.Instance, o Options, base BaseSolver) (*d1lc.Coloring, *Report, error) {
 	o = o.withDefaults(in.G.N())
 	o.Par = o.Par.WithContext(ctx)
-	return colorReduce(in, o, base, o.MaxDepth)
+	return colorReduce(in, o, base, maxDepth)
 }
 
 func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1lc.Coloring, *Report, error) {
@@ -145,7 +145,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 		return col, rep, nil
 	}
 
-	sp := trace.Begin(o.Trace, "sparsify", "partition", o.MaxDepth-depth, n)
+	sp := trace.Begin(o.Trace, "sparsify", "partition", maxDepth-depth, n)
 	part, err := Compute(in, o)
 	if err == nil {
 		err = o.Par.Err() // the hash searches bail early when cancelled

@@ -97,10 +97,6 @@ type Options struct {
 	MidDegree int
 	// Strategy selects hash choice.
 	Strategy Strategy
-	// MaxSeedTries bounds the seed search (default 64).
-	MaxSeedTries int
-	// MaxDepth bounds recursion (default 4; the paper's depth is O(1)).
-	MaxDepth int
 	// Par scopes the hash-search parallel loops to an explicit worker
 	// budget; ColorReduce derives a context-carrying copy from its ctx
 	// argument, and checks it between bins and recursion levels. nil means
@@ -133,14 +129,14 @@ func (o Options) withDefaults(n int) Options {
 	if o.MidDegree == 0 {
 		o.MidDegree = 8 * o.Bins
 	}
-	if o.MaxSeedTries == 0 {
-		o.MaxSeedTries = 64
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 4
-	}
 	return o
 }
+
+// maxSeedTries bounds each hash-seed search.
+const maxSeedTries = 64
+
+// maxDepth bounds the recursion (the paper's depth is O(1)).
+const maxDepth = 4
 
 // Partition is the result of one LowSpacePartition call.
 type Partition struct {
@@ -337,7 +333,7 @@ func propertiesHoldPre(in *d1lc.Instance, part *Partition, v int32, dPrime int) 
 func searchNodeSeed(part *Partition, g *graph.Graph, highDeg []int32, o Options) uint64 {
 	bestSeed, bestViol := uint64(0), math.MaxInt
 	binOf := make([]int32, len(part.NodeBin))
-	for seed := uint64(0); seed < uint64(o.MaxSeedTries); seed++ {
+	for seed := uint64(0); seed < maxSeedTries; seed++ {
 		if o.Par.Err() != nil {
 			break // cancelled: the caller discards the partition
 		}
@@ -374,11 +370,11 @@ func searchNodeSeed(part *Partition, g *graph.Graph, highDeg []int32, o Options)
 // violations given the node bins already in part.NodeBin. sbd carries
 // the precomputed d′ per node — it is seed-invariant (only node bins
 // determine it), so it is hoisted out of the per-seed loop instead of
-// being recomputed up to MaxSeedTries times per node.
+// being recomputed up to maxSeedTries times per node.
 func searchColorSeed(in *d1lc.Instance, part *Partition, highDeg []int32, sbd []int32, o Options) uint64 {
 	colorBins := part.Bins - 1
 	bestSeed, bestViol := uint64(0), math.MaxInt
-	for seed := uint64(0); seed < uint64(o.MaxSeedTries); seed++ {
+	for seed := uint64(0); seed < maxSeedTries; seed++ {
 		if o.Par.Err() != nil {
 			break // cancelled: the caller discards the partition
 		}

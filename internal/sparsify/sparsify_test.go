@@ -152,7 +152,7 @@ func TestColorReduceProperOnSuite(t *testing.T) {
 
 func TestColorReduceRecursionDepth(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Gnp(400, 0.3, 7))
-	_, rep, err := ColorReduce(context.Background(), in, Options{Bins: 3, MidDegree: 10, MaxDepth: 4}, greedyBase)
+	_, rep, err := ColorReduce(context.Background(), in, Options{Bins: 3, MidDegree: 10}, greedyBase)
 	if err != nil {
 		t.Fatal(err)
 	}

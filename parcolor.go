@@ -31,9 +31,8 @@
 // The Solver owns its worker budget (parcolor.WithWorkers — two Solvers
 // with different budgets never interfere), honors context cancellation in
 // every long loop, keeps the derandomization engines' scratch warm across
-// solves, streams batches through one shared pool
-// (Solver.SolveBatch), and reports per-phase progress through an attached
-// Tracer (parcolor.WithTrace). NewSolver and its With* options are the
+// solves, and reports per-phase progress through an attached Tracer
+// (parcolor.WithTrace). NewSolver and its With* options are the
 // only configuration surface: MIS (Solver.MIS) and the model-faithful MPC
 // run (Solver.SolveOnMPC) go through a Solver as well.
 //
@@ -223,13 +222,9 @@ func EdgeColoringInstance(g *Graph) (*Instance, [][2]int32) {
 // --- MPC-faithful solving -----------------------------------------------------
 
 // Fault-tolerance surface. These alias the internal implementations so
-// callers can configure lossy transports and recovery policy without
+// callers can configure fault injection and recovery policy without
 // importing internal packages.
 type (
-	// MPCTransport delivers one MPC round's messages; implement it to put
-	// the cluster on a real (or deliberately faulty) wire. The default is
-	// the in-process loopback.
-	MPCTransport = mpc.Transport
 	// MPCRetryPolicy bounds per-phase retries after classified transport
 	// faults (see WithMPCRetry).
 	MPCRetryPolicy = mpc.RetryPolicy

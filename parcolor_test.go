@@ -191,17 +191,6 @@ func TestBuilderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSolveRandomizedWithDegreeRanges(t *testing.T) {
-	in := TrivialPalettes(GenerateGraph("powerlaw", 300, 8))
-	res, err := solve(in, WithAlgorithm(Randomized), WithSeed(4), WithDegreeRanges(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Coloring.UncoloredCount() != 0 {
-		t.Fatal("incomplete")
-	}
-}
-
 func TestSolveOnMPC(t *testing.T) {
 	in := TrivialPalettes(GenerateGraph("gnp-sparse", 60, 2))
 	res, err := mustSolver(t).SolveOnMPC(context.Background(), in, 1<<14, 5)

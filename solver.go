@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -28,7 +27,7 @@ import (
 // Tracer with WithTrace to observe them.
 type (
 	// Tracer observes phase enter/exit events. Implementations must be
-	// safe for concurrent use (SolveBatch shares one Tracer across
+	// safe for concurrent use (a Solver shares one Tracer across its
 	// concurrent solves).
 	Tracer = trace.Tracer
 	// TraceEvent is one phase observation.
@@ -58,7 +57,6 @@ type Solver struct {
 	cfg    config
 	tracer Tracer
 	run    *par.Runner // the Solver-owned worker budget (no context)
-	batch  int         // SolveBatch concurrency (0 = min(len, GOMAXPROCS))
 
 	dfCache  *deframe.Cache
 	misCache *mis.Cache
@@ -68,18 +66,15 @@ type Solver struct {
 // config is the configuration the With* options set; see each option for
 // a field's meaning and default.
 type config struct {
-	alg          Algorithm
-	seed         uint64
-	seedBits     int
-	nisan        bool
-	bitwise      bool
-	bins         int
-	midDegree    int
-	lowDeg       int
-	degreeRanges bool
-	workers      int
-	skipVerify   bool
-	degreeShard  bool
+	alg         Algorithm
+	seed        uint64
+	seedBits    int
+	nisan       bool
+	bitwise     bool
+	bins        int
+	midDegree   int
+	workers     int
+	degreeShard bool
 }
 
 // Option configures a Solver at construction.
@@ -92,10 +87,8 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithWorkers bounds the Solver's worker goroutines per parallel loop.
-// n <= 0 defers to the process default (GOMAXPROCS; in-module code can
-// move it with par.SetMaxWorkers). An explicit positive bound is owned by
-// this Solver: concurrent Solvers with different bounds each honor their
-// own, and nothing the Solver does mutates the process default.
+// n <= 0 means GOMAXPROCS. The bound is owned by this Solver: concurrent
+// Solvers with different bounds each honor their own.
 func WithWorkers(n int) Option {
 	return func(s *Solver) error { s.cfg.workers = n; return nil }
 }
@@ -135,24 +128,6 @@ func WithMidDegree(d int) Option {
 	return func(s *Solver) error { s.cfg.midDegree = d; return nil }
 }
 
-// WithLowDeg sets the HKNT low-degree cutoff (paper: log⁷n; 0 = scaled
-// auto).
-func WithLowDeg(d int) Option {
-	return func(s *Solver) error { s.cfg.lowDeg = d; return nil }
-}
-
-// WithDegreeRanges makes the Randomized solver peel degree ranges
-// high-to-low (the paper's Section 3 structure) instead of running a
-// single ColorMiddle pass.
-func WithDegreeRanges(on bool) Option {
-	return func(s *Solver) error { s.cfg.degreeRanges = on; return nil }
-}
-
-// WithVerify toggles the built-in output verification (default on).
-func WithVerify(on bool) Option {
-	return func(s *Solver) error { s.cfg.skipVerify = !on; return nil }
-}
-
 // WithTrace attaches a phase observer to every solve this Solver runs.
 func WithTrace(t Tracer) Option {
 	return func(s *Solver) error { s.tracer = t; return nil }
@@ -166,13 +141,6 @@ func WithTrace(t Tracer) Option {
 // to the unsharded solve.
 func WithDegreeShard(on bool) Option {
 	return func(s *Solver) error { s.cfg.degreeShard = on; return nil }
-}
-
-// WithBatchConcurrency bounds how many instances SolveBatch streams
-// through the Solver concurrently (0 = min(len(instances), GOMAXPROCS)).
-// Validated by NewSolver.
-func WithBatchConcurrency(n int) Option {
-	return func(s *Solver) error { s.batch = n; return nil }
 }
 
 // NewSolver validates the configuration once and returns a reusable
@@ -201,12 +169,6 @@ func NewSolver(opts ...Option) (*Solver, error) {
 	if c.midDegree < 0 {
 		return nil, fmt.Errorf("parcolor: negative mid-degree %d", c.midDegree)
 	}
-	if c.lowDeg < 0 {
-		return nil, fmt.Errorf("parcolor: negative low-degree cutoff %d", c.lowDeg)
-	}
-	if s.batch < 0 {
-		return nil, fmt.Errorf("parcolor: negative batch concurrency %d", s.batch)
-	}
 	switch c.alg {
 	case Deterministic, Randomized, GreedySequential, LowDegreeDeterministic,
 		JonesPlassmann, LubyColoring:
@@ -227,9 +189,8 @@ func (s *Solver) runner(ctx context.Context) *par.Runner {
 }
 
 // Solve colors the instance with the configured algorithm and verifies the
-// result (unless verification is disabled). ctx cancels the solve promptly
-// — between phases and inside every seed walk — returning ctx's error; a
-// nil ctx means context.Background().
+// result. ctx cancels the solve promptly — between phases and inside every
+// seed walk — returning ctx's error; a nil ctx means context.Background().
 func (s *Solver) Solve(ctx context.Context, in *Instance) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -279,63 +240,17 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (*Result, error) {
 	if rl != nil {
 		res.Coloring = &Coloring{Colors: rl.MapBack(res.Coloring.Colors)}
 	}
-	if !s.cfg.skipVerify {
-		if err := d1lc.Verify(in, res.Coloring); err != nil {
-			return nil, fmt.Errorf("parcolor: internal error, solver produced invalid coloring: %w", err)
-		}
+	if err := d1lc.Verify(in, res.Coloring); err != nil {
+		return nil, fmt.Errorf("parcolor: internal error, solver produced invalid coloring: %w", err)
 	}
 	res.DistinctColors = greedy.DistinctColors(res.Coloring)
 	return res, nil
-}
-
-// SolveBatch streams the instances through the Solver concurrently — up to
-// the configured batch concurrency at a time — sharing the warm scratch
-// pools and the attached Tracer across all of them. results[i] is instance
-// i's result, or nil if it failed; the returned error is the first
-// per-instance error in index order (remaining instances still run to
-// completion unless ctx itself is cancelled). Each instance's result is
-// bit-identical to a standalone Solve.
-func (s *Solver) SolveBatch(ctx context.Context, ins []*Instance) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]*Result, len(ins))
-	errs := make([]error, len(ins))
-	if len(ins) == 0 {
-		return results, nil
-	}
-	conc := s.batch
-	if conc == 0 {
-		conc = runtime.GOMAXPROCS(0)
-	}
-	if conc > len(ins) {
-		conc = len(ins)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, conc)
-	for i := range ins {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = s.Solve(ctx, ins[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
 }
 
 func (s *Solver) deframeOptions(tr Tracer) deframe.Options {
 	dopt := deframe.Options{
 		SeedBits: s.cfg.seedBits,
 		Bitwise:  s.cfg.bitwise,
-		Tunables: hknt.Tunables{LowDeg: s.cfg.lowDeg},
 		Par:      s.run,
 		Trace:    tr,
 		Cache:    s.dfCache,
@@ -392,16 +307,7 @@ func (s *Solver) solveDeterministic(ctx context.Context, in *Instance, rl *graph
 }
 
 func (s *Solver) solveRandomized(ctx context.Context, in *Instance) (*Result, error) {
-	r := s.runner(ctx)
-	if s.cfg.degreeRanges {
-		st := hknt.NewState(in)
-		st.Par = r
-		if _, err := hknt.RangedRandomizedColor(st, s.cfg.seed, hknt.Tunables{LowDeg: s.cfg.lowDeg}); err != nil {
-			return nil, err
-		}
-		return &Result{Coloring: st.Col, Rounds: st.Meter.Rounds}, nil
-	}
-	col, st, _, err := hknt.RandomizedColor(r, in, s.cfg.seed, hknt.Tunables{LowDeg: s.cfg.lowDeg})
+	col, st, _, err := hknt.RandomizedColor(s.runner(ctx), in, s.cfg.seed, hknt.Tunables{})
 	if err != nil {
 		return nil, err
 	}
@@ -461,22 +367,14 @@ func (s *Solver) solveLowDeg(ctx context.Context, in *Instance) (*Result, error)
 type MPCOption func(*mpcRunConfig)
 
 type mpcRunConfig struct {
-	transport MPCTransport
-	faults    *FaultSchedule
-	retry     MPCRetryPolicy
-	deadline  time.Duration
-	fallback  bool
+	faults   *FaultSchedule
+	retry    MPCRetryPolicy
+	deadline time.Duration
+	fallback bool
 }
 
-// WithMPCTransport routes every cluster round through tp instead of the
-// in-process loopback. nil restores the default.
-func WithMPCTransport(tp MPCTransport) MPCOption {
-	return func(c *mpcRunConfig) { c.transport = tp }
-}
-
-// WithMPCFaults wraps the run's transport (the loopback, or whatever
-// WithMPCTransport installed) in a deterministic fault injector driven by
-// the schedule. Injected fault counts surface in MPCResult.FaultEvents
+// WithMPCFaults wraps the run's in-process loopback transport in a
+// deterministic fault injector driven by the schedule. Injected fault counts surface in MPCResult.FaultEvents
 // and, per event, on the attached Tracer under engine "transport".
 func WithMPCFaults(sched FaultSchedule) MPCOption {
 	return func(c *mpcRunConfig) { c.faults = &sched }
@@ -549,10 +447,10 @@ func (s *Solver) SolveOnMPC(ctx context.Context, in *Instance, localSpace, seedB
 			o(&rc)
 		}
 	}
-	tp := rc.transport
+	var tp mpc.Transport // nil: the in-process loopback
 	var injector *faultinject.Transport
 	if rc.faults != nil {
-		injector = faultinject.New(tp, *rc.faults, s.tracer)
+		injector = faultinject.New(nil, *rc.faults, s.tracer)
 		tp = injector
 	}
 	c, err := mpc.NewCluster(mpc.Config{

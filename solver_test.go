@@ -40,7 +40,6 @@ func TestNewSolverValidatesOnce(t *testing.T) {
 		{"negative seedbits", []Option{WithSeedBits(-1)}},
 		{"one bin", []Option{WithBins(1)}},
 		{"bad algorithm", []Option{WithAlgorithm(Algorithm(99))}},
-		{"negative batch", []Option{WithBatchConcurrency(-2)}},
 	}
 	for _, tc := range bad {
 		if _, err := NewSolver(tc.opts...); err == nil {
@@ -55,10 +54,9 @@ func TestNewSolverValidatesOnce(t *testing.T) {
 	mustSolver(t, WithWorkers(-1))
 }
 
-// TestConcurrentSolversHonorOwnWorkerBounds is the regression test for the
-// par.SetMaxWorkers global-mutation race: two Solves running concurrently
-// with different Workers values must each honor their own bound — nothing
-// global is mutated — and produce exactly the sequential results. Run
+// TestConcurrentSolversHonorOwnWorkerBounds checks that two Solves running
+// concurrently with different Workers values each honor their own bound
+// — nothing global is mutated — and produce exactly the sequential results. Run
 // under -race this also proves the harnesses share no unsynchronized
 // state.
 func TestConcurrentSolversHonorOwnWorkerBounds(t *testing.T) {
@@ -128,12 +126,6 @@ func TestCancellationAllAlgorithms(t *testing.T) {
 		s := mustSolver(t, WithAlgorithm(alg), WithSeedBits(6))
 		if _, err := s.Solve(ctx, in); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", alg, err)
-		}
-	}
-	{
-		s := mustSolver(t, WithAlgorithm(Randomized), WithDegreeRanges(true))
-		if _, err := s.Solve(ctx, in); !errors.Is(err, context.Canceled) {
-			t.Errorf("randomized degree-ranges: err = %v, want context.Canceled", err)
 		}
 	}
 	s := mustSolver(t)
@@ -256,56 +248,6 @@ func allocBytesPerRun(runs int, fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestSolveBatchMatchesIndividual checks that a mixed-workload batch
-// streamed through one Solver returns exactly the per-instance results,
-// shares the Tracer across instances, and surfaces per-instance errors
-// without killing the rest.
-func TestSolveBatchMatchesIndividual(t *testing.T) {
-	names := []string{"mixed", "gnp-sparse", "cliques", "powerlaw"}
-	ins := make([]*Instance, len(names))
-	for i, name := range names {
-		ins[i] = TrivialPalettes(GenerateGraph(name, 180+20*i, uint64(i+1)))
-	}
-	refs := make([]*Result, len(ins))
-	for i := range ins {
-		r, err := solve(ins[i], WithSeedBits(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = r
-	}
-
-	collector := NewTraceCollector()
-	s := mustSolver(t, WithSeedBits(6), WithTrace(collector), WithBatchConcurrency(2))
-	results, err := s.SolveBatch(context.Background(), ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if results[i] == nil {
-			t.Fatalf("instance %d: nil result", i)
-		}
-		sameColoring(t, results[i].Coloring, refs[i].Coloring, names[i])
-	}
-	if len(collector.Summary()) == 0 {
-		t.Fatal("trace collector observed no phases across the batch")
-	}
-
-	// A bad instance fails alone; the others still solve.
-	bad := NewInstance(GenerateGraph("cycle", 10, 1), make([][]int32, 10))
-	mixed := append(append([]*Instance{}, ins[:2]...), bad)
-	results, err = s.SolveBatch(context.Background(), mixed)
-	if err == nil {
-		t.Fatal("batch with invalid instance returned no error")
-	}
-	if results[0] == nil || results[1] == nil {
-		t.Fatal("valid instances did not solve alongside the failing one")
-	}
-	if results[2] != nil {
-		t.Fatal("invalid instance produced a result")
-	}
-}
-
 // TestTraceObservesDeframePhases pins the Tracer contract: a deterministic
 // solve emits deframe step phases with participant and seed-evaluation
 // counts.
@@ -334,25 +276,16 @@ func TestTraceObservesDeframePhases(t *testing.T) {
 
 // TestNilInputsReturnErrors checks that every entry point answers a nil
 // instance, an instance without a graph, and a nil graph with an error
-// instead of a panic. In SolveBatch the panic would fire on a worker
-// goroutine, where no caller's recover can catch it.
+// instead of a panic.
 func TestNilInputsReturnErrors(t *testing.T) {
 	s := mustSolver(t)
 	ctx := context.Background()
-	valid := TrivialPalettes(GenerateGraph("cycle", 10, 1))
 	entries := []struct {
 		name string
 		call func(in *Instance) error
 	}{
 		{"Solve", func(in *Instance) error {
 			_, err := s.Solve(ctx, in)
-			return err
-		}},
-		{"SolveBatch", func(in *Instance) error {
-			res, err := s.SolveBatch(ctx, []*Instance{valid, in})
-			if res[0] == nil {
-				t.Error("SolveBatch: the valid instance did not solve alongside the bad one")
-			}
 			return err
 		}},
 		{"SolveOnMPC", func(in *Instance) error {
