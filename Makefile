@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE all build test race vet vet-bitset fmt bench bench-smoke bench-diff bench-kernel bench-kernel-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff test-bench
+.PHONY: FORCE all build test race test-scratch-race vet vet-bitset fmt bench bench-smoke bench-diff bench-kernel bench-kernel-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff test-bench
 
 all: build test
 
@@ -12,6 +12,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# test-scratch-race repeats the scratch-reuse suites ten times under the
+# race detector. An hknt.Scratch carries reset state from one trial to the
+# next, and the deframe engine's workers check their scratch in and out of
+# a sync.Pool once per seed, so a race or a reset that one interleaving
+# misses gets more chances to show.
+test-scratch-race:
+	$(GO) test -race -count=10 -run 'Scratch|TableScoring|Reuse' \
+		./internal/hknt ./internal/deframe .
 
 # test-chaos runs the fault-injection surface under the race detector:
 # the injector's own unit/fuzz corpus, the mpc cancellation/retry tests,

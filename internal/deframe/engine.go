@@ -19,11 +19,13 @@ import (
 //     ChunkedSource and an hknt.Scratch) checked out of the run's Cache:
 //     pooled across seeds within a step, across steps within a run, and —
 //     when the Cache belongs to a long-lived Solver — across runs,
-//   - re-expands only the live chunks per seed: the chunks covering the
-//     step's participants (plus any declared extra bit readers, e.g.
-//     clique leaders), threaded through the pooled scratch's
-//     ReseedChunks, so per-seed expansion cost tracks the step's
-//     participant set instead of the whole graph,
+//   - keeps each seed's cost proportional to the step's participants,
+//     their arcs and the PRG chunks Propose reads, never to n: the
+//     hknt.Scratch resets only what the previous seed's Propose wrote, and
+//     only the live chunks are re-expanded per seed — those of the step's
+//     Readers when it declares them (SynchColorTrial: the uncolored
+//     leaders), of its participants otherwise — threaded through the
+//     pooled scratch's ReseedChunks,
 //   - records each seed's per-chunk score contributions straight into the
 //     seed's contiguous row of the seed-major condexp.ContribTable
 //     (zero-copy: the fill writes its final cells in place) — win-counting
@@ -39,7 +41,9 @@ import (
 // budget bounds the walk, and its context cancels it between seeds.
 //
 // The naive path remains available via Options.NaiveScoring as the
-// oracle for differential tests.
+// oracle for differential tests: it proposes with a nil hknt.Scratch
+// (fresh n-sized buffers, masks from a pass over all n) and expands the
+// generator's whole output per seed.
 
 // stepEngine scores one step's seed space incrementally.
 type stepEngine struct {
@@ -52,9 +56,9 @@ type stepEngine struct {
 	nChunks   int // score chunks (table rows)
 
 	// liveChunks lists the distinct PRG chunks the step's Propose may
-	// read: those of the participants plus the step's declared extra
-	// readers. nil when every chunk is live (sparse re-expansion would
-	// save nothing).
+	// read: those of the step's declared Readers, or of the participants
+	// when it declares none. nil when every chunk is live (sparse
+	// re-expansion would save nothing).
 	liveChunks []int32
 	// bounds[c] is the first participant index of score chunk c — the
 	// c*np/k partition computed once instead of per chunk per seed.
@@ -79,20 +83,16 @@ func newStepEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, 
 		nChunks: condexp.ScoreChunks(len(parts)),
 		cache:   cache,
 	}
+	readers := parts
+	if step.Readers != nil {
+		readers = step.Readers(st)
+	}
 	seen := make([]bool, numChunks)
-	live := make([]int32, 0, len(parts))
-	mark := func(v int32) {
+	live := make([]int32, 0, len(readers))
+	for _, v := range readers {
 		if c := chunkOf[v]; !seen[c] {
 			seen[c] = true
 			live = append(live, c)
-		}
-	}
-	for _, v := range parts {
-		mark(v)
-	}
-	if step.Readers != nil {
-		for _, v := range step.Readers(st) {
-			mark(v)
 		}
 	}
 	if len(live) < numChunks {

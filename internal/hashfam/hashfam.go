@@ -31,21 +31,21 @@ func mulmod61(a, b uint64) uint64 {
 	return res
 }
 
-// addmod61 returns a+b mod 2^61−1 for a,b < 2^61−1.
+// addmod61 returns a+b mod 2^61−1 for a,b < 2^61−1, as the canonical
+// residue in [0, p). It is branch-free: the unsigned minimum of s = a+b
+// and s−p, where s−p wraps past 2^63 exactly when s < p (a compare and a
+// conditional move on amd64).
 func addmod61(a, b uint64) uint64 {
 	s := a + b
-	if s >= MersennePrime61 {
-		s -= MersennePrime61
-	}
-	return s
+	return min(s, s-MersennePrime61)
 }
 
-// submod61 returns a−b mod 2^61−1 for a,b < 2^61−1.
+// submod61 returns a−b mod 2^61−1 for a,b < 2^61−1, branch-free in the
+// same way: d = a−b wraps past 2^63 exactly when a < b, and then d+p is
+// the smaller of the two.
 func submod61(a, b uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return a + MersennePrime61 - b
+	d := a - b
+	return min(d, d+MersennePrime61)
 }
 
 // Poly is a k-wise independent hash function h(x) = Σ coef[i]·x^i over
@@ -143,13 +143,39 @@ func (s PolyStepper) Value() uint64 {
 	return s.diffs[0]
 }
 
-// Advance moves the stepper one point forward: each difference absorbs
-// the next-higher one (ascending order reads the not-yet-updated
-// neighbor, which is exactly Δ^{j+1} at the old point).
-func (s PolyStepper) Advance() {
-	for j := 0; j+1 < len(s.diffs); j++ {
-		s.diffs[j] = addmod61(s.diffs[j], s.diffs[j+1])
+// Advance moves the stepper one point forward.
+func (s PolyStepper) Advance() { StepPair(s, s, 1) }
+
+// StepPair returns the least significant bits of the polynomial at the
+// next m points (m ≤ 64) of s and of t, the current point's in bit 0, and
+// leaves both m points further on: Value()&1 and Advance m times, packed
+// into one word per stepper with no branch on a bit's value. s and t are
+// steppers of one polynomial and may be the same stepper.
+//
+// It is the one stepping loop, for every k. Per point, each difference
+// absorbs the next-higher one (ascending order reads the not-yet-updated
+// neighbor, which is exactly Δ^{j+1} at the old point). A point's update
+// waits on the previous point's, so one table alone runs at the latency
+// of that chain; stepping two independent tables in one loop overlaps
+// their chains.
+func StepPair(s, t PolyStepper, m int) (ws, wt uint64) {
+	a := s.diffs
+	if len(a) == 0 {
+		return 0, 0
 	}
+	b := t.diffs[:len(a)]
+	for j := 0; j < m; j++ {
+		x, y := a[0], b[0]
+		ws |= (x & 1) << uint(j)
+		wt |= (y & 1) << uint(j)
+		for i := 1; i < len(a); i++ {
+			xn, yn := a[i], b[i]
+			a[i-1] = addmod61(x, xn)
+			b[i-1] = addmod61(y, yn)
+			x, y = xn, yn
+		}
+	}
+	return ws, wt
 }
 
 // Diffs returns the stepper's difference-table storage so callers can

@@ -33,6 +33,60 @@ func TestAddmod61(t *testing.T) {
 	}
 }
 
+// TestAddmod61Boundaries pins the branch-free reductions where the sign
+// mask flips: sums a+b ∈ {p−2, p−1, p, 2p−2} and differences around zero.
+func TestAddmod61Boundaries(t *testing.T) {
+	const p = MersennePrime61
+	for _, c := range []struct{ a, b, sum uint64 }{
+		{p - 2, 0, p - 2},
+		{p / 2, p/2 - 1, p - 2}, // a+b = p−2 (p/2 = (p−1)/2)
+		{p - 1, 0, p - 1},
+		{0, p - 1, p - 1},
+		{p / 2, p / 2, p - 1}, // a+b = p−1
+		{p - 1, 1, 0},
+		{1, p - 1, 0},
+		{p/2 + 1, p / 2, 0}, // a+b = p
+		{p - 1, p - 1, p - 2},
+		{0, 0, 0},
+	} {
+		if got := addmod61(c.a, c.b); got != c.sum {
+			t.Errorf("addmod61(%d, %d) = %d, want %d", c.a, c.b, got, c.sum)
+		}
+		if got := submod61(c.sum, c.b); got != c.a {
+			t.Errorf("submod61(%d, %d) = %d, want %d", c.sum, c.b, got, c.a)
+		}
+	}
+	for _, c := range []struct{ a, b, diff uint64 }{
+		{0, 0, 0},
+		{p - 1, p - 1, 0},
+		{0, 1, p - 1},
+		{0, p - 1, 1},
+		{p - 1, 0, p - 1},
+		{1, 2, p - 1},
+	} {
+		if got := submod61(c.a, c.b); got != c.diff {
+			t.Errorf("submod61(%d, %d) = %d, want %d", c.a, c.b, got, c.diff)
+		}
+	}
+}
+
+// TestAddSubmod61AgainstBigInt checks the branch-free reductions against
+// math/big on random canonical residues.
+func TestAddSubmod61AgainstBigInt(t *testing.T) {
+	p := new(big.Int).SetUint64(MersennePrime61)
+	f := func(a, b uint64) bool {
+		a %= MersennePrime61
+		b %= MersennePrime61
+		x, y := new(big.Int).SetUint64(a), new(big.Int).SetUint64(b)
+		sum := new(big.Int).Mod(new(big.Int).Add(x, y), p)
+		diff := new(big.Int).Mod(new(big.Int).Sub(x, y), p)
+		return addmod61(a, b) == sum.Uint64() && submod61(a, b) == diff.Uint64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPolyEvalMatchesDirect(t *testing.T) {
 	// h(x) = 3 + 5x + 7x² mod p, evaluated directly with big.Int.
 	h := NewPoly([]uint64{3, 5, 7})
@@ -245,6 +299,43 @@ func TestPolyStepperMatchesEval(t *testing.T) {
 				st.Advance()
 			}
 			buf = st.Diffs()
+		}
+	}
+}
+
+// TestStepPairMatchesEval checks the packed stepping loop: StepPair(s, t,
+// m) holds the LSBs of Eval at each stepper's next m points and leaves
+// both m points on, for every k, for run lengths that cross and fill whole
+// words, and for a stepper paired with itself.
+func TestStepPairMatchesEval(t *testing.T) {
+	lsbs := func(p Poly, x uint64, m int) uint64 {
+		var w uint64
+		for j := 0; j < m; j++ {
+			w |= p.Eval(x+uint64(j)) & 1 << uint(j)
+		}
+		return w
+	}
+	for k := 1; k <= 8; k++ {
+		seed := make([]uint64, k)
+		for i := range seed {
+			seed[i] = 0xD1B54A32D192ED03 * uint64(k*17+i+1)
+		}
+		p := NewPoly(seed)
+		x, y, z := uint64(12345), uint64(1<<40), uint64(7)
+		s, u, self := p.Stepper(x, nil), p.Stepper(y, nil), p.Stepper(z, nil)
+		for _, m := range []int{1, 5, 64, 63, 2, 64, 17} {
+			ws, wu := StepPair(s, u, m)
+			if ws != lsbs(p, x, m) || wu != lsbs(p, y, m) {
+				t.Fatalf("k=%d m=%d: StepPair = %#x, %#x, want %#x, %#x", k, m, ws, wu, lsbs(p, x, m), lsbs(p, y, m))
+			}
+			w1, w2 := StepPair(self, self, m)
+			if w1 != lsbs(p, z, m) || w2 != w1 {
+				t.Fatalf("k=%d m=%d: self-paired StepPair = %#x, %#x, want %#x", k, m, w1, w2, lsbs(p, z, m))
+			}
+			x, y, z = x+uint64(m), y+uint64(m), z+uint64(m)
+			if s.Value() != p.Eval(x) || u.Value() != p.Eval(y) || self.Value() != p.Eval(z) {
+				t.Fatalf("k=%d: after StepPair(%d) the steppers are off their points", k, m)
+			}
 		}
 	}
 }

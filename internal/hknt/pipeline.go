@@ -24,11 +24,15 @@ type BuildResult struct {
 	Tunables Tunables
 }
 
-// BuildColorMiddle constructs the full pre-shattering schedule of
-// Algorithm 1 for the nodes of degree ≥ tun.LowDeg: almost-clique
-// decomposition, ColorSparse over sparse/uneven nodes, ColorDense over the
-// almost-cliques. Low-degree nodes are left untouched (the paper hands
-// them to the deterministic low-degree algorithm, package lowdeg).
+// BuildColorMiddle constructs the pre-shattering schedule of Algorithm 1:
+// almost-clique decomposition, ColorSparse over sparse/uneven nodes,
+// ColorDense over the almost-cliques. tun.LowDeg filters the sparse/uneven,
+// dense and outlier bases: nodes of degree below it run none of their
+// GenerateSlack and SlackColor steps (the paper hands them to the
+// deterministic low-degree algorithm, package lowdeg). The clique steps do
+// not filter: dense/putaside and dense/synch take every live inlier of
+// their cliques, whatever its degree, so a low-degree clique still runs
+// PutAside and SynchColorTrial.
 func BuildColorMiddle(st *State, tun Tunables) *BuildResult {
 	in := st.In
 	g := in.G
@@ -124,9 +128,11 @@ const putAsideDen = 4
 // with polylog t).
 const synchFailFrac = 0.5
 
-// stepPutAside wraps PutAsidePropose as a Step. The sampling probability
-// follows Algorithm 9: p_s = ℓ²/(48·Δ_C), realized per clique in units of
-// 1/(16·putAsideDen); the Bits budget covers one Bernoulli draw.
+// stepPutAside wraps PutAsidePropose as a Step. Its participants are the
+// live inliers of every low-slack clique, whatever their degree (LowDeg
+// does not apply). The sampling probability follows Algorithm 9:
+// p_s = ℓ²/(48·Δ_C), realized per clique in units of 1/(16·putAsideDen);
+// the Bits budget covers one Bernoulli draw.
 // SSP (per Lemma 13): v succeeds iff its clique is not low-slack, or the
 // proposed put-aside set of v's clique is non-trivial, or the clique is
 // small enough not to need one.
@@ -183,10 +189,12 @@ func stepPutAside(name string, cliques []CliqueInfo, ell float64) Step {
 	}
 }
 
-// stepSynch wraps SynchColorTrialPropose. SSP (per Lemma 13 /
-// [HKNT22, Lemma 7]): v succeeds iff at most synchFailFrac of its clique's
-// live inliers remain uncolored under the proposal, or v is not a live
-// inlier of any clique.
+// stepSynch wraps SynchColorTrialPropose. Its participants are the live
+// inliers of every clique whose leader is uncolored, whatever their degree
+// (LowDeg does not apply); only the leaders read random bits. SSP (per
+// Lemma 13 / [HKNT22, Lemma 7]): v succeeds iff at most synchFailFrac of
+// its clique's live inliers remain uncolored under the proposal, or v is
+// not a live inlier of any clique.
 func stepSynch(name string, cliques []CliqueInfo, maxPal int) Step {
 	maxClique := 1
 	for _, c := range cliques {
@@ -219,9 +227,11 @@ func stepSynch(name string, cliques []CliqueInfo, maxPal int) Step {
 			}
 			return out
 		},
-		// Leaders draw the permutation bits but need not be participants
-		// themselves (an uncolored leader may be deferred or put aside):
-		// declare them so the sparse-chunk engine expands their chunks.
+		// Only leaders draw (the permutation for their inliers), and a
+		// leader need not be a participant itself (an uncolored leader
+		// may be deferred or put aside): the uncolored leaders are the
+		// complete reader list, so the scoring engine expands their
+		// chunks and none of the inliers'.
 		Readers: func(st *State) []int32 {
 			var out []int32
 			for i := range cliques {

@@ -51,6 +51,41 @@ func TestBuildColorMiddleCoversClasses(t *testing.T) {
 	}
 }
 
+// TestCliqueStepsTakeLowDegreeInliers pins which nodes the clique steps
+// schedule: dense/putaside and dense/synch take every live inlier of their
+// cliques whatever its degree, while LowDeg filters only the sparse/uneven,
+// dense and outlier bases. On Mixed(2000) every inlier the two steps start
+// with lies below LowDeg = 37. Restricting the steps to high-degree nodes
+// would change colorings, so this test makes such a change deliberate.
+func TestCliqueStepsTakeLowDegreeInliers(t *testing.T) {
+	st := NewState(d1lc.TrivialPalettes(graph.Mixed(2000, 1)))
+	build := BuildColorMiddle(st, Tunables{})
+	lowDeg := build.Tunables.LowDeg
+	if lowDeg != 37 {
+		t.Fatalf("LowDeg = %d, want 37 at n = 2000", lowDeg)
+	}
+	found := 0
+	for i := range build.Schedule.Steps {
+		step := &build.Schedule.Steps[i]
+		if step.Name != "dense/putaside" && step.Name != "dense/synch" {
+			continue
+		}
+		found++
+		parts := step.Participants(st)
+		if len(parts) < 390 {
+			t.Fatalf("%s: %d participants, want the ~400 live clique inliers", step.Name, len(parts))
+		}
+		for _, v := range parts {
+			if d := st.In.G.Degree(v); d >= lowDeg {
+				t.Fatalf("%s: participant %d has degree %d ≥ LowDeg %d", step.Name, v, d, lowDeg)
+			}
+		}
+	}
+	if found != 2 {
+		t.Fatalf("found %d of the 2 clique steps", found)
+	}
+}
+
 func TestRandomizedColorProperOnSuite(t *testing.T) {
 	cases := []struct {
 		name string

@@ -22,16 +22,20 @@ type Step struct {
 	// Participants selects the nodes running the procedure, given the
 	// current state. Non-live nodes are filtered by the trials themselves.
 	Participants func(st *State) []int32
-	// Readers optionally lists extra non-participant nodes whose random
-	// bits Propose may consult (e.g. clique leaders drawing permutations
-	// for their inliers). The sparse-chunk scoring engine re-expands only
-	// the PRG chunks of participants ∪ Readers per seed; nil means Propose
-	// reads bits for participants only, which holds for every trial that
-	// draws per-participant.
+	// Readers, when non-nil, returns the complete list of nodes whose
+	// random bits Propose reads, participants or not (SynchColorTrial:
+	// the uncolored clique leaders, which draw for their inliers). nil
+	// means Propose reads exactly the participants' bits, which holds for
+	// every trial that draws per participant. The scoring engine
+	// re-expands per seed only the PRG chunks of this list, so a node
+	// missing from it would read stale bits.
 	Readers func(st *State) []int32
 	// Propose runs the procedure without mutating state. sc, when non-nil,
 	// supplies reusable buffers (see Scratch); the returned Proposal then
 	// aliases them and is invalidated by the next Propose on the same sc.
+	// With a Scratch, one call costs time proportional to the nodes it
+	// writes, their arcs and the bits it reads, not to the instance size;
+	// a nil sc allocates fresh n-sized buffers and is the reference path.
 	Propose func(st *State, parts []int32, src RandSource, sc *Scratch) Proposal
 	// SSP reports participant v's strong success property under the
 	// proposal. Nil means trivially true (never defers).
@@ -142,8 +146,10 @@ type Schedule struct {
 // constants (ℓ, the put-aside cap, the SynchColorTrial tolerance and the
 // Vstart ε's) are fixed where they are used.
 type Tunables struct {
-	// LowDeg: nodes with degree below this are left to the low-degree
-	// solver (paper: log⁷n). Default: max(8, ⌈(log₂ n)^1.5⌉).
+	// LowDeg: nodes with degree below this run none of the sparse/uneven,
+	// dense or outlier steps and are left to the low-degree solver (paper:
+	// log⁷n); the clique steps do not filter by it (see
+	// BuildColorMiddle). Default: max(8, ⌈(log₂ n)^1.5⌉).
 	LowDeg int
 	// TRCRounds: slack-amplification TryRandomColor rounds opening
 	// SlackColor (paper: O(1); default 3).

@@ -3,6 +3,7 @@ package hknt
 import (
 	"parcolor/internal/bitset"
 	"parcolor/internal/d1lc"
+	"parcolor/internal/par"
 )
 
 // Scratch carries caller-owned buffers reused across repeated trial
@@ -10,20 +11,41 @@ import (
 // hundreds to thousands of times against identical state, and without reuse
 // each run allocates candidate arrays, proposals and sample sets afresh.
 //
+// Per-seed cost contract: a Propose handed a Scratch does work
+// proportional to the nodes it may write (its participants, or the
+// inliers of its cliques), their arcs and the random bits it reads, never
+// to the instance size n. Every node-indexed buffer (candidates, proposal
+// colors, win and mark masks, MultiTrial's sample sets, PutAside's sample
+// flags) stays clean — Uncolored, nil, false or a zero bit — across its
+// whole capacity except at the nodes the previous Propose recorded as
+// written. The next Propose resets exactly those entries before it writes,
+// and derives its win and mark masks from its own written nodes instead of
+// a pass over all n. One Scratch may serve instances of any size, in any
+// order.
+//
 // Ownership contract: a Proposal returned by a scratch-aware Propose
 // aliases the Scratch's buffers and is invalidated by the next Propose on
 // the same Scratch. One Scratch must never serve two concurrent Propose
 // calls; the trials' own inner parallel loops are safe because distinct
 // nodes touch distinct entries of the shared buffers.
 //
-// A nil *Scratch is valid everywhere and means "allocate fresh": the
-// original allocation-per-call behavior, kept as the reference path.
+// A nil *Scratch is valid everywhere and means "allocate fresh": every
+// Propose builds clean n-sized buffers and derives its masks from a pass
+// over all n nodes — the original allocation-per-call behavior, kept as
+// the reference the Scratch path is tested against (a missed reset or a
+// write outside the recorded nodes shows up as a difference).
 type Scratch struct {
-	cand    []int32
-	sets    [][]int32
-	prop    Proposal
-	mark    bitset.Mask
-	boolBuf []bool
+	cand  []int32     // candidate colors; clean: Uncolored
+	color []int32     // proposal colors; clean: Uncolored
+	win   bitset.Mask // proposal win mask; clean: zero
+	mark  bitset.Mask // proposal mark mask; clean: zero
+	sets  [][]int32   // MultiTrial sample sets; clean: nil
+	flags []bool      // PutAside sample flags; clean: false
+	// written lists the nodes whose entries the last Propose may have set.
+	written []int32
+	// nodes and offs hold a clique trial's per-clique node runs.
+	nodes, offs []int32
+
 	maps    []map[int32]bool
 	arenas  [][]int32
 	palBufs [][]int32
@@ -32,21 +54,74 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// candidates returns an n-sized candidate buffer filled with Uncolored.
-func (sc *Scratch) candidates(n int) []int32 {
-	var cand []int32
+// claim resets every buffer entry the previous Propose on sc wrote and
+// records nodes as the ones this Propose may write. It must precede the
+// Propose's first write. No-op on a nil Scratch.
+func (sc *Scratch) claim(nodes []int32) {
 	if sc == nil {
-		cand = make([]int32, n)
-	} else {
-		if cap(sc.cand) < n {
-			sc.cand = make([]int32, n)
+		return
+	}
+	for _, v := range sc.written {
+		i := int(v)
+		if i < len(sc.cand) {
+			sc.cand[i] = d1lc.Uncolored
 		}
-		cand = sc.cand[:n]
+		if i < len(sc.color) {
+			sc.color[i] = d1lc.Uncolored
+		}
+		if i>>6 < len(sc.win) {
+			sc.win.Clear(i)
+		}
+		if i>>6 < len(sc.mark) {
+			sc.mark.Clear(i)
+		}
+		if i < len(sc.sets) {
+			sc.sets[i] = nil
+		}
+		if i < len(sc.flags) {
+			sc.flags[i] = false
+		}
 	}
-	for i := range cand {
-		cand[i] = d1lc.Uncolored
+	sc.written = append(sc.written[:0], nodes...)
+}
+
+// uncolored returns buf if it holds n entries, else a fresh all-Uncolored
+// buffer of n.
+func uncolored(buf []int32, n int) []int32 {
+	if len(buf) >= n {
+		return buf
 	}
-	return cand
+	buf = make([]int32, n)
+	for i := range buf {
+		buf[i] = d1lc.Uncolored
+	}
+	return buf
+}
+
+// zeroed returns buf if it holds n entries, else a fresh zeroed buffer of
+// n (a zero value is the clean state of sample sets and flags).
+func zeroed[T any](buf []T, n int) []T {
+	if len(buf) >= n {
+		return buf
+	}
+	return make([]T, n)
+}
+
+// zeroMask returns m if it holds n bits, else a fresh zeroed mask.
+func zeroMask(m bitset.Mask, n int) bitset.Mask {
+	if len(m) >= bitset.Words(n) {
+		return m
+	}
+	return bitset.New(n)
+}
+
+// candidates returns an n-sized candidate buffer, all Uncolored.
+func (sc *Scratch) candidates(n int) []int32 {
+	if sc == nil {
+		return uncolored(nil, n)
+	}
+	sc.cand = uncolored(sc.cand, n)
+	return sc.cand[:n]
 }
 
 // proposal returns an n-sized empty proposal (all Uncolored, zero win
@@ -56,16 +131,9 @@ func (sc *Scratch) proposal(n int) Proposal {
 	if sc == nil {
 		return NewProposal(n)
 	}
-	if cap(sc.prop.Color) < n {
-		sc.prop.Color = make([]int32, n)
-	}
-	p := Proposal{Color: sc.prop.Color[:n], Win: sc.prop.Win.Grow(n)}
-	for i := range p.Color {
-		p.Color[i] = d1lc.Uncolored
-	}
-	p.Win.Reset()
-	sc.prop = p
-	return p
+	sc.color = uncolored(sc.color, n)
+	sc.win = zeroMask(sc.win, n)
+	return Proposal{Color: sc.color[:n], Win: sc.win[:bitset.Words(n)]}
 }
 
 // markBuf returns an n-bit zeroed mask for Proposal.Mark.
@@ -73,24 +141,17 @@ func (sc *Scratch) markBuf(n int) bitset.Mask {
 	if sc == nil {
 		return bitset.New(n)
 	}
-	sc.mark = sc.mark.Grow(n)
-	sc.mark.Reset()
-	return sc.mark
+	sc.mark = zeroMask(sc.mark, n)
+	return sc.mark[:bitset.Words(n)]
 }
 
-// bools returns a second n-sized zeroed bool buffer (trial-internal sets).
-func (sc *Scratch) bools(n int) []bool {
+// sampleFlags returns an n-sized all-false flag buffer (PutAside's S).
+func (sc *Scratch) sampleFlags(n int) []bool {
 	if sc == nil {
 		return make([]bool, n)
 	}
-	if cap(sc.boolBuf) < n {
-		sc.boolBuf = make([]bool, n)
-	}
-	b := sc.boolBuf[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
+	sc.flags = zeroed(sc.flags, n)
+	return sc.flags[:n]
 }
 
 // setsBuf returns an n-sized nil-filled slice-of-slices buffer.
@@ -98,14 +159,71 @@ func (sc *Scratch) setsBuf(n int) [][]int32 {
 	if sc == nil {
 		return make([][]int32, n)
 	}
-	if cap(sc.sets) < n {
-		sc.sets = make([][]int32, n)
+	sc.sets = zeroed(sc.sets, n)
+	return sc.sets[:n]
+}
+
+// setWins derives prop's win mask: on a Scratch from the nodes this
+// Propose wrote, on the nil path by a pass over every node's color.
+func (sc *Scratch) setWins(r *par.Runner, prop Proposal, nodes []int32) {
+	if sc == nil {
+		prop.RecomputeWin(r)
+		return
 	}
-	s := sc.sets[:n]
-	for i := range s {
-		s[i] = nil
+	for _, v := range nodes {
+		if prop.Color[v] != d1lc.Uncolored {
+			prop.Win.Set(int(v))
+		}
 	}
-	return s
+}
+
+// setMarks sets mark's bit for every node satisfying pred: on a Scratch
+// among the nodes this Propose wrote, on the nil path among all n.
+func (sc *Scratch) setMarks(r *par.Runner, mark bitset.Mask, n int, nodes []int32, pred func(v int32) bool) {
+	if sc == nil {
+		// Word-parallel: each worker owns word-aligned node ranges, so the
+		// shared mask words are never written by two goroutines.
+		mark.FillPar(r, n, func(i int) bool { return pred(int32(i)) })
+		return
+	}
+	for _, v := range nodes {
+		if pred(v) {
+			mark.Set(int(v))
+		}
+	}
+}
+
+// forWritten runs body on every node a clique trial may have written: the
+// recorded nodes on a Scratch, all n nodes on the nil path.
+func (sc *Scratch) forWritten(r *par.Runner, n int, nodes []int32, body func(v int32)) {
+	if sc == nil {
+		r.For(n, func(i int) { body(int32(i)) })
+		return
+	}
+	r.For(len(nodes), func(i int) { body(nodes[i]) })
+}
+
+// cliqueNodes lists, clique by clique, the inliers keep accepts: clique
+// ci's run is nodes[offs[ci]:offs[ci+1]], in Inliers order. The lists are
+// carved from the Scratch (fresh on a nil one).
+func (sc *Scratch) cliqueNodes(cliques []CliqueInfo, keep func(c *CliqueInfo, v int32) bool) (nodes, offs []int32) {
+	if sc != nil {
+		nodes, offs = sc.nodes[:0], sc.offs[:0]
+	}
+	offs = append(offs, 0)
+	for i := range cliques {
+		c := &cliques[i]
+		for _, v := range c.Inliers {
+			if keep(c, v) {
+				nodes = append(nodes, v)
+			}
+		}
+		offs = append(offs, int32(len(nodes)))
+	}
+	if sc != nil {
+		sc.nodes, sc.offs = nodes, offs
+	}
+	return nodes, offs
 }
 
 // workerBufs returns w per-worker sample arenas and palette shuffle

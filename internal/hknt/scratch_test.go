@@ -89,6 +89,104 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// reusePhase is one call pattern for TestScratchReuseAcrossSetsAndSizes:
+// an instance state with the participants and cliques its trials run on.
+type reusePhase struct {
+	label   string
+	st      *State
+	parts   []int32
+	cliques []CliqueInfo
+}
+
+// reuseInstance builds a partially colored state on Mixed(n, seed) (every
+// third node proposed once, so palettes have shrunk and some leaders are
+// colored) with its almost-cliques, all marked low-slack so PutAside
+// samples in every one.
+func reuseInstance(t *testing.T, n int, seed uint64) (*State, []CliqueInfo) {
+	t.Helper()
+	st := NewState(d1lc.TrivialPalettes(graph.Mixed(n, seed)))
+	cliques := BuildColorMiddle(st, Tunables{}).Cliques
+	if len(cliques) < 2 {
+		t.Fatalf("Mixed(%d): %d cliques, want at least 2", n, len(cliques))
+	}
+	for i := range cliques {
+		cliques[i].LowSlack = true
+	}
+	third := st.LiveNodes(func(v int32) bool { return v%3 == 0 })
+	st.Apply(TryRandomColorPropose(st, third, FreshSource{Root: seed, Bits: 512}, nil))
+	return st, cliques
+}
+
+// TestScratchReuseAcrossSetsAndSizes drives one Scratch through all five
+// proposers on a participant set, a strict subset of it, a set disjoint
+// from that subset, a smaller instance and a larger one, and compares every
+// proposal with the allocate-fresh one over all n nodes. A Scratch resets
+// only what its previous Propose wrote, so an entry left behind by an
+// earlier set or a larger instance would show up here as a difference.
+func TestScratchReuseAcrossSetsAndSizes(t *testing.T) {
+	st, cliques := reuseInstance(t, 1200, 5)
+	live := st.LiveNodes(nil)
+	var even, odd []int32
+	for i, v := range live {
+		if i%2 == 0 {
+			even = append(even, v)
+		} else {
+			odd = append(odd, v)
+		}
+	}
+	half := len(cliques) / 2
+	small, smallCliques := reuseInstance(t, 300, 3)
+	large, largeCliques := reuseInstance(t, 2400, 7)
+	phases := []reusePhase{
+		{"all", st, live, cliques},
+		{"subset", st, even, cliques[:half]},
+		{"disjoint", st, odd, cliques[half:]},
+		{"smaller", small, small.LiveNodes(nil), smallCliques},
+		{"larger", large, large.LiveNodes(nil), largeCliques},
+	}
+	sc := NewScratch()
+	for i, ph := range phases {
+		st, parts, cl := ph.st, ph.parts, ph.cliques
+		maxPal := maxPalette(st.In)
+		maxClique := 1
+		for _, c := range cl {
+			maxClique = max(maxClique, len(c.Members))
+		}
+		seed := uint64(i + 1)
+		check := func(kind string, propose func(sc *Scratch) Proposal) {
+			t.Helper()
+			withSc := propose(sc)
+			if len(withSc.Color) != st.In.G.N() {
+				t.Fatalf("%s/%s: proposal covers %d nodes, want %d", ph.label, kind, len(withSc.Color), st.In.G.N())
+			}
+			fresh := propose(nil)
+			propEqual(t, withSc, fresh, ph.label+"/"+kind)
+			// An empty proposal would leave nothing behind to reset.
+			if fresh.Win.Count() == 0 && (fresh.Mark == nil || fresh.Mark.Count() == 0) {
+				t.Fatalf("%s/%s: empty proposal", ph.label, kind)
+			}
+		}
+		check("trc", func(sc *Scratch) Proposal {
+			return TryRandomColorPropose(st, parts, FreshSource{Root: seed, Round: 1, Bits: TryRandomColorBits(maxPal)}, sc)
+		})
+		check("multitrial", func(sc *Scratch) Proposal {
+			return MultiTrialPropose(st, parts, 3, FreshSource{Root: seed, Round: 2, Bits: MultiTrialBits(3, maxPal)}, sc)
+		})
+		check("genslack", func(sc *Scratch) Proposal {
+			return GenerateSlackPropose(st, parts, FreshSource{Root: seed, Round: 3, Bits: GenerateSlackBits(maxPal)}, sc)
+		})
+		check("synch", func(sc *Scratch) Proposal {
+			src := FreshSource{Root: seed, Round: 4, Bits: SynchColorTrialBits(maxClique, maxPal)}
+			return SynchColorTrialPropose(st, cl, src, sc)
+		})
+		check("putaside", func(sc *Scratch) Proposal {
+			// About one sample per clique, so many cliques keep a mark.
+			prob := func(c *CliqueInfo) (int, int) { return 1, len(c.Inliers) }
+			return PutAsidePropose(st, cl, prob, FreshSource{Root: seed, Round: 5, Bits: PutAsideBits(maxClique)}, sc)
+		})
+	}
+}
+
 // TestScratchConcurrentWorkers hammers per-worker Scratch reuse the way the
 // scoring engine does — one Scratch per goroutine, many seeds each — and
 // cross-checks every proposal against the fresh path. Run under -race this

@@ -302,8 +302,10 @@ func removeColor(pal []int32, c int32) []int32 {
 // sentinels node by node.
 //
 // Invariant: Win.Test(v) ⇔ Color[v] != d1lc.Uncolored. Trials maintain it
-// by finishing with RecomputeWin (a word-parallel pass over Color);
-// callers that write Color directly must do the same, or use SetWin.
+// by deriving the mask after their conflict pass: from the nodes they
+// wrote when handed a Scratch, by RecomputeWin (a word-parallel pass over
+// Color) otherwise. Callers that write Color directly must do the same,
+// or use SetWin.
 type Proposal struct {
 	// Color[v] is the color v won this trial, or d1lc.Uncolored.
 	Color []int32

@@ -26,6 +26,7 @@ func TryRandomColorBits(maxPalette int) int { return rng.IntnBits(maxPalette) }
 // both sides, matching the ψ_v ∉ T rule. sc may be nil (allocate fresh).
 func TryRandomColorPropose(st *State, parts []int32, src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
+	sc.claim(parts)
 	cand := sc.candidates(n)
 	st.Par.ForChunkedWorker(len(parts), func(_, lo, hi int) {
 		var cur rng.Bits
@@ -52,7 +53,7 @@ func TryRandomColorPropose(st *State, parts []int32, src RandSource, sc *Scratch
 		}
 		prop.Color[v] = c
 	})
-	prop.RecomputeWin(st.Par)
+	sc.setWins(st.Par, prop, parts)
 	return prop
 }
 
@@ -66,6 +67,7 @@ func MultiTrialBits(x, maxPalette int) int { return x * rng.IntnBits(maxPalette)
 // a map per participant. sc may be nil (allocate fresh).
 func MultiTrialPropose(st *State, parts []int32, x int, src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
+	sc.claim(parts)
 	sets := sc.setsBuf(n)
 	arenas, palBufs := sc.workerBufs(st.Par.Workers(len(parts)))
 	st.Par.ForChunkedWorker(len(parts), func(wk, lo, hi int) {
@@ -106,7 +108,7 @@ func MultiTrialPropose(st *State, parts []int32, x int, src RandSource, sc *Scra
 			}
 		}
 	})
-	prop.RecomputeWin(st.Par)
+	sc.setWins(st.Par, prop, parts)
 	return prop
 }
 
@@ -151,6 +153,7 @@ func GenerateSlackBits(maxPalette int) int {
 // its uncolored neighbors. sc may be nil (allocate fresh).
 func GenerateSlackPropose(st *State, parts []int32, src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
+	sc.claim(parts)
 	cand := sc.candidates(n)
 	st.Par.ForChunkedWorker(len(parts), func(_, lo, hi int) {
 		var cur rng.Bits
@@ -180,7 +183,7 @@ func GenerateSlackPropose(st *State, parts []int32, src RandSource, sc *Scratch)
 		}
 		prop.Color[v] = c
 	})
-	prop.RecomputeWin(st.Par)
+	sc.setWins(st.Par, prop, parts)
 	return prop
 }
 
@@ -204,48 +207,44 @@ func SynchColorTrialBits(maxClique, maxPalette int) int {
 // accepts iff the proposed color is in its own remaining palette and no
 // neighbor was proposed (or trial-picked) the same color. Distinctness
 // within a clique is automatic (a permutation); conflicts can only arise
-// across cliques or from an inlier's outside neighbors. The per-clique
-// live list and leader permutation are carved out of the Scratch's worker
-// arenas (the MultiTrial pattern) instead of being allocated per clique
-// per seed; draws are bit-identical to sampleColors. sc may be nil.
+// across cliques or from an inlier's outside neighbors. Only leaders read
+// random bits. The live inliers of the cliques with an uncolored leader
+// are listed once per call; with a Scratch the conflict pass runs over
+// that list, and each leader's permutation is carved out of its worker's
+// arena (the MultiTrial pattern), bit-identical to sampleColors. sc may be
+// nil.
 func SynchColorTrialPropose(st *State, cliques []CliqueInfo, src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
+	nodes, offs := sc.cliqueNodes(cliques, func(c *CliqueInfo, v int32) bool {
+		// Leaderless trials are skipped; SSP will fail the clique.
+		return !st.Colored(c.Leader) && st.Live(v) && v != c.Leader
+	})
+	sc.claim(nodes)
 	cand := sc.candidates(n)
 	arenas, palBufs := sc.workerBufs(st.Par.Workers(len(cliques)))
 	st.Par.ForChunkedWorker(len(cliques), func(wk, lo, hi int) {
 		var cur rng.Bits
 		arena := arenas[wk]
 		for ci := lo; ci < hi; ci++ {
-			c := cliques[ci]
-			if st.Colored(c.Leader) {
-				continue // leaderless trials are skipped; SSP will fail the clique
-			}
-			arena = arena[:0]
-			for _, v := range c.Inliers {
-				if st.Live(v) && v != c.Leader {
-					arena = append(arena, v)
-				}
-			}
-			live := arena
+			live := nodes[offs[ci]:offs[ci+1]]
 			if len(live) == 0 {
 				continue
 			}
-			pal := st.Rem[c.Leader]
+			leader := cliques[ci].Leader
+			pal := st.Rem[leader]
 			k := len(live)
 			if k > len(pal) {
 				k = len(pal)
 			}
-			arena = appendSample(arena, &palBufs[wk], pal, k, bitsFor(src, c.Leader, &cur))
-			perm := arena[len(live):]
+			arena = appendSample(arena[:0], &palBufs[wk], pal, k, bitsFor(src, leader, &cur))
 			for i := 0; i < k; i++ {
-				cand[live[i]] = perm[i]
+				cand[live[i]] = arena[i]
 			}
 		}
 		arenas[wk] = arena
 	})
 	prop := sc.proposal(n)
-	st.Par.For(n, func(i int) {
-		v := int32(i)
+	sc.forWritten(st.Par, n, nodes, func(v int32) {
 		c := cand[v]
 		if c == d1lc.Uncolored || !st.Live(v) || !st.HasRem(v, c) {
 			return
@@ -257,7 +256,7 @@ func SynchColorTrialPropose(st *State, cliques []CliqueInfo, src RandSource, sc 
 		}
 		prop.Color[v] = c
 	})
-	prop.RecomputeWin(st.Par)
+	sc.setWins(st.Par, prop, nodes)
 	return prop
 }
 
@@ -286,22 +285,25 @@ func PutAsideProb(ell float64, maxDegC, maxDen int) (num, den int) {
 // (paper: ℓ²/(48·Δ_C)); the put-aside set P_C keeps the members of S_C
 // with no neighbor anywhere in S. The returned proposal carries marks, not
 // colors. Put-aside sets of different cliques have no edges between them
-// by construction. sc may be nil (allocate fresh).
+// by construction. The live inliers of the low-slack cliques are listed
+// once per call; with a Scratch the mark pass runs over that list. sc may
+// be nil (allocate fresh).
 func PutAsidePropose(st *State, cliques []CliqueInfo, probFor func(c *CliqueInfo) (num, den int), src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
-	inS := sc.bools(n)
+	nodes, offs := sc.cliqueNodes(cliques, func(c *CliqueInfo, v int32) bool {
+		return c.LowSlack && st.Live(v)
+	})
+	sc.claim(nodes)
+	inS := sc.sampleFlags(n)
 	st.Par.ForChunkedWorker(len(cliques), func(_, lo, hi int) {
 		var cur rng.Bits
 		for ci := lo; ci < hi; ci++ {
-			c := cliques[ci]
-			if !c.LowSlack {
+			live := nodes[offs[ci]:offs[ci+1]]
+			if len(live) == 0 {
 				continue
 			}
 			num, den := probFor(&cliques[ci])
-			for _, v := range c.Inliers {
-				if !st.Live(v) {
-					continue
-				}
+			for _, v := range live {
 				if bitsFor(src, v, &cur).TakeBool(num, den) {
 					inS[v] = true
 				}
@@ -310,10 +312,7 @@ func PutAsidePropose(st *State, cliques []CliqueInfo, probFor func(c *CliqueInfo
 	})
 	prop := sc.proposal(n)
 	prop.Mark = sc.markBuf(n)
-	// Word-parallel mark pass: each worker owns word-aligned node ranges,
-	// so the shared mask words are never written by two goroutines.
-	prop.Mark.FillPar(st.Par, n, func(i int) bool {
-		v := int32(i)
+	sc.setMarks(st.Par, prop.Mark, n, nodes, func(v int32) bool {
 		if !inS[v] {
 			return false
 		}

@@ -26,7 +26,7 @@ type Expander struct {
 	p     PRG
 	buf   []uint64
 	poly  hashfam.Poly
-	diffs []uint64 // PolyStepper difference table, reused across runs
+	diffs [2][]uint64 // PolyStepper difference tables, reused across runs
 }
 
 // NewExpander prepares an allocation-free expander for p.
@@ -116,42 +116,51 @@ func (e *Expander) ExpandChunksInto(seed uint64, dst []uint64, chunks []int32, b
 
 // expandKWiseChunks evaluates exactly the requested bit positions: KWise
 // bit i is the LSB of the seed polynomial at i+1, independent of every
-// other position. Each chunk is a contiguous run of points, so the
-// polynomial advances by finite differences (k−1 modular additions per
-// bit instead of Horner's multiplications), and bits accumulate into a
-// register word stored once per destination word — together ~2-3× less
-// arithmetic than per-bit Horner with per-bit stores, measured at n=3000
-// where expansion dominates the table fill.
+// other position, so the chunks are runs stepped two at a time (an odd
+// last chunk with itself).
 func (e *Expander) expandKWiseChunks(p *KWise, seed uint64, dst []uint64, chunks []int32, bitsPer int) {
+	e.seedKWise(p, seed)
+	for i := 0; i < len(chunks); i += 2 {
+		c, d := chunks[i], chunks[i]
+		if i+1 < len(chunks) {
+			d = chunks[i+1]
+		}
+		e.kwiseRuns(dst, int(c)*bitsPer, int(d)*bitsPer, bitsPer)
+	}
+}
+
+// seedKWise draws p's polynomial at seed into the reused coefficient
+// storage, as KWise.Expand draws it.
+func (e *Expander) seedKWise(p *KWise, seed uint64) {
 	raw := e.grow(p.k)
 	s := rng.New(rng.Hash2(0x5EED<<32|seed, uint64(p.k)))
 	for i := range raw {
 		raw[i] = s.Uint64()
 	}
 	e.poly.SetCoef(raw)
-	for _, c := range chunks {
-		lo, hi := int(c)*bitsPer, (int(c)+1)*bitsPer
-		st := e.poly.Stepper(uint64(lo)+1, e.diffs)
-		for i := lo; i < hi; {
-			wi := i >> 6
-			end := (wi + 1) << 6
-			if end > hi {
-				end = hi
-			}
-			w := dst[wi]
-			for ; i < end; i++ {
-				mask := uint64(1) << uint(i&63)
-				if st.Value()&1 == 1 {
-					w |= mask
-				} else {
-					w &^= mask
-				}
-				st.Advance()
-			}
-			dst[wi] = w
-		}
-		e.diffs = st.Diffs()
+}
+
+// kwiseRuns writes KWise bits [lo1, lo1+n) and [lo2, lo2+n) of the drawn
+// polynomial into dst, leaving every other bit as it was; the runs may
+// overlap or coincide. Each run is a contiguous range of points, so the
+// polynomial advances by finite differences (k−1 modular additions per
+// bit instead of Horner's multiplications), both runs in one
+// hashfam.StepPair loop. Each call packs the bits up to the nearer
+// destination word boundary of either run in a register, merged into its
+// word under a range mask: no branch depends on a bit's value.
+func (e *Expander) kwiseRuns(dst []uint64, lo1, lo2, n int) {
+	s := e.poly.Stepper(uint64(lo1)+1, e.diffs[0])
+	t := e.poly.Stepper(uint64(lo2)+1, e.diffs[1])
+	for i, j, end := lo1, lo2, lo1+n; i < end; {
+		m := min(64-i&63, 64-j&63, end-i)
+		ws, wt := hashfam.StepPair(s, t, m)
+		mask := ^uint64(0) >> uint(64-m)
+		dst[i>>6] = dst[i>>6]&^(mask<<uint(i&63)) | ws<<uint(i&63)
+		dst[j>>6] = dst[j>>6]&^(mask<<uint(j&63)) | wt<<uint(j&63)
+		i += m
+		j += m
 	}
+	e.diffs = [2][]uint64{s.Diffs(), t.Diffs()}
 }
 
 // expandNisanChunks reconstructs only the leaf blocks covering the
@@ -219,24 +228,14 @@ func (e *Expander) expandNisanChunks(p *Nisan, seed uint64, dst []uint64, chunks
 }
 
 // expandKWise mirrors KWise.Expand with reused coefficient storage,
-// walking the whole output as one finite-difference run (KWise.Expand
-// itself stays per-bit Horner: it is the independent reference the
-// expander is differentially tested against).
+// walking the whole output as two finite-difference runs, the halves,
+// which overlap by one bit when nbits is odd (KWise.Expand itself stays
+// per-bit Horner: it is the independent reference the expander is
+// differentially tested against).
 func (e *Expander) expandKWise(p *KWise, seed uint64, dst []uint64, nbits int) {
-	raw := e.grow(p.k)
-	s := rng.New(rng.Hash2(0x5EED<<32|seed, uint64(p.k)))
-	for i := range raw {
-		raw[i] = s.Uint64()
-	}
-	e.poly.SetCoef(raw)
-	st := e.poly.Stepper(1, e.diffs)
-	for i := 0; i < nbits; i++ {
-		if st.Value()&1 == 1 {
-			dst[i>>6] |= 1 << uint(i&63)
-		}
-		st.Advance()
-	}
-	e.diffs = st.Diffs()
+	e.seedKWise(p, seed)
+	half := (nbits + 1) / 2
+	e.kwiseRuns(dst, 0, nbits-half, half)
 }
 
 // expandNisan mirrors Nisan.Expand, building the recursion tree in place:

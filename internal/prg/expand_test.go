@@ -137,6 +137,43 @@ func TestExpandChunksIntoBitIdentical(t *testing.T) {
 	}
 }
 
+// TestExpandChunksIntoEveryK covers the paired stepping of KWise chunk
+// runs at every independence E6 uses (and k = 1): even and odd chunk
+// counts, neighbours that share a word, a lone chunk stepped with itself.
+// The listed chunks must match the full expansion and every other bit
+// must keep the value it had.
+func TestExpandChunksIntoEveryK(t *testing.T) {
+	const numChunks, bitsPer = 9, 29
+	nbits := numChunks * bitsPer
+	subsets := [][]int32{{4}, {1, 2}, {8, 0, 3}, {2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 6, 7, 8}}
+	for _, k := range []int{1, 2, 4, 8} {
+		p := NewKWise(k, 4, nbits)
+		e := NewExpander(p)
+		dst := make([]uint64, (nbits+63)/64)
+		for seed := uint64(0); seed < uint64(NumSeeds(p)); seed += 3 {
+			for _, chunks := range subsets {
+				e.ExpandInto(seed^1, dst, nbits)
+				before := append([]uint64(nil), dst...)
+				e.ExpandChunksInto(seed, dst, chunks, bitsPer, nbits)
+				ref := expandRef(p, seed, nbits)
+				listed := make([]bool, numChunks)
+				for _, c := range chunks {
+					listed[c] = true
+				}
+				for i := 0; i < nbits; i++ {
+					want := before
+					if listed[i/bitsPer] {
+						want = ref
+					}
+					if dst[i>>6]>>uint(i&63)&1 != want[i>>6]>>uint(i&63)&1 {
+						t.Fatalf("k=%d seed=%d chunks=%v: bit %d wrong (listed=%v)", k, seed, chunks, i, listed[i/bitsPer])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestExpandChunksIntoFallbackPath(t *testing.T) {
 	// Non-random-access generators fall back to a full expansion, which
 	// covers all chunks by definition.

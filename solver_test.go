@@ -3,6 +3,7 @@ package parcolor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -231,6 +232,35 @@ func TestSolverReuseFewerAllocsAndBitIdentical(t *testing.T) {
 		t.Fatalf("warm solver does not allocate measurably less: warm %d bytes vs one-shot %d bytes", bytesWarm, bytesOneShot)
 	}
 	t.Logf("alloc bytes/solve: warm %d vs one-shot %d", bytesWarm, bytesOneShot)
+}
+
+// TestSolverReuseAcrossInstances solves three instances of different
+// sizes on one Solver in interleaved order and compares every coloring
+// with a fresh Solver's. The deframe Cache pools seed-evaluation scratch
+// across solves, and a Scratch resets only what its previous trial wrote,
+// so an entry left stale by a solve of another size would show here.
+func TestSolverReuseAcrossInstances(t *testing.T) {
+	ins := []*Instance{
+		TrivialPalettes(GenerateGraph("mixed", 260, 5)),
+		TrivialPalettes(GenerateGraph("gnp-dense", 800, 2)),
+		TrivialPalettes(GenerateGraph("chunglu", 3000, 3)),
+	}
+	want := make([]*Coloring, len(ins))
+	for i, in := range ins {
+		res, err := solve(in, WithSeedBits(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Coloring
+	}
+	s := mustSolver(t, WithSeedBits(6))
+	for _, i := range []int{0, 2, 1, 0, 1, 2, 0} {
+		res, err := s.Solve(context.Background(), ins[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameColoring(t, res.Coloring, want[i], fmt.Sprintf("instance %d on a shared Solver", i))
+	}
 }
 
 // allocBytesPerRun is testing.AllocsPerRun's byte-counting sibling:
