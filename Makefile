@@ -15,12 +15,15 @@ race:
 
 # test-scratch-race repeats the scratch-reuse suites ten times under the
 # race detector. An hknt.Scratch carries reset state from one trial to the
-# next, and the deframe engine's workers check their scratch in and out of
-# a sync.Pool once per seed, so a race or a reset that one interleaving
-# misses gets more chances to show.
+# next, the engines' workers check their scratch in and out of a sync.Pool
+# once per seed, and contribution tables, run states and reduction arenas
+# pass through package-level pools from one solve to the next, whichever
+# Solver runs it, so a race or a reset that one interleaving misses gets
+# more chances to show.
 test-scratch-race:
-	$(GO) test -race -count=10 -run 'Scratch|TableScoring|Reuse' \
-		./internal/hknt ./internal/deframe .
+	$(GO) test -race -count=10 -run 'Scratch|TableScoring|Reuse|Arena' \
+		./internal/hknt ./internal/deframe ./internal/condexp ./internal/mis \
+		./internal/lowdeg ./internal/d1lc .
 
 # test-chaos runs the fault-injection surface under the race detector:
 # the injector's own unit/fuzz corpus, the mpc cancellation/retry tests,

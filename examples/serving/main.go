@@ -1,7 +1,7 @@
 // Serving: the coloring service end to end — an in-process colord
 // server (internal/serve) driven over real loopback HTTP by a mixed
 // workload of generator-spec requests. The server owns admission
-// control, a pool of warm Solvers, and the content-addressed instance
+// control, a Solver per request, and the content-addressed instance
 // cache; the client side of this example is exactly what an external
 // caller of `cmd/colord` would write.
 //

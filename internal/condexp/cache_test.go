@@ -45,32 +45,31 @@ func TestBuildCancelledMidway(t *testing.T) {
 	}
 }
 
-// TestTableCacheReusesStorageAndStaysExact checks that cached rebuilds
+// TestTableCacheReusesStorageAndStaysExact checks that pooled rebuilds
 // (same and smaller shapes) produce tables identical to fresh builds, and
-// that the cache actually recycles the backing arrays.
+// that the pool actually recycles the backing arrays.
 func TestTableCacheReusesStorageAndStaysExact(t *testing.T) {
-	tc := NewTableCache()
 	fill, score := randomObjective(11, 5)
-	first, err := tc.Build(nil, 1<<6, 5, fill)
+	first, err := BuildTable(nil, 1<<6, 5, fill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	firstPtr := &first.Contrib[0]
 	flat := first.SelectSeed()
-	tc.Release(first)
+	first.Release()
 
 	// Same shape again: storage must be recycled, results identical. The
 	// race detector makes sync.Pool drop items at random, so recycling is
 	// asserted over several attempts rather than on the first.
-	second, err := tc.Build(nil, 1<<6, 5, fill)
+	second, err := BuildTable(nil, 1<<6, 5, fill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recycled := &second.Contrib[0] == firstPtr
 	for tries := 0; !recycled && tries < 50; tries++ {
 		prev := &second.Contrib[0]
-		tc.Release(second)
-		if second, err = tc.Build(nil, 1<<6, 5, fill); err != nil {
+		second.Release()
+		if second, err = BuildTable(nil, 1<<6, 5, fill); err != nil {
 			t.Fatal(err)
 		}
 		recycled = &second.Contrib[0] == prev
@@ -85,23 +84,23 @@ func TestTableCacheReusesStorageAndStaysExact(t *testing.T) {
 	if got := second.SelectSeed(); !sameSelection(got, naive) {
 		t.Fatalf("cached selection differs from naive: %+v vs %+v", got, naive)
 	}
-	tc.Release(second)
+	second.Release()
 
-	// Smaller shape out of the same cache: stale cells beyond the new
+	// Smaller shape out of the same pool: stale cells beyond the new
 	// shape must not leak into totals.
 	smallFill, smallScore := randomObjective(12, 2)
-	small, err := tc.Build(nil, 1<<4, 2, smallFill)
+	small, err := BuildTable(nil, 1<<4, 2, smallFill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := small.SelectSeed(), SelectSeed(nil, 1<<4, smallScore); !sameSelection(got, want) {
 		t.Fatalf("small cached build differs from naive: %+v vs %+v", got, want)
 	}
-	tc.Release(small)
+	small.Release()
 }
 
 // TestWarmTableBuildAllocationFree is the in-place-fill acceptance
-// criterion: once the cache is warm, a single-worker Build (fill straight
+// criterion: once the pool is warm, a single-worker BuildTable (fill straight
 // into the pooled seed-major grid, converge-cast with no partial vectors)
 // plus Release performs zero allocations. Single worker because a wider
 // runner's goroutine fan-out allocates by construction; skipped under
@@ -110,20 +109,19 @@ func TestWarmTableBuildAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
 	}
-	tc := NewTableCache()
 	r := par.NewRunner(1)
 	fill, _ := randomObjective(21, 7)
-	warm, err := tc.Build(r, 1<<6, 7, fill)
+	warm, err := BuildTable(r, 1<<6, 7, fill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.Release(warm)
+	warm.Release()
 	allocs := testing.AllocsPerRun(10, func() {
-		tbl, err := tc.Build(r, 1<<6, 7, fill)
+		tbl, err := BuildTable(r, 1<<6, 7, fill)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc.Release(tbl)
+		tbl.Release()
 	})
 	if allocs != 0 {
 		t.Fatalf("warm table build allocates %.1f times per run, want 0", allocs)

@@ -29,6 +29,12 @@
 //     become pure table aggregation — the bitwise method's branch means
 //     are subset sums of totals the build already paid for.
 //
+// Select and SelectNaive are the engines' entry points to the two paths:
+// one cancel-aware selection over 2^seedBits seeds, flat or bitwise.
+// Table storage lives in a package-level sync.Pool: BuildTable draws from
+// it and ContribTable.Release returns to it, so Select owns a table's
+// whole lifetime.
+//
 // Layout invariants of the seed-major table:
 //
 //   - Contrib[s*NumChunks+c] is chunk c's contribution to seed s: one

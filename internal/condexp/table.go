@@ -126,34 +126,22 @@ type ContribTable struct {
 	run *par.Runner
 }
 
-// TableCache recycles ContribTable storage across builds — and, held by a
-// long-lived Solver, across whole solves: the [seeds × chunks] contribution
-// grid plus the totals vector are the largest per-selection allocations,
-// and their shape recurs step after step. A nil *TableCache is valid and
-// means "allocate fresh per build".
-type TableCache struct {
-	pool sync.Pool
-}
+// tables recycles ContribTable storage across builds: the [seeds ×
+// chunks] contribution grid plus the totals vector are the largest
+// per-selection allocations, and their shape recurs step after step and
+// solve after solve.
+var tables = sync.Pool{New: func() any { return new(ContribTable) }}
 
-// NewTableCache returns an empty cache.
-func NewTableCache() *TableCache { return &TableCache{} }
-
-// get returns a table with at least the requested shape, reusing pooled
-// storage when available.
-func (tc *TableCache) get(numSeeds, numChunks int) *ContribTable {
-	var t *ContribTable
-	if tc != nil {
-		t, _ = tc.pool.Get().(*ContribTable)
-	}
-	if t == nil {
-		t = &ContribTable{}
-	}
+// getTable returns a table with at least the requested shape, reusing
+// pooled storage when available.
+func getTable(numSeeds, numChunks int) *ContribTable {
+	t := tables.Get().(*ContribTable)
 	t.NumSeeds, t.NumChunks = numSeeds, numChunks
 	cells := numSeeds * numChunks
 	if cap(t.Contrib) < cells {
 		t.Contrib = make([]int64, cells)
 	} else {
-		// No zeroing: Build hands every seed its in-place row and the
+		// No zeroing: BuildTable hands every seed its in-place row and the
 		// ChunkFiller contract requires each fill to write its full row,
 		// so the worker partition covers every cell — and a cancelled
 		// build's table is released without being read.
@@ -162,32 +150,30 @@ func (tc *TableCache) get(numSeeds, numChunks int) *ContribTable {
 	return t
 }
 
-// Release returns a table to the cache for a later Build. Safe on a nil
-// cache or nil table; the caller must not use t afterwards.
-func (tc *TableCache) Release(t *ContribTable) {
-	if tc == nil || t == nil {
-		return
-	}
+// Release returns the table's storage to the package pool for a later
+// BuildTable. The caller must not use t afterwards.
+func (t *ContribTable) Release() {
 	t.run = nil
-	tc.pool.Put(t)
+	tables.Put(t)
 }
 
-// Build evaluates every (seed, chunk) contribution in a single parallel
-// pass over the seed space on r's workers — each worker walks a contiguous
-// seed range, handing fill each seed's in-place table row (zero-copy: no
-// per-worker staging row, no stride-NumSeeds scatter) — then aggregates
-// per-seed totals by a converge-cast that reduces each contiguous row in
-// place. Workers poll the runner's cancellation between seeds; on
-// cancellation Build stops filling promptly and returns the context's
-// error with no table.
-func (tc *TableCache) Build(r *par.Runner, numSeeds, numChunks int, fill ChunkFiller) (*ContribTable, error) {
+// BuildTable evaluates every (seed, chunk) contribution in a single
+// parallel pass over the seed space on r's workers — each worker walks a
+// contiguous seed range, handing fill each seed's in-place table row
+// (zero-copy: no per-worker staging row, no stride-NumSeeds scatter) —
+// then aggregates per-seed totals by a converge-cast that reduces each
+// contiguous row in place. The table's storage comes from a package pool;
+// Release returns it. Workers poll the runner's cancellation between
+// seeds; on cancellation BuildTable stops filling promptly and returns the
+// context's error with no table.
+func BuildTable(r *par.Runner, numSeeds, numChunks int, fill ChunkFiller) (*ContribTable, error) {
 	if numSeeds <= 0 {
 		panic("condexp: empty seed space")
 	}
 	if numChunks <= 0 {
 		panic("condexp: table needs at least one chunk")
 	}
-	t := tc.get(numSeeds, numChunks)
+	t := getTable(numSeeds, numChunks)
 	t.run = r
 	contrib := t.Contrib
 	if r.Workers(numSeeds) == 1 {
@@ -209,17 +195,53 @@ func (tc *TableCache) Build(r *par.Runner, numSeeds, numChunks int, fill ChunkFi
 		})
 	}
 	if err := r.Err(); err != nil {
-		tc.Release(t)
+		t.Release()
 		return nil, err
 	}
 	t.convergeCast()
 	return t, nil
 }
 
-// BuildTable is TableCache.Build without a cache: every build allocates
-// fresh storage.
-func BuildTable(r *par.Runner, numSeeds, numChunks int, fill ChunkFiller) (*ContribTable, error) {
-	return (*TableCache)(nil).Build(r, numSeeds, numChunks, fill)
+// Select is the table path of one Lemma 10 seed selection: build the
+// table over the 2^seedBits seed space, select by the bit-by-bit method
+// when bitwise is set and by full enumeration otherwise, and release the
+// table. A cancelled runner surfaces the context's error.
+func Select(r *par.Runner, seedBits int, bitwise bool, numChunks int, fill ChunkFiller) (Result, error) {
+	t, err := BuildTable(r, 1<<seedBits, numChunks, fill)
+	if err != nil {
+		return Result{}, err
+	}
+	var res Result
+	if bitwise {
+		res = t.SelectSeedBitwise(seedBits)
+	} else {
+		res = t.SelectSeed()
+	}
+	t.Release()
+	return res, nil
+}
+
+// SelectNaive is Select's scorer-driven oracle over the same seed space
+// and strategy. Once r is cancelled the remaining evaluations are skipped
+// (their scores are discarded with the selection) and the context's error
+// is returned.
+func SelectNaive(r *par.Runner, seedBits int, bitwise bool, score Scorer) (Result, error) {
+	scorer := func(seed uint64) int64 {
+		if r.Err() != nil {
+			return 0
+		}
+		return score(seed)
+	}
+	var res Result
+	if bitwise {
+		res = SelectSeedBitwise(r, seedBits, scorer)
+	} else {
+		res = SelectSeed(r, 1<<seedBits, scorer)
+	}
+	if err := r.Err(); err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }
 
 // BuildChunkMajorOracle is the retained reference implementation of the
@@ -227,7 +249,7 @@ func BuildTable(r *par.Runner, numSeeds, numChunks int, fill ChunkFiller) (*Cont
 // into a chunk-major grid (contrib[c*numSeeds+s]) with stride-numSeeds
 // writes, and totals folded chunk-by-chunk in the converge-cast's tree
 // order. It exists solely as the differential-test oracle — the
-// seed-major Build must stay bit-identical to it, cell for transposed
+// seed-major BuildTable must stay bit-identical to it, cell for transposed
 // cell and total for total, under every engine, selection strategy and
 // worker count — and is deliberately sequential and allocation-heavy, the
 // shape whose cost the seed-major layout removed.
@@ -299,7 +321,7 @@ func (t *ContribTable) convergeCast() {
 	nc := t.NumChunks
 	contrib, totals := t.Contrib, t.Totals
 	if t.run.Workers(t.NumSeeds) == 1 {
-		// Inline loop, allocation-free: see Build.
+		// Inline loop, allocation-free: see BuildTable.
 		for s := 0; s < t.NumSeeds; s++ {
 			totals[s] = kernel.Sum(contrib[s*nc : (s+1)*nc])
 		}

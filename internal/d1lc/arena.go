@@ -1,6 +1,8 @@
 package d1lc
 
 import (
+	"sync"
+
 	"parcolor/internal/graph"
 	"parcolor/internal/par"
 )
@@ -25,10 +27,20 @@ type ReduceArena struct {
 	slab    []int32   // flat palette storage
 }
 
-// NewReduceArena returns an empty arena; buffers grow on first use.
-func NewReduceArena() *ReduceArena {
+// reduceArenas recycles arenas across reductions and solves; sparsify and
+// deframe share it.
+var reduceArenas = sync.Pool{New: func() any {
 	return &ReduceArena{sub: graph.NewSubgraphArena()}
-}
+}}
+
+// NewReduceArena returns an arena from the package pool; buffers grow on
+// first use.
+func NewReduceArena() *ReduceArena { return reduceArenas.Get().(*ReduceArena) }
+
+// Release returns the arena to the package pool once the instance of its
+// last reduction, and the coloring write-back through its origOf, are
+// done. The caller must not use a afterwards.
+func (a *ReduceArena) Release() { reduceArenas.Put(a) }
 
 // ReducePar is the arena counterpart of the package-level ReducePar.
 // nodes must be sorted ascending and duplicate-free (the uncolored scan

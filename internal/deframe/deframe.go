@@ -99,8 +99,8 @@ type Options struct {
 	// Trace observes phase enter/exit events (one phase per derandomized
 	// step, plus the greedy base case). nil disables tracing.
 	Trace trace.Tracer
-	// Cache pools contribution tables and per-worker seed-evaluation
-	// scratch across steps and runs. nil means per-step pooling only.
+	// Cache holds the chunk-assignment memo across runs. nil memoizes
+	// nothing.
 	Cache *Cache
 	// MemoGraph, when non-nil, marks the caller's reusable root graph:
 	// chunk assignments are memoized in the Cache only for this graph, so
@@ -239,7 +239,7 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 	if o.NaiveScoring {
 		res, prop, err = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
 	} else {
-		eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks, o.Cache)
+		eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
 		res, prop, err = eng.selectSeedTable(o)
 	}
 	if err != nil {
@@ -266,13 +266,9 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 // derandomizeStepNaive is the monolithic scorer: one full proposal plus
 // full-graph score per evaluated seed, and a final re-proposal of the
 // winner. It is the oracle the engine is differentially tested against. A
-// cancelled runner short-circuits the remaining evaluations (their scores
-// are discarded with the selection) and surfaces the context error.
+// cancelled runner surfaces the context error.
 func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
-	scorer := func(seed uint64) int64 {
-		if o.Par.Err() != nil {
-			return 0 // discarded: the selection below returns the ctx error
-		}
+	res, err := condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
 		src, err := prg.NewChunkedSource(gen, seed, chunkOf, numChunks, step.Bits)
 		if err != nil {
 			// Generator too short is a construction bug; make it loud.
@@ -280,14 +276,8 @@ func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen pr
 		}
 		prop := step.Propose(st, parts, src, nil)
 		return step.DefaultScore(st, parts, prop)
-	}
-	var res condexp.Result
-	if o.Bitwise {
-		res = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
-	} else {
-		res = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
-	}
-	if err := o.Par.Err(); err != nil {
+	})
+	if err != nil {
 		return condexp.Result{}, hknt.Proposal{}, err
 	}
 	src, _ := prg.NewChunkedSource(gen, res.Seed, chunkOf, numChunks, step.Bits)
@@ -313,8 +303,8 @@ func Run(ctx context.Context, in *d1lc.Instance, o Options) (*d1lc.Coloring, *Re
 
 func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, error) {
 	rep := &Report{Depth: depth}
-	st := o.Cache.getState(in)
-	defer o.Cache.putState(st) // runs after the returned st.Col is captured
+	st := hknt.NewState(in)
+	defer st.Release() // runs after the returned st.Col is captured
 	st.Par = o.Par
 	n := in.G.N()
 	if n == 0 {
@@ -369,10 +359,10 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	// recursion's per-level extraction is allocation-free in steady state.
 	// The residual instance aliases the arena, which therefore stays
 	// checked out until the recursive solve and Apply both finish.
-	ar := o.Cache.getReduceArena()
+	ar := d1lc.NewReduceArena()
 	residual, origOf := ar.ReduceUncolored(o.Par, in, st.Col)
 	if residual.N() == 0 {
-		o.Cache.putReduceArena(ar)
+		ar.Release()
 		return st.Col, rep, nil
 	}
 	if residual.N() == n {
@@ -382,12 +372,12 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	}
 	subCol, subRep, err := run(residual, o, depth-1)
 	if err != nil {
-		o.Cache.putReduceArena(ar)
+		ar.Release()
 		return nil, rep, err
 	}
 	rep.Recursed = subRep
 	d1lc.Apply(st.Col, subCol, origOf)
-	o.Cache.putReduceArena(ar)
+	ar.Release()
 	return st.Col, rep, nil
 }
 

@@ -2,7 +2,9 @@ package deframe
 
 import (
 	"fmt"
+	"sync"
 
+	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/hknt"
 	"parcolor/internal/kernel"
@@ -16,9 +18,8 @@ import (
 // time, and re-proposing the winning seed after selection — the engine
 //
 //   - walks the seed space once, reusing per-worker scratch (a reseedable
-//     ChunkedSource and an hknt.Scratch) checked out of the run's Cache:
-//     pooled across seeds within a step, across steps within a run, and —
-//     when the Cache belongs to a long-lived Solver — across runs,
+//     ChunkedSource and an hknt.Scratch) checked out of a package pool:
+//     pooled across seeds within a step, across steps and across runs,
 //   - keeps each seed's cost proportional to the step's participants,
 //     their arcs and the PRG chunks Propose reads, never to n: the
 //     hknt.Scratch resets only what the previous seed's Propose wrote, and
@@ -64,24 +65,15 @@ type stepEngine struct {
 	// c*np/k partition computed once instead of per chunk per seed.
 	bounds []int32
 
-	// cache supplies pooled scratch and table storage: the run's
-	// (possibly Solver-owned) Cache, or an ephemeral one scoped to this
-	// engine when the run has none.
-	cache *Cache
-
 	best     condexp.BestSeen
 	bestProp hknt.Proposal
 }
 
-func newStepEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, cache *Cache) *stepEngine {
-	if cache == nil {
-		cache = NewCache() // per-engine pooling, the pre-Cache behavior
-	}
+func newStepEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) *stepEngine {
 	e := &stepEngine{
 		st: st, step: step, parts: parts,
 		gen: gen, chunkOf: chunkOf, numChunks: numChunks,
 		nChunks: condexp.ScoreChunks(len(parts)),
-		cache:   cache,
 	}
 	readers := parts
 	if step.Readers != nil {
@@ -127,7 +119,7 @@ func (e *stepEngine) reseed(ss *seedScratch, seed uint64) *prg.ChunkedSource {
 // participants per word. SSP steps evaluate the predicate per
 // participant, exactly as the naive ScoreChunk does.
 func (e *stepEngine) fill(seed uint64, row []int64) {
-	ss := e.cache.getScratch(e)
+	ss := e.getScratch()
 	src := e.reseed(ss, seed)
 	prop := e.step.Propose(e.st, e.parts, src, ss.sc)
 	k := len(row)
@@ -143,7 +135,7 @@ func (e *stepEngine) fill(seed uint64, row []int64) {
 		}
 	}
 	e.offerBest(seed, kernel.Sum(row), prop)
-	e.cache.putScratch(ss)
+	seedScratches.Put(ss)
 }
 
 // offerBest offers the proposal to the best-seen cache (the flat
@@ -175,16 +167,42 @@ func (e *stepEngine) proposalFor(seed uint64) hknt.Proposal {
 // proposal. A cancelled runner aborts the build and surfaces the context
 // error.
 func (e *stepEngine) selectSeedTable(o Options) (condexp.Result, hknt.Proposal, error) {
-	tbl, err := e.cache.tableCache().Build(o.Par, 1<<o.SeedBits, e.nChunks, e.fill)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.nChunks, e.fill)
 	if err != nil {
 		return condexp.Result{}, hknt.Proposal{}, err
 	}
-	var res condexp.Result
-	if o.Bitwise {
-		res = tbl.SelectSeedBitwise(o.SeedBits)
-	} else {
-		res = tbl.SelectSeed()
-	}
-	e.cache.tableCache().Release(tbl)
 	return res, e.proposalFor(res.Seed), nil
+}
+
+// seedScratches pools the workers' seed-evaluation scratch across seeds,
+// steps and runs.
+var seedScratches = sync.Pool{New: func() any { return &seedScratch{sc: hknt.NewScratch()} }}
+
+// seedScratch is one worker's reusable evaluation state. partsWin is the
+// dense participant-index win mask the popcount scoring path gathers into.
+type seedScratch struct {
+	src      *prg.ChunkedScratch
+	sc       *hknt.Scratch
+	partsWin bitset.Mask
+}
+
+// getScratch checks a seed-evaluation scratch out of the pool and
+// retargets it to the engine's (generator, chunk layout, participant)
+// shape. Retargeting an already-matching scratch — the steady state when
+// one step's fill loop checks the same objects in and out — is a few
+// comparisons.
+func (e *stepEngine) getScratch() *seedScratch {
+	ss := seedScratches.Get().(*seedScratch)
+	if ss.src == nil {
+		src, err := prg.NewChunkedScratch(e.gen, e.chunkOf, e.numChunks, e.step.Bits)
+		if err != nil {
+			// Generator too short is a construction bug; make it loud.
+			panic(fmt.Sprintf("deframe: %v", err))
+		}
+		ss.src = src
+	} else if err := ss.src.Retarget(e.gen, e.chunkOf, e.numChunks, e.step.Bits); err != nil {
+		panic(fmt.Sprintf("deframe: %v", err))
+	}
+	ss.partsWin = ss.partsWin.Grow(len(e.parts))
+	return ss
 }

@@ -43,7 +43,7 @@ func benchSelection(b *testing.B, n int, bitwise, naive bool) {
 		if naive {
 			res, _, _ = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
 		} else {
-			eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks, nil)
+			eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
 			res, _, _ = eng.selectSeedTable(o)
 		}
 		if res.NumSeeds != 1<<o.SeedBits {
@@ -126,11 +126,10 @@ func benchFixedParticipants(b *testing.B, n int) {
 	f := fixedPartsFixture(b, n)
 	o := Options{SeedBits: 8}.withDefaults(f.st.In.G.MaxDegree())
 	gen := buildPRG(o, f.numChunks, f.step.Bits)
-	cache := NewCache()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := newStepEngine(f.st, &f.step, f.parts, gen, f.chunkOf, f.numChunks, cache)
+		eng := newStepEngine(f.st, &f.step, f.parts, gen, f.chunkOf, f.numChunks)
 		res, _, err := eng.selectSeedTable(o)
 		if err != nil || res.NumSeeds != 1<<o.SeedBits {
 			b.Fatal("bad selection")

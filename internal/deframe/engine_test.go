@@ -161,7 +161,7 @@ func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 	chunkOf, num, _ := chunkAssignment(nil, in.G, 4, 1_000_000)
 	parts := step.Participants(st)
 	gen := buildPRG(o, num, step.Bits)
-	eng := newStepEngine(st, &step, parts, gen, chunkOf, num, nil)
+	eng := newStepEngine(st, &step, parts, gen, chunkOf, num)
 	res, prop, err := eng.selectSeedTable(o)
 	if err != nil {
 		t.Fatal(err)

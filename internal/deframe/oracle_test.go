@@ -47,11 +47,11 @@ func TestStepEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 			gen := buildPRG(o, num, step.Bits)
 			numSeeds := 1 << o.SeedBits
 
-			oracleEng := newStepEngine(st, &step, parts, gen, chunkOf, num, nil)
+			oracleEng := newStepEngine(st, &step, parts, gen, chunkOf, num)
 			oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
 
 			for _, w := range []int{1, 4, 0} {
-				eng := newStepEngine(st, &step, parts, gen, chunkOf, num, nil)
+				eng := newStepEngine(st, &step, parts, gen, chunkOf, num)
 				tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
 				if err != nil {
 					t.Fatal(err)

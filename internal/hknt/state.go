@@ -92,39 +92,23 @@ type State struct {
 	Par *par.Runner
 	// Meter accounts LOCAL rounds consumed.
 	Meter local.Meter
-	// remArena is the flat backing the Rem slices are carved from (see
-	// StatePool).
+	// remArena is the flat backing the Rem slices are carved from.
+	// Palettes only ever shrink in place after initialization
+	// (removeColor compacts within the slice), so carved sub-slices can
+	// never bleed into a neighbor's range.
 	remArena []int32
 }
 
-// NewState initializes the run state for an instance.
-func NewState(in *d1lc.Instance) *State { return (*StatePool)(nil).Get(in) }
+// states recycles State backing arrays (remaining palettes and their flat
+// arena, degree counters, deferral flags, the live mask) across runs.
+var states = sync.Pool{New: func() any { return new(State) }}
 
-// StatePool recycles State backing arrays (remaining palettes and their
-// flat arena, degree counters, deferral flags, the live mask) across runs.
-// The Coloring is always freshly allocated — it escapes as the run's
-// result — and Put detaches it before recycling, so pooled storage never
-// aliases anything a caller holds. A nil *StatePool is valid and means
-// "allocate fresh": the original NewState behavior.
-//
-// Remaining palettes are carved from one flat arena (palettes only ever
-// shrink in place after initialization — removeColor compacts within the
-// slice — so carved sub-slices can never bleed into a neighbor's range).
-type StatePool struct {
-	pool sync.Pool // of *State with detached In/Col
-}
-
-// Get returns an initialized State for the instance, reusing pooled
-// backing arrays when available. The result is indistinguishable from
-// NewState's.
-func (p *StatePool) Get(in *d1lc.Instance) *State {
-	var st *State
-	if p != nil {
-		st, _ = p.pool.Get().(*State)
-	}
-	if st == nil {
-		st = &State{}
-	}
+// NewState initializes the run state for an instance, reusing the backing
+// arrays of a released State when the package pool holds one. The
+// Coloring is always freshly allocated — it escapes as the run's result —
+// so pooled storage never aliases anything a caller holds.
+func NewState(in *d1lc.Instance) *State {
+	st := states.Get().(*State)
 	n := in.G.N()
 	st.In = in
 	st.Col = d1lc.NewColoring(n) // escapes with the caller; never pooled
@@ -165,17 +149,14 @@ func (p *StatePool) Get(in *d1lc.Instance) *State {
 	return st
 }
 
-// Put recycles the state's backing arrays after a run. The instance and
-// coloring are detached first (the coloring is the caller's result). Safe
-// on a nil pool or nil state.
-func (p *StatePool) Put(st *State) {
-	if p == nil || st == nil {
-		return
-	}
+// Release returns the state's backing arrays to the package pool for a
+// later NewState. The instance and coloring are detached first (the
+// coloring is the caller's result); st must not be used afterwards.
+func (st *State) Release() {
 	st.In = nil
 	st.Col = nil
 	st.Par = nil
-	p.pool.Put(st)
+	states.Put(st)
 }
 
 // growBoolZeroed returns a length-n all-false bool slice reusing prior

@@ -1,12 +1,15 @@
 package hknt
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"parcolor/internal/bitset"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
+	"parcolor/internal/local"
+	"parcolor/internal/par"
 )
 
 func TestNewStateInitialInvariants(t *testing.T) {
@@ -159,5 +162,65 @@ func TestLiveNodesFilter(t *testing.T) {
 	even := st.LiveNodes(func(v int32) bool { return v%2 == 0 })
 	if len(even) != 1 || even[0] != 4 {
 		t.Fatalf("filtered=%v", even)
+	}
+}
+
+// TestNewStateReuseAcrossSizes releases a mutated State into the package
+// pool and draws a smaller and then a larger instance's State from it:
+// every field must hold what a fresh State holds, so nothing of an earlier
+// run (colors, pruned palettes, deferrals, put-asides, live bits, rounds,
+// the worker budget) reaches the next.
+func TestNewStateReuseAcrossSizes(t *testing.T) {
+	mutate := func(st *State) {
+		for v := int32(0); v < int32(st.In.G.N()); v++ {
+			switch v % 3 {
+			case 0:
+				st.SetColor(v, st.Rem[v][0])
+			case 1:
+				st.Defer(v)
+			case 2:
+				st.MarkPutAside(v)
+			}
+		}
+		st.Meter.Tick(5)
+		st.Par = par.NewRunner(2)
+	}
+	checkFresh := func(st *State, in *d1lc.Instance) {
+		t.Helper()
+		n := in.G.N()
+		if st.In != in || st.Par != nil || st.Meter != (local.Meter{}) {
+			t.Fatalf("n=%d: In/Par/Meter not reset (Par %v, Meter %+v)", n, st.Par, st.Meter)
+		}
+		if len(st.Rem) != n || len(st.liveDeg) != n || len(st.Deferred) != n || len(st.PutAside) != n || len(st.Col.Colors) != n {
+			t.Fatalf("n=%d: field lengths %d/%d/%d/%d/%d", n, len(st.Rem), len(st.liveDeg), len(st.Deferred), len(st.PutAside), len(st.Col.Colors))
+		}
+		for v := int32(0); v < int32(n); v++ {
+			if !slices.Equal(st.Rem[v], in.Palettes[v]) {
+				t.Fatalf("n=%d: Rem[%d] = %v, palette %v", n, v, st.Rem[v], in.Palettes[v])
+			}
+			if st.LiveDegree(v) != in.G.Degree(v) {
+				t.Fatalf("n=%d: liveDeg[%d] = %d, degree %d", n, v, st.LiveDegree(v), in.G.Degree(v))
+			}
+			if st.Deferred[v] || st.PutAside[v] || st.Col.Colors[v] != d1lc.Uncolored {
+				t.Fatalf("n=%d: node %d deferred=%v putAside=%v color=%d", n, v, st.Deferred[v], st.PutAside[v], st.Col.Colors[v])
+			}
+		}
+		want := bitset.New(n)
+		want.FillOnes(n)
+		if !slices.Equal(st.live, want) {
+			t.Fatalf("n=%d: live mask is not exactly the n set bits", n)
+		}
+	}
+	large := d1lc.TrivialPalettes(graph.Gnp(500, 0.02, 1))
+	st := NewState(large)
+	checkFresh(st, large)
+	mutate(st)
+	st.Release()
+	for _, n := range []int{120, 900} {
+		in := d1lc.TrivialPalettes(graph.Gnp(n, 8/float64(n), uint64(n)))
+		st := NewState(in)
+		checkFresh(st, in)
+		mutate(st)
+		st.Release()
 	}
 }

@@ -1,6 +1,8 @@
 package lowdeg
 
 import (
+	"sync"
+
 	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
@@ -21,7 +23,7 @@ import (
 //     every per-seed structure scales with the shrinking live set instead
 //     of n,
 //   - walks the seed space once, reusing per-worker candidate buffers
-//     pooled across seeds (the hknt.Scratch arena pattern) with the
+//     from a package pool shared across seeds, rounds and runs, with the
 //     per-seed loser state packed into a word-wide bitset.Mask — the
 //     elimination pass sets loser bits, each chunk's wins are the
 //     seed-invariant candidate count minus a popcount over the chunk's
@@ -75,11 +77,6 @@ type trialEngine struct {
 	candMask bitset.Mask
 	candCnt  []int64
 
-	// cache supplies pooled scratch and table storage: the run's
-	// (possibly Solver-owned) Cache, or an ephemeral one scoped to this
-	// engine when the run has none.
-	cache *Cache
-
 	best condexp.BestSeen
 	// bestWins holds the winner proposal of the best seed as (node, color)
 	// pairs: materialized only when a seed takes the best-seen slot, so
@@ -87,14 +84,10 @@ type trialEngine struct {
 	bestWins []int32
 }
 
-func newTrialEngine(st *hknt.State, parts []int32, round uint64, cache *Cache) *trialEngine {
-	if cache == nil {
-		cache = NewCache() // per-engine pooling, the pre-Cache behavior
-	}
+func newTrialEngine(st *hknt.State, parts []int32, round uint64) *trialEngine {
 	e := &trialEngine{
 		st: st, parts: parts, round: round,
 		nChunks: condexp.ScoreChunks(len(parts)),
-		cache:   cache,
 	}
 	g := st.In.G
 	np := len(parts)
@@ -136,7 +129,7 @@ func newTrialEngine(st *hknt.State, parts []int32, round uint64, cache *Cache) *
 // yields Uncolored, and only live neighbors can collide — so the per-chunk
 // sums are the naive scorer's −countWins split over the partition.
 func (e *trialEngine) fill(seed uint64, row []int64) {
-	ss := e.cache.getScratch(len(e.parts))
+	ss := getScratch(len(e.parts))
 	cand, parts := ss.cand, e.parts
 	// Pass 1: draw candidates into dense participant-index space.
 	for i := range parts {
@@ -170,7 +163,7 @@ func (e *trialEngine) fill(seed uint64, row []int64) {
 		row[c] = -(e.candCnt[c] - int64(loser.CountRange(int(e.bounds[c]), int(e.bounds[c+1]))))
 	}
 	e.offerBest(seed, kernel.Sum(row), cand, ss)
-	e.cache.putScratch(ss)
+	scratches.Put(ss)
 }
 
 // offerBest offers the seed to the best-seen cache (the flat selection's
@@ -209,16 +202,35 @@ func (e *trialEngine) proposalFor(seed uint64) hknt.Proposal {
 // The caller fetches the winning proposal via proposalFor only when the
 // round makes progress — zero-progress rounds take the greedy fallback.
 func (e *trialEngine) selectSeedTable(o Options) (condexp.Result, error) {
-	tbl, err := e.cache.tableCache().Build(o.Par, 1<<o.SeedBits, e.nChunks, e.fill)
-	if err != nil {
-		return condexp.Result{}, err
-	}
-	var res condexp.Result
-	if o.Bitwise {
-		res = tbl.SelectSeedBitwise(o.SeedBits)
+	return condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.nChunks, e.fill)
+}
+
+// scratches pools the workers' trial scratch across seeds, rounds and
+// runs.
+var scratches = sync.Pool{New: func() any { return new(trialScratch) }}
+
+// trialScratch is one worker's reusable evaluation state: cand[i] is
+// participant i's candidate this seed (rewritten in full by every fill),
+// loser marks candidates eliminated by a neighbor collision (cleared per
+// seed) and winners is the and-not scratch the best-seen materialization
+// carves winners into.
+type trialScratch struct {
+	cand    []int32
+	loser   bitset.Mask
+	winners bitset.Mask
+}
+
+// getScratch checks a worker scratch out of the pool and resizes it to np
+// participants. Every field is fully rewritten (cand) or reset (loser)
+// per fill, so no cross-round state can leak.
+func getScratch(np int) *trialScratch {
+	ss := scratches.Get().(*trialScratch)
+	if cap(ss.cand) < np {
+		ss.cand = make([]int32, np)
 	} else {
-		res = tbl.SelectSeed()
+		ss.cand = ss.cand[:np]
 	}
-	e.cache.tableCache().Release(tbl)
-	return res, nil
+	ss.loser = ss.loser.Grow(np)
+	ss.winners = ss.winners.Grow(np)
+	return ss
 }

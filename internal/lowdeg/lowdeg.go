@@ -58,9 +58,6 @@ type Options struct {
 	Par *par.Runner
 	// Trace observes one phase per trial round. nil disables tracing.
 	Trace trace.Tracer
-	// Cache pools contribution tables and per-worker scratch across rounds
-	// and runs. nil means per-round pooling only.
-	Cache *Cache
 }
 
 // Stats reports a run.
@@ -89,8 +86,8 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 		o.MaxRounds = 8*log2(n+2) + 16
 	}
 	o.Par = o.Par.WithContext(ctx)
-	st := o.Cache.getState(in)
-	defer o.Cache.putState(st) // runs after the returned st.Col is captured
+	st := hknt.NewState(in)
+	defer st.Release() // runs after the returned st.Col is captured
 	st.Par = o.Par
 	var stats Stats
 	for r := 0; r < o.MaxRounds; r++ {
@@ -108,7 +105,7 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 		if o.NaiveScoring {
 			sel, err = selectSeedNaive(st, parts, uint64(r), o)
 		} else {
-			eng = newTrialEngine(st, parts, uint64(r), o.Cache)
+			eng = newTrialEngine(st, parts, uint64(r))
 			sel, err = eng.selectSeedTable(o)
 		}
 		if err != nil {
@@ -148,25 +145,11 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 
 // selectSeedNaive is the monolithic oracle: one full proposal plus score
 // per evaluated seed. It is the path the table engine is differentially
-// tested against. A cancelled runner short-circuits the remaining
-// evaluations and surfaces the context error.
+// tested against. A cancelled runner surfaces the context error.
 func selectSeedNaive(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, error) {
-	scorer := func(seed uint64) int64 {
-		if o.Par.Err() != nil {
-			return 0 // discarded with the selection
-		}
+	return condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
 		return -int64(countWins(st, parts, seed, round))
-	}
-	var sel condexp.Result
-	if o.Bitwise {
-		sel = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
-	} else {
-		sel = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
-	}
-	if err := o.Par.Err(); err != nil {
-		return condexp.Result{}, err
-	}
-	return sel, nil
+	})
 }
 
 // proposeRound computes the trial proposal for a (seed, round) pair and

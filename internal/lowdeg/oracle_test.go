@@ -28,11 +28,11 @@ func TestTrialEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 		if len(parts) == 0 {
 			break
 		}
-		oracleEng := newTrialEngine(st, parts, round, nil)
+		oracleEng := newTrialEngine(st, parts, round)
 		oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
 
 		for _, w := range []int{1, 4, 0} {
-			eng := newTrialEngine(st, parts, round, nil)
+			eng := newTrialEngine(st, parts, round)
 			tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
 			if err != nil {
 				t.Fatal(err)
@@ -44,7 +44,7 @@ func TestTrialEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 
 		// Advance the state with the selected proposal so later rounds
 		// exercise shrunken live sets and thinner palettes.
-		eng := newTrialEngine(st, parts, round, nil)
+		eng := newTrialEngine(st, parts, round)
 		sel, err := eng.selectSeedTable(Options{SeedBits: seedBits})
 		if err != nil {
 			t.Fatal(err)

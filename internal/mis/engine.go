@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"parcolor/internal/bitset"
@@ -20,7 +21,8 @@ import (
 //
 //   - walks the seed space once, reusing per-worker scratch (a reseedable
 //     prg.ChunkedScratch plus a priority buffer and word-packed join/
-//     undone masks carved from one arena) pooled across seeds,
+//     undone masks) from a package pool shared across seeds, rounds and
+//     runs,
 //   - re-expands only the undecided nodes' chunks per seed
 //     (ChunkedScratch.ReseedChunks), so per-seed expansion cost tracks the
 //     shrinking live set instead of n,
@@ -58,25 +60,16 @@ type roundEngine struct {
 	// bounds[c] is the first participant index of score chunk c.
 	bounds []int32
 
-	// cache supplies pooled scratch and table storage: the run's
-	// (possibly Solver-owned) Cache, or an ephemeral one scoped to this
-	// engine when the run has none.
-	cache *Cache
-
 	best     condexp.BestSeen
 	bestJoin bitset.Mask
 }
 
-func newRoundEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, cache *Cache) *roundEngine {
-	if cache == nil {
-		cache = NewCache() // per-engine pooling, the pre-Cache behavior
-	}
+func newRoundEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) *roundEngine {
 	e := &roundEngine{
 		id: engineIDs.Add(1),
 		g:  g, state: state, parts: parts,
 		gen: gen, chunkOf: chunkOf, numChunks: numChunks,
 		nChunks: condexp.ScoreChunks(len(parts)),
-		cache:   cache,
 	}
 	seen := make([]bool, numChunks)
 	e.liveChunks = make([]int32, 0, len(parts))
@@ -95,7 +88,7 @@ func newRoundEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PR
 // into the dense undone mask, and read off every chunk's contribution as
 // a popcount over its index range.
 func (e *roundEngine) fill(seed uint64, row []int64) {
-	ss := e.cache.getScratch(e)
+	ss := e.getScratch()
 	src := ss.src.ReseedChunks(seed, e.liveChunks)
 	var cur rng.Bits
 	for _, v := range e.parts {
@@ -127,7 +120,7 @@ func (e *roundEngine) fill(seed uint64, row []int64) {
 		row[c] = int64(undone.CountRange(int(e.bounds[c]), int(e.bounds[c+1])))
 	}
 	e.offerBest(seed, kernel.Sum(row), ss.join)
-	e.cache.putScratch(ss)
+	scratches.Put(ss)
 }
 
 // stillUndecided reports whether undecided node v stays undecided under
@@ -177,16 +170,62 @@ func (e *roundEngine) joinFor(r *par.Runner, seed uint64) bitset.Mask {
 // mask. A cancelled runner aborts the build and surfaces the context
 // error.
 func (e *roundEngine) selectSeedTable(o Options) (condexp.Result, bitset.Mask, error) {
-	tbl, err := e.cache.tableCache().Build(o.Par, 1<<o.SeedBits, e.nChunks, e.fill)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.nChunks, e.fill)
 	if err != nil {
 		return condexp.Result{}, nil, err
 	}
-	var res condexp.Result
-	if o.Bitwise {
-		res = tbl.SelectSeedBitwise(o.SeedBits)
-	} else {
-		res = tbl.SelectSeed()
-	}
-	e.cache.tableCache().Release(tbl)
 	return res, e.joinFor(o.Par, res.Seed), nil
+}
+
+// scratches pools the workers' evaluation scratch across seeds, rounds and
+// runs.
+var scratches = sync.Pool{New: func() any { return new(misScratch) }}
+
+// misScratch is one worker's reusable evaluation state. prio and the join
+// mask are written for every undecided node on every fill, and read only
+// at undecided nodes (a decided node's join bit stays zero from the
+// owner-change reset), so they need no per-seed reset; undone is fully
+// rewritten by each fill's gather. owner tags the round engine the join
+// invariant currently holds for — by id, not pointer, so a pooled scratch
+// never pins a finished engine (and its graph) in memory.
+type misScratch struct {
+	src    *prg.ChunkedScratch
+	prio   []uint64
+	join   bitset.Mask // over nodes
+	undone bitset.Mask // over dense participant indices
+	owner  uint64
+}
+
+// getScratch checks a worker scratch out of the pool, retargets it to the
+// engine's shape, and — when it last served a different round — clears the
+// join mask, restoring the invariant that a decided node's join bit reads
+// zero without any per-seed reset.
+func (e *roundEngine) getScratch() *misScratch {
+	ss := scratches.Get().(*misScratch)
+	if ss.src == nil {
+		src, err := prg.NewChunkedScratch(e.gen, e.chunkOf, e.numChunks, priorityBits)
+		if err != nil {
+			// Generator too short is a construction bug; make it loud.
+			panic(err)
+		}
+		ss.src = src
+	} else if err := ss.src.Retarget(e.gen, e.chunkOf, e.numChunks, priorityBits); err != nil {
+		panic(err)
+	}
+	n, np := len(e.state), len(e.parts)
+	if cap(ss.prio) < n {
+		ss.prio = make([]uint64, n)
+	} else {
+		ss.prio = ss.prio[:n]
+	}
+	grown := bitset.Words(n) > cap(ss.join)
+	ss.join = ss.join.Grow(n)
+	ss.undone = ss.undone.Grow(np)
+	if ss.owner != e.id {
+		if !grown { // a freshly made mask is already zero
+			ss.join.Reset()
+		}
+		ss.owner = e.id
+	}
+	return ss
 }

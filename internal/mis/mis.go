@@ -217,9 +217,6 @@ type Options struct {
 	Par *par.Runner
 	// Trace observes one phase per Luby round. nil disables tracing.
 	Trace trace.Tracer
-	// Cache pools contribution tables and per-worker scratch across rounds
-	// and runs. nil means per-round pooling only.
-	Cache *Cache
 }
 
 // Derandomized runs Luby's algorithm under the framework: each round is
@@ -268,7 +265,7 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 				decided = applyJoin(g, state, lubyRound(o.Par, g, state, src.BitsFor))
 			}
 		} else {
-			eng := newRoundEngine(g, state, parts, gen, chunkOf, n, o.Cache)
+			eng := newRoundEngine(g, state, parts, gen, chunkOf, n)
 			var join bitset.Mask
 			sel, join, err = eng.selectSeedTable(o)
 			if err == nil {
@@ -308,14 +305,11 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 // selectSeedNaive is the monolithic oracle: one full PRG expansion plus
 // full-graph Luby simulation per evaluated seed (the winner is
 // re-simulated by the caller). It is the path the table engine is
-// differentially tested against. A cancelled runner short-circuits the
-// remaining evaluations and surfaces the context error.
+// differentially tested against. A cancelled runner surfaces the context
+// error.
 func selectSeedNaive(g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []int32, undecided int, o Options) (condexp.Result, error) {
 	n := g.N()
-	scorer := func(seed uint64) int64 {
-		if o.Par.Err() != nil {
-			return 0 // discarded with the selection
-		}
+	return condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
 		src, err := prg.NewChunkedSource(gen, seed, chunkOf, n, priorityBits)
 		if err != nil {
 			panic(err)
@@ -323,17 +317,7 @@ func selectSeedNaive(g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []i
 		join := lubyRound(o.Par, g, state, src.BitsFor)
 		// Pessimistic estimator: nodes still undecided afterwards.
 		return int64(undecided) - int64(simulateDecided(o.Par, g, state, join))
-	}
-	var sel condexp.Result
-	if o.Bitwise {
-		sel = condexp.SelectSeedBitwise(o.Par, o.SeedBits, scorer)
-	} else {
-		sel = condexp.SelectSeed(o.Par, 1<<o.SeedBits, scorer)
-	}
-	if err := o.Par.Err(); err != nil {
-		return condexp.Result{}, err
-	}
-	return sel, nil
+	})
 }
 
 // undecidedNodes lists the current round's participants in ascending node

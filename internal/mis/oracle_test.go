@@ -48,11 +48,11 @@ func TestRoundEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 			gen := prg.NewKWise(4, seedBits, n*priorityBits)
 			numSeeds := 1 << seedBits
 
-			oracleEng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n, nil)
+			oracleEng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n)
 			oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
 
 			for _, w := range []int{1, 4, 0} {
-				eng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n, nil)
+				eng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n)
 				tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
 				if err != nil {
 					t.Fatal(err)

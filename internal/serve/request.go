@@ -84,9 +84,9 @@ func (r *SolveRequest) paletteMode() (string, error) {
 }
 
 // solveConfig is the solver configuration a request selects: the five
-// request-settable fields, with the algorithm name resolved. It is
-// comparable, so it keys the warm-solver pool, and writeOptions folds it
-// into the cache address.
+// request-settable fields, with the algorithm name resolved.
+// writeOptions folds it into the cache address, and handleSolve builds
+// the request's Solver from it.
 type solveConfig struct {
 	alg         parcolor.Algorithm
 	seed        uint64

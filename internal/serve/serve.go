@@ -1,7 +1,9 @@
 // Package serve is the coloring-as-a-service HTTP front end: everything
-// below the network — the reusable, cancellable parcolor.Solver, its warm
-// scratch pools, the trace aggregation — already exists; this package
-// puts an admission-controlled, cache-fronted request path on top.
+// below the network — the cancellable parcolor.Solver, the trace
+// aggregation — already exists; this package puts an admission-controlled,
+// cache-fronted request path on top. Each request builds its own Solver
+// (cheap: the engines' scratch pools are package-level and shared), so
+// its options are range-checked before any other work.
 //
 // # API
 //
@@ -48,7 +50,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,7 +62,7 @@ var errOverloaded = errors.New("serve: solve queue full")
 // Config sizes the server. The zero value of every field selects a
 // sensible default.
 type Config struct {
-	// Workers bounds each pooled Solver's worker goroutines
+	// Workers bounds each request's Solver's worker goroutines
 	// (0 = GOMAXPROCS).
 	Workers int
 	// MaxInflight is the number of concurrently running solves
@@ -105,10 +106,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// maxSolvers bounds the warm-solver pool: distinct option sets kept warm
-// before further configurations get one-shot Solvers.
-const maxSolvers = 64
-
 // Server is the HTTP front end. Construct with New, mount via Handler
 // (or ServeHTTP directly). Safe for concurrent use.
 type Server struct {
@@ -125,9 +122,6 @@ type Server struct {
 	canceled atomic.Int64 // client disconnects observed mid-request
 	timeouts atomic.Int64 // per-request deadline expiries
 	failed   atomic.Int64 // 4xx/5xx other than 429 and disconnects
-
-	solverMu sync.Mutex
-	solvers  map[solveConfig]*parcolor.Solver
 }
 
 // New validates cfg (filling defaults) and returns a ready Server.
@@ -144,7 +138,6 @@ func New(cfg Config) (*Server, error) {
 		adm:       newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		hist:      &Histogram{},
 		start:     time.Now(),
-		solvers:   make(map[solveConfig]*parcolor.Solver),
 	}
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -159,7 +152,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Collector exposes the trace collector shared by every pooled Solver.
+// Collector exposes the trace collector shared by every request's Solver.
 func (s *Server) Collector() *parcolor.TraceCollector { return s.collector }
 
 // CacheStats exposes the content cache's counters.
@@ -174,43 +167,6 @@ func (s *Server) QueueDepth() int { return int(s.adm.queued.Load()) }
 // CanceledTotal reports how many requests ended by client disconnect.
 func (s *Server) CanceledTotal() int64 { return s.canceled.Load() }
 
-// solverFor returns the warm Solver for this configuration, constructing
-// and pooling it on first use. Beyond maxSolvers distinct configurations
-// the Solver is constructed un-pooled — correctness is identical, only the
-// scratch-pool warmth is lost.
-func (s *Server) solverFor(c solveConfig) (*parcolor.Solver, error) {
-	s.solverMu.Lock()
-	if sv, ok := s.solvers[c]; ok {
-		s.solverMu.Unlock()
-		return sv, nil
-	}
-	pool := len(s.solvers) < maxSolvers
-	s.solverMu.Unlock()
-
-	sv, err := parcolor.NewSolver(
-		parcolor.WithAlgorithm(c.alg),
-		parcolor.WithSeed(c.seed),
-		parcolor.WithSeedBits(c.seedBits),
-		parcolor.WithBitwise(c.bitwise),
-		parcolor.WithDegreeShard(c.degreeShard),
-		parcolor.WithWorkers(s.cfg.Workers),
-		parcolor.WithTrace(s.collector),
-	)
-	if err != nil {
-		return nil, err
-	}
-	if pool {
-		s.solverMu.Lock()
-		if cached, ok := s.solvers[c]; ok {
-			sv = cached // lost the construction race; keep the warm one
-		} else if len(s.solvers) < maxSolvers {
-			s.solvers[c] = sv
-		}
-		s.solverMu.Unlock()
-	}
-	return sv, nil
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -221,9 +177,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleSolve is the request path: decode → spec checks → canonical cache
-// key → cache probe → admission → build → Solve(ctx+deadline) → cache
-// fill → respond.
+// handleSolve is the request path: decode → option checks (the request's
+// Solver) → spec checks → canonical cache key → cache probe → admission →
+// build → Solve(ctx+deadline) → cache fill → respond.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
@@ -244,6 +200,22 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	conf, err := req.config()
+	if err != nil {
+		s.failed.Add(1)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// NewSolver range-checks the options, so an out-of-range seed_bits is
+	// answered here, before a cache key, a queue slot or a graph build.
+	sv, err := parcolor.NewSolver(
+		parcolor.WithAlgorithm(conf.alg),
+		parcolor.WithSeed(conf.seed),
+		parcolor.WithSeedBits(conf.seedBits),
+		parcolor.WithBitwise(conf.bitwise),
+		parcolor.WithDegreeShard(conf.degreeShard),
+		parcolor.WithWorkers(s.cfg.Workers),
+		parcolor.WithTrace(s.collector),
+	)
 	if err != nil {
 		s.failed.Add(1)
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -323,13 +295,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	in := buildInstance(g, paletteMode)
-
-	sv, err := s.solverFor(conf)
-	if err != nil {
-		s.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout))
 	defer cancel()

@@ -485,3 +485,31 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 	t.Fatalf("condition not reached within %s", d)
 }
+
+// TestInvalidSolverOptionsRejectedBeforeAdmission: a request whose solver
+// options NewSolver rejects (seed_bits outside [0, 24]) is answered 400
+// at once while the only solve slot is held, instead of waiting in the
+// admission queue.
+func TestInvalidSolverOptionsRejectedBeforeAdmission(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1, MaxInflight: 1})
+	release, _, err := s.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	client := &http.Client{Timeout: 3 * time.Second}
+	for _, bits := range []int{-1, 25} {
+		body, _ := json.Marshal(SolveRequest{
+			Graph:    GraphSpec{Generator: "gnp-sparse", N: 500, Seed: 1},
+			SeedBits: bits,
+		})
+		resp, err := client.Post(hs.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("seed_bits %d: %v", bits, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("seed_bits %d: status %d, want 400", bits, resp.StatusCode)
+		}
+	}
+}

@@ -28,8 +28,8 @@ import (
 // passes deframe.Run here, tests may pass a greedy.
 //
 // A BaseSolver may be invoked from several restricted bins concurrently,
-// so it must be safe for concurrent calls (deframe.Run with a shared
-// Cache is; the solver's base closure serializes its report accounting).
+// so it must be safe for concurrent calls (deframe.Run is; the solver's
+// base closure serializes its report accounting).
 type BaseSolver func(in *d1lc.Instance) (*d1lc.Coloring, error)
 
 // Report describes a ColorReduce run for the E1/E4 tables.
@@ -59,16 +59,14 @@ func (r *Report) merge(s *Report) {
 	}
 }
 
-// Arena pools for the fused extraction path. Both are package-global so
-// bins and recursion levels share buffers across one solve and across
-// solves; entries are checked out for exactly the lifetime of the
-// extracted sub-instance (through recursion and coloring write-back).
-var (
-	restrictedArenas = sync.Pool{New: func() any {
-		return &restrictedArena{sub: graph.NewSubgraphArena()}
-	}}
-	reduceArenas = sync.Pool{New: func() any { return d1lc.NewReduceArena() }}
-)
+// restrictedArenas pools the restricted-bin extraction arenas, shared by
+// bins and recursion levels across one solve and across solves (the
+// self-reduction arenas come from d1lc's pool). An arena is checked out
+// for exactly the lifetime of its extracted sub-instance (through
+// recursion and coloring write-back).
+var restrictedArenas = sync.Pool{New: func() any {
+	return &restrictedArena{sub: graph.NewSubgraphArena()}
+}}
 
 // restrictedArena bundles the CSR arena with the flat restricted-palette
 // slab for one restricted-bin extraction.
@@ -260,7 +258,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 	}
 	// G_mid last (Algorithm 11 lines 4–5).
 	if midNodes := bucket(part.Bins); len(midNodes) > 0 {
-		ar := reduceArenas.Get().(*d1lc.ReduceArena)
+		ar := d1lc.NewReduceArena()
 		sub, origOf := ar.ReducePar(o.Par, in, col, midNodes)
 		rep.CopiedNodes += int64(sub.N())
 		rep.CopiedArcs += 2 * int64(sub.G.M())
@@ -271,7 +269,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 		rep.BaseInstances++
 		rep.BaseNodes += sub.N()
 		d1lc.Apply(col, subCol, origOf)
-		reduceArenas.Put(ar)
+		ar.Release()
 	}
 	if got := col.UncoloredCount(); got != 0 {
 		return nil, rep, fmt.Errorf("sparsify: %d nodes left uncolored", got)
@@ -306,7 +304,7 @@ func solveBin(in *d1lc.Instance, col *d1lc.Coloring, part *Partition, bin int32,
 			return nil, fmt.Errorf("sparsify: bin %d produced invalid instance: %v", bin, err)
 		}
 	} else {
-		da = reduceArenas.Get().(*d1lc.ReduceArena)
+		da = d1lc.NewReduceArena()
 		sub, origOf = da.ReducePar(o.Par, in, col, nodes)
 	}
 	subCol, subRep, err := colorReduce(sub, o, base, depth-1)
@@ -322,7 +320,7 @@ func solveBin(in *d1lc.Instance, col *d1lc.Coloring, part *Partition, bin int32,
 		restrictedArenas.Put(ra)
 	}
 	if da != nil {
-		reduceArenas.Put(da)
+		da.Release()
 	}
 	sp.End(0, len(nodes), 0)
 	return subRep, nil

@@ -30,9 +30,11 @@
 //
 // The Solver owns its worker budget (parcolor.WithWorkers — two Solvers
 // with different budgets never interfere), honors context cancellation in
-// every long loop, keeps the derandomization engines' scratch warm across
-// solves, and reports per-phase progress through an attached Tracer
-// (parcolor.WithTrace). NewSolver and its With* options are the
+// every long loop, and reports per-phase progress through an attached
+// Tracer (parcolor.WithTrace). The derandomization engines' scratch lives
+// in package-level pools that every Solver shares, so building a Solver
+// is cheap; reusing one saves only the chunk assignment of a graph it has
+// already solved. NewSolver and its With* options are the
 // only configuration surface: MIS (Solver.MIS) and the model-faithful MPC
 // run (Solver.SolveOnMPC) go through a Solver as well.
 //

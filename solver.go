@@ -42,13 +42,15 @@ type (
 func NewTraceCollector() *TraceCollector { return trace.NewCollector() }
 
 // Solver is a reusable, concurrency-safe solving harness: configuration is
-// validated once by NewSolver, the worker budget is owned by the Solver
-// (two Solvers with different budgets running concurrently never observe
-// each other's bound — nothing global is mutated), and the per-worker
+// validated once by NewSolver, and the worker budget is owned by the
+// Solver (two Solvers with different budgets running concurrently never
+// observe each other's bound — nothing global is mutated). The per-worker
 // scratch of the derandomization engines (PRG expansion buffers, trial
-// arenas, contribution tables, bitset masks) lives in sync.Pool-backed
-// caches that survive across solves, so a warmed Solver allocates
-// substantially less per Solve than a freshly constructed one.
+// arenas, contribution tables, run states, bitset masks) lives in
+// package-level sync.Pools that every Solver shares, so a fresh Solver
+// reuses it as well as an old one. What a Solver itself keeps across
+// solves is the chunk-assignment memo: re-solving the same *Graph skips
+// the power-graph construction.
 //
 // All methods are safe for concurrent use. Reuse, worker bounds and
 // tracing never change what is computed: every Solver built with the same
@@ -58,9 +60,7 @@ type Solver struct {
 	tracer Tracer
 	run    *par.Runner // the Solver-owned worker budget (no context)
 
-	dfCache  *deframe.Cache
-	misCache *mis.Cache
-	lowCache *lowdeg.Cache
+	dfCache *deframe.Cache
 }
 
 // config is the configuration the With* options set; see each option for
@@ -177,8 +177,6 @@ func NewSolver(opts ...Option) (*Solver, error) {
 	}
 	s.run = par.NewRunner(c.workers)
 	s.dfCache = deframe.NewCache()
-	s.misCache = mis.NewCache()
-	s.lowCache = lowdeg.NewCache()
 	return s, nil
 }
 
@@ -344,16 +342,11 @@ func (s *Solver) solveLuby(ctx context.Context, in *Instance) (*Result, error) {
 }
 
 func (s *Solver) solveLowDeg(ctx context.Context, in *Instance) (*Result, error) {
-	sb := s.cfg.seedBits
-	if sb == 0 {
-		sb = 10
-	}
 	col, stats, err := lowdeg.IterativeDerandomized(ctx, in, lowdeg.Options{
-		SeedBits: sb,
+		SeedBits: s.cfg.seedBits,
 		Bitwise:  s.cfg.bitwise,
 		Par:      s.run,
 		Trace:    s.tracer,
-		Cache:    s.lowCache,
 	})
 	if err != nil {
 		return nil, err
@@ -533,7 +526,6 @@ func (s *Solver) MIS(ctx context.Context, g *Graph) (MISResult, error) {
 		Bitwise:  s.cfg.bitwise,
 		Par:      s.run,
 		Trace:    s.tracer,
-		Cache:    s.misCache,
 	})
 	if err != nil {
 		return MISResult{}, err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -188,10 +189,12 @@ func TestCancellationAbortsDeterministicN3000(t *testing.T) {
 	t.Logf("uncancelled %v, aborted in %v", uncancelled, aborted)
 }
 
-// TestSolverReuseFewerAllocsAndBitIdentical is the warm-pool acceptance
-// criterion: repeated Solver.Solve calls on the same instance must
+// TestSolverReuseFewerAllocsAndBitIdentical checks what a warm Solver
+// still saves: repeated Solver.Solve calls on the same instance must
 // allocate measurably less than a freshly constructed Solver after
-// warm-up, and stay bit-identical to it.
+// warm-up, and stay bit-identical to it. The engines' pools are
+// package-level, so both sides draw warm scratch from them; the warm
+// Solver's saving is its chunk memo.
 func TestSolverReuseFewerAllocsAndBitIdentical(t *testing.T) {
 	in := TrivialPalettes(GenerateGraph("mixed", 260, 5))
 	oneShot, err := solve(in, WithSeedBits(6))
@@ -221,13 +224,11 @@ func TestSolverReuseFewerAllocsAndBitIdentical(t *testing.T) {
 		}
 	})
 	// "Measurably less": the warm path skips the power-graph chunk
-	// assignment, state backing, table and scratch allocations — the big
-	// buffers of a solve. The gate is on bytes, not allocation counts:
-	// since the unit-stride sorts and map-free palette subtraction
-	// removed the reflection and per-node map churn that used to dominate
-	// the one-shot count, both paths make a similar *number* of small
-	// allocations, but the cold path still pays for every pooled buffer.
-	// Gate at 90% to stay far from both the real ratio and noise.
+	// assignment, the largest allocation a fresh Solver makes once the
+	// package pools are warm. The gate is on bytes, not allocation
+	// counts: both paths make a similar *number* of small allocations,
+	// but the fresh Solver still builds and colors the power graph. Gate
+	// at 90% to stay far from both the real ratio and noise.
 	if bytesWarm >= uint64(0.9*float64(bytesOneShot)) {
 		t.Fatalf("warm solver does not allocate measurably less: warm %d bytes vs one-shot %d bytes", bytesWarm, bytesOneShot)
 	}
@@ -236,9 +237,10 @@ func TestSolverReuseFewerAllocsAndBitIdentical(t *testing.T) {
 
 // TestSolverReuseAcrossInstances solves three instances of different
 // sizes on one Solver in interleaved order and compares every coloring
-// with a fresh Solver's. The deframe Cache pools seed-evaluation scratch
-// across solves, and a Scratch resets only what its previous trial wrote,
-// so an entry left stale by a solve of another size would show here.
+// with a fresh Solver's. The package pools hand seed-evaluation scratch
+// from one solve to the next, and a Scratch resets only what its previous
+// trial wrote, so an entry left stale by a solve of another size would
+// show here.
 func TestSolverReuseAcrossInstances(t *testing.T) {
 	ins := []*Instance{
 		TrivialPalettes(GenerateGraph("mixed", 260, 5)),
@@ -261,6 +263,52 @@ func TestSolverReuseAcrossInstances(t *testing.T) {
 		}
 		sameColoring(t, res.Coloring, want[i], fmt.Sprintf("instance %d on a shared Solver", i))
 	}
+}
+
+// TestConcurrentSolversReusePools runs two Solvers with different worker
+// bounds concurrently, each solving instances of two sizes in turn. Both
+// draw scratch, tables, run states and reduction arenas from the same
+// package pools, so a buffer left stale by the other Solver's solve of
+// another size, or held by both at once, would show as a coloring that
+// differs from the sequential reference (or, under -race, as a race).
+func TestConcurrentSolversReusePools(t *testing.T) {
+	ins := []*Instance{
+		TrivialPalettes(GenerateGraph("mixed", 260, 5)),
+		TrivialPalettes(GenerateGraph("chunglu", 3000, 3)),
+	}
+	want := make([]*Coloring, len(ins))
+	for i, in := range ins {
+		res, err := solve(in, WithSeedBits(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Coloring
+	}
+	var wg sync.WaitGroup
+	for _, workers := range []int{1, 4} {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s, err := NewSolver(WithWorkers(w), WithSeedBits(6))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for k := 0; k < 4; k++ {
+				i := (k + w) % len(ins)
+				res, err := s.Solve(context.Background(), ins[i])
+				if err != nil {
+					t.Errorf("workers=%d: %v", w, err)
+					return
+				}
+				if !slices.Equal(res.Coloring.Colors, want[i].Colors) {
+					t.Errorf("workers=%d: instance %d diverges from its sequential reference", w, i)
+					return
+				}
+			}
+		}(workers)
+	}
+	wg.Wait()
 }
 
 // allocBytesPerRun is testing.AllocsPerRun's byte-counting sibling:
