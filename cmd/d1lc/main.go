@@ -167,8 +167,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("graph=%s n=%d m=%d maxDeg=%d\n", *graphName, g.N(), g.M(), g.MaxDegree())
-	fmt.Printf("algorithm=%s rounds=%d distinctColors=%d deferralFrac=%.3f workers=%d elapsed=%s\n",
-		algorithm, res.Rounds, res.DistinctColors, res.DeferralFraction, *workers, elapsed.Round(time.Millisecond))
+	fmt.Printf("algorithm=%s rounds=%d maxGreedyResidue=%d distinctColors=%d deferralFrac=%.3f workers=%d elapsed=%s\n",
+		algorithm, res.Rounds, res.MaxGreedyResidue, res.DistinctColors, res.DeferralFraction, *workers, elapsed.Round(time.Millisecond))
 	if res.Sparsify != nil {
 		fmt.Printf("sparsify: depth=%d partitions=%d baseInstances=%d movedToMid=%d copiedNodes=%d copiedArcs=%d lemma23ratio=%.3f\n",
 			res.Sparsify.Depth, res.Sparsify.Partitions, res.Sparsify.BaseInstances,

@@ -33,8 +33,13 @@
 //   - Theorem 12 is Run: derandomize the schedule step by step, then
 //     recurse on the deferred set through D1LC self-reducibility
 //     (Definition 11), and finish the O(1)-depth residue greedily on one
-//     machine. The result is an unconditionally correct deterministic
-//     solver whose deferral rates — the quantity Lemma 10 bounds by
+//     machine. A level that colors nothing — every node below LowDeg, so
+//     every step is empty, or every participant deferred — is itself the
+//     residue and is finished in place, without a copy or a further
+//     level; Report.MaxGreedyResidue says how large that one-machine
+//     residue got, which Theorem 12 assumes fits on one machine. The
+//     result is an unconditionally correct deterministic solver whose
+//     deferral rates — the quantity Lemma 10 bounds by
 //     nG/2 + nG·Δ^{−11τ} — are measured by experiment E3.
 package deframe
 
@@ -287,9 +292,10 @@ func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen pr
 // Run executes Theorem 12 for a D1LC instance: build the HKNT schedule,
 // derandomize every step via Lemma 10, recurse on everything left
 // uncolored (deferred nodes, put-aside leftovers, low-degree nodes)
-// through self-reduction, and finish greedily once the residue is small or
-// the depth budget is exhausted. The returned coloring is complete and
-// proper for every valid instance.
+// through self-reduction, and finish greedily once the residue is small,
+// the depth budget is exhausted, or a level colors nothing (then on that
+// level's own state, with no copy and no further level). The returned
+// coloring is complete and proper for every valid instance.
 //
 // ctx cancels the run between steps and inside every seed walk; on
 // cancellation Run returns ctx's error and no coloring, leaving no
@@ -316,15 +322,9 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	if n <= greedyThreshold || depth <= 0 {
 		// Base case: the residue fits on one machine (Theorem 12's final
 		// greedy step).
-		sp := trace.Begin(o.Trace, "deframe", "greedy-residue", st.Meter.Rounds, n)
-		if err := hknt.FinishGreedy(st); err != nil {
-			sp.End(0, 0, 0)
+		if err := finishGreedy(st, o, rep); err != nil {
 			return nil, rep, err
 		}
-		rep.GreedyResidue = n
-		st.Meter.Tick(1)
-		rep.LocalRounds = st.Meter.Rounds
-		sp.End(0, n, 0)
 		return st.Col, rep, nil
 	}
 
@@ -352,6 +352,21 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	}
 	rep.LocalRounds = st.Meter.Rounds
 
+	switch st.Col.UncoloredCount() {
+	case 0:
+		return st.Col, rep, nil
+	case n:
+		// The level colored nothing: no step had participants (every node
+		// is below LowDeg) or every participant was deferred. Recursing
+		// could not make progress, so the residue is the whole instance
+		// and goes straight to the base case, on this level's own state
+		// rather than a copy of it.
+		if err := finishGreedy(st, o, rep); err != nil {
+			return nil, rep, err
+		}
+		return st.Col, rep, nil
+	}
+
 	// Residue: every uncolored node (deferred, failed put-aside, or
 	// low-degree and never scheduled) re-enters via Definition 11. The
 	// reduction rides a pooled arena — stamp-array relabeling instead of
@@ -361,15 +376,6 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	// checked out until the recursive solve and Apply both finish.
 	ar := d1lc.NewReduceArena()
 	residual, origOf := ar.ReduceUncolored(o.Par, in, st.Col)
-	if residual.N() == 0 {
-		ar.Release()
-		return st.Col, rep, nil
-	}
-	if residual.N() == n {
-		// No progress at all (degenerate tunables): avoid infinite
-		// recursion by dropping straight to the base case.
-		depth = 0
-	}
 	subCol, subRep, err := run(residual, o, depth-1)
 	if err != nil {
 		ar.Release()
@@ -379,6 +385,23 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	d1lc.Apply(st.Col, subCol, origOf)
 	ar.Release()
 	return st.Col, rep, nil
+}
+
+// finishGreedy is Theorem 12's base case: the level's instance, all of
+// it uncolored, is colored greedily on one machine, in one LOCAL round,
+// under a "greedy-residue" span.
+func finishGreedy(st *hknt.State, o Options, rep *Report) error {
+	n := st.In.G.N()
+	sp := trace.Begin(o.Trace, "deframe", "greedy-residue", st.Meter.Rounds, n)
+	if err := hknt.FinishGreedy(st); err != nil {
+		sp.End(0, 0, 0)
+		return err
+	}
+	rep.GreedyResidue = n
+	st.Meter.Tick(1)
+	rep.LocalRounds = st.Meter.Rounds
+	sp.End(0, n, 0)
+	return nil
 }
 
 func maxInt(a, b int) int {
@@ -397,6 +420,16 @@ func (r *Report) TotalRounds() int {
 		total += r.Recursed.TotalRounds()
 	}
 	return total
+}
+
+// MaxGreedyResidue returns the largest node count one greedy base case
+// colored on one machine, over the levels of the run.
+func (r *Report) MaxGreedyResidue() int {
+	m := r.GreedyResidue
+	if r.Recursed != nil {
+		m = max(m, r.Recursed.MaxGreedyResidue())
+	}
+	return m
 }
 
 // MaxDeferralFraction returns the largest per-step deferred/participants

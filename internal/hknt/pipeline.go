@@ -2,6 +2,7 @@ package hknt
 
 import (
 	"fmt"
+	"slices"
 
 	"parcolor/internal/par"
 
@@ -15,7 +16,8 @@ import (
 // derandomizes step by step.
 
 // BuildResult bundles a schedule with the analysis artifacts it was built
-// from, which the experiment harness reports.
+// from, which the experiment harness reports. ACD, Cliques and Vstart are
+// empty when no node reaches LowDeg (see BuildColorMiddle).
 type BuildResult struct {
 	Schedule Schedule
 	ACD      *acd.ACD
@@ -26,96 +28,121 @@ type BuildResult struct {
 
 // BuildColorMiddle constructs the pre-shattering schedule of Algorithm 1:
 // almost-clique decomposition, ColorSparse over sparse/uneven nodes,
-// ColorDense over the almost-cliques. tun.LowDeg filters the sparse/uneven,
-// dense and outlier bases: nodes of degree below it run none of their
-// GenerateSlack and SlackColor steps (the paper hands them to the
-// deterministic low-degree algorithm, package lowdeg). The clique steps do
-// not filter: dense/putaside and dense/synch take every live inlier of
-// their cliques, whatever its degree, so a low-degree clique still runs
-// PutAside and SynchColorTrial.
+// ColorDense over the almost-cliques. Only nodes of degree at least
+// tun.LowDeg are scheduled; the paper hands the rest to the deterministic
+// low-degree algorithm (package lowdeg), and here they fall through to
+// the residue. LowDeg filters the sparse/uneven, dense and outlier bases,
+// and a clique is kept for dense/putaside and dense/synch only if its
+// maximum degree Δ_C reaches LowDeg (almost-clique members have degree
+// about |C|). BuildResult.Cliques lists the kept cliques.
+//
+// So when the maximum degree is below LowDeg every base is empty, and the
+// build computes no parameters, decomposition, clique roles or Vstart: it
+// returns the same step list, with the same names and τ, over empty bases,
+// so the schedule still accounts its LOCAL rounds, and leaves ACD,
+// Cliques and Vstart empty.
 func BuildColorMiddle(st *State, tun Tunables) *BuildResult {
-	in := st.In
-	g := in.G
+	g := st.In.G
 	tun = tun.WithDefaults(g.N(), g.MaxDegree())
-	maxPal := maxPalette(in)
-
-	a := acd.ComputePar(st.Par, in, tun.ACD)
-	if st.Par.Err() != nil {
-		// Cancelled mid-decomposition: the ACD is incomplete, so skip the
-		// schedule entirely. Drivers observe the cancellation through
-		// st.Par.Err / their runner and never execute the empty schedule.
-		return &BuildResult{ACD: a, Tunables: tun}
-	}
 	ell := ellFor(g.MaxDegree())
-	cliques := ComputeCliqueInfos(st.Par, g, a, ell)
-	vs := IdentifyVstart(st, a)
-
-	highDeg := func(v int32) bool { return g.Degree(v) >= tun.LowDeg }
-	classOf := func(v int32) acd.Class { return a.Class[v] }
-
-	// Participant bases (restricted to the middle degree range).
-	var sparseUneven, dense []int32
-	for v := int32(0); v < int32(g.N()); v++ {
-		if !highDeg(v) {
-			continue
+	res := &BuildResult{Tunables: tun}
+	var b middleBases
+	if g.MaxDegree() >= tun.LowDeg {
+		res.ACD = acd.ComputePar(st.Par, st.In, tun.ACD)
+		if st.Par.Err() != nil {
+			// Cancelled mid-decomposition: the ACD is incomplete, so skip
+			// the schedule entirely. Drivers observe the cancellation
+			// through st.Par.Err / their runner and never execute the
+			// empty schedule.
+			return res
 		}
-		switch classOf(v) {
-		case acd.Sparse, acd.Uneven:
-			sparseUneven = append(sparseUneven, v)
-		case acd.Dense:
-			dense = append(dense, v)
-		}
+		b = computeMiddleBases(st, res.ACD, ell, tun.LowDeg)
+		res.Cliques, res.Vstart = b.cliques, b.vstart
 	}
-	inStart := make(map[int32]bool, len(vs.Start))
-	for _, v := range vs.Start {
-		if highDeg(v) {
-			inStart[v] = true
-		}
-	}
-	var start, rest []int32
-	for _, v := range sparseUneven {
-		if inStart[v] {
-			start = append(start, v)
-		} else {
-			rest = append(rest, v)
-		}
-	}
-	var outliers []int32
-	for _, c := range cliques {
-		for _, v := range c.Outliers {
-			if highDeg(v) {
-				outliers = append(outliers, v)
-			}
-		}
-	}
+	maxPal := maxPalette(st.In)
 
 	var steps []Step
 	// --- ColorSparse (Algorithm 5) ---
 	// 1. Vstart identified above. 2. GenerateSlack on (sparse∪uneven)\start.
-	steps = append(steps, stepGenerateSlack("sparse/genslack", rest, maxPal))
+	steps = append(steps, stepGenerateSlack("sparse/genslack", b.rest, maxPal))
 	// 3. SlackColor Vstart (they rely on temporary slack from step 2's
 	// still-uncolored neighbors). 4. SlackColor the rest.
-	steps = append(steps, SlackColorSchedule("sparse/start", start, maxPal, tun)...)
-	steps = append(steps, SlackColorSchedule("sparse/rest", rest, maxPal, tun)...)
+	steps = append(steps, SlackColorSchedule("sparse/start", b.start, maxPal, tun)...)
+	steps = append(steps, SlackColorSchedule("sparse/rest", b.rest, maxPal, tun)...)
 
 	// --- ColorDense (Algorithm 7) ---
 	// 1. Leaders/outliers computed above. 2. GenerateSlack on dense nodes.
-	steps = append(steps, stepGenerateSlack("dense/genslack", dense, maxPal))
+	steps = append(steps, stepGenerateSlack("dense/genslack", b.dense, maxPal))
 	// 3. Put-aside sets for low-slack cliques.
-	steps = append(steps, stepPutAside("dense/putaside", cliques, ell))
+	steps = append(steps, stepPutAside("dense/putaside", b.cliques, ell))
 	// 4. SlackColor the outliers.
-	steps = append(steps, SlackColorSchedule("dense/outliers", outliers, maxPal, tun)...)
+	steps = append(steps, SlackColorSchedule("dense/outliers", b.outliers, maxPal, tun)...)
 	// 5. SynchColorTrial for the inliers.
-	steps = append(steps, stepSynch("dense/synch", cliques, maxPal))
+	steps = append(steps, stepSynch("dense/synch", b.cliques, maxPal))
 	// 6. SlackColor Vdense \ P.
-	steps = append(steps, SlackColorSchedule("dense/inliers", dense, maxPal, tun)...)
+	steps = append(steps, SlackColorSchedule("dense/inliers", b.dense, maxPal, tun)...)
 
-	sched := Schedule{
+	res.Schedule = Schedule{
 		Steps: steps,
 		// 7. Leaders color the put-aside sets locally.
 		Finisher: func(st *State) { ColorPutAside(st) },
 	}
-	return &BuildResult{Schedule: sched, ACD: a, Cliques: cliques, Vstart: vs, Tunables: tun}
+	return res
+}
+
+// middleBases are the participant bases of the ColorMiddle schedule, all
+// restricted to nodes of degree at least LowDeg, and the analysis they
+// were derived from.
+type middleBases struct {
+	start, rest     []int32 // Vstart and the other sparse/uneven nodes
+	dense, outliers []int32
+	cliques         []CliqueInfo // the cliques with Δ_C ≥ LowDeg
+	vstart          VstartSets
+}
+
+// computeMiddleBases classifies the nodes of degree at least lowDeg by
+// the decomposition a: clique roles (Lemma 22), Vstart (Section 5.2) and
+// the sparse/uneven and dense bases.
+func computeMiddleBases(st *State, a *acd.ACD, ell float64, lowDeg int) middleBases {
+	g := st.In.G
+	highDeg := func(v int32) bool { return g.Degree(v) >= lowDeg }
+	var b middleBases
+	b.cliques = slices.DeleteFunc(ComputeCliqueInfos(st.Par, g, a, ell), func(c CliqueInfo) bool {
+		return c.MaxDeg < lowDeg
+	})
+	b.vstart = IdentifyVstart(st, a, lowDeg)
+
+	var sparseUneven []int32
+	for v := int32(0); v < int32(g.N()); v++ {
+		if !highDeg(v) {
+			continue
+		}
+		switch a.Class[v] {
+		case acd.Sparse, acd.Uneven:
+			sparseUneven = append(sparseUneven, v)
+		case acd.Dense:
+			b.dense = append(b.dense, v)
+		}
+	}
+	inStart := make(map[int32]bool, len(b.vstart.Start))
+	for _, v := range b.vstart.Start {
+		inStart[v] = true
+	}
+	for _, v := range sparseUneven {
+		if inStart[v] {
+			b.start = append(b.start, v)
+		} else {
+			b.rest = append(b.rest, v)
+		}
+	}
+	for _, c := range b.cliques {
+		for _, v := range c.Outliers {
+			if highDeg(v) {
+				b.outliers = append(b.outliers, v)
+			}
+		}
+	}
+	return b
 }
 
 // putAsideDen sets Algorithm 9's sampling resolution: probabilities are
@@ -129,10 +156,10 @@ const putAsideDen = 4
 const synchFailFrac = 0.5
 
 // stepPutAside wraps PutAsidePropose as a Step. Its participants are the
-// live inliers of every low-slack clique, whatever their degree (LowDeg
-// does not apply). The sampling probability follows Algorithm 9:
-// p_s = ℓ²/(48·Δ_C), realized per clique in units of 1/(16·putAsideDen);
-// the Bits budget covers one Bernoulli draw.
+// live inliers of every low-slack clique in cliques, which BuildColorMiddle
+// restricts to the cliques with Δ_C ≥ LowDeg. The sampling probability
+// follows Algorithm 9: p_s = ℓ²/(48·Δ_C), realized per clique in units of
+// 1/(16·putAsideDen); the Bits budget covers one Bernoulli draw.
 // SSP (per Lemma 13): v succeeds iff its clique is not low-slack, or the
 // proposed put-aside set of v's clique is non-trivial, or the clique is
 // small enough not to need one.
@@ -190,11 +217,11 @@ func stepPutAside(name string, cliques []CliqueInfo, ell float64) Step {
 }
 
 // stepSynch wraps SynchColorTrialPropose. Its participants are the live
-// inliers of every clique whose leader is uncolored, whatever their degree
-// (LowDeg does not apply); only the leaders read random bits. SSP (per
-// Lemma 13 / [HKNT22, Lemma 7]): v succeeds iff at most synchFailFrac of
-// its clique's live inliers remain uncolored under the proposal, or v is
-// not a live inlier of any clique.
+// inliers of every clique in cliques (those with Δ_C ≥ LowDeg, see
+// BuildColorMiddle) whose leader is uncolored; only the leaders read
+// random bits. SSP (per Lemma 13 / [HKNT22, Lemma 7]): v succeeds iff at
+// most synchFailFrac of its clique's live inliers remain uncolored under
+// the proposal, or v is not a live inlier of any clique.
 func stepSynch(name string, cliques []CliqueInfo, maxPal int) Step {
 	maxClique := 1
 	for _, c := range cliques {
@@ -373,31 +400,62 @@ func CleanupRounds(st *State, seed uint64, maxRounds int) int {
 	return maxRounds
 }
 
+// greedyCancelStride is how many nodes FinishGreedy walks between checks
+// of its runner's context.
+const greedyCancelStride = 4096
+
 // FinishGreedy colors every remaining uncolored node (deferred, put-aside
-// leftovers, cleanup survivors) sequentially — the "collect the residue on
-// one machine" step that makes the solver unconditionally correct.
+// leftovers, cleanup survivors) sequentially in node order — the "collect
+// the residue on one machine" step that makes the solver unconditionally
+// correct. Each node takes the first color of Rem[v] that no colored
+// neighbor holds. Rem[v] is sorted (palettes are strictly sorted, and
+// SetColor removes colors in place), so each colored neighbor's color is
+// found by binary search and marked, in O(deg(v)·log|Rem[v]|).
+//
+// FinishGreedy is the state's last writer: it writes each color directly
+// and updates the live set and live degrees as SetColor does, but it does
+// not remove the color from its neighbors' Rem, which are stale
+// afterwards. The coloring is the one SetColor's maintained palettes would
+// give, since those exclude exactly the colors of colored neighbors and
+// keep palette order. A cancelled st.Par stops it within
+// greedyCancelStride nodes with the context's error.
 func FinishGreedy(st *State) error {
-	for v := int32(0); v < int32(st.In.G.N()); v++ {
-		if st.Colored(v) {
+	g := st.In.G
+	colors := st.Col.Colors
+	// mark[i] == v+1 records that Rem[v][i] is held by a colored neighbor
+	// of v; the per-node stamp makes clearing between nodes unnecessary.
+	mark := make([]int32, maxPalette(st.In))
+	for v := int32(0); v < int32(g.N()); v++ {
+		if v%greedyCancelStride == 0 {
+			if err := st.Par.Err(); err != nil {
+				return err
+			}
+		}
+		if colors[v] != d1lc.Uncolored {
 			continue
 		}
-		assigned := false
-		for _, c := range st.Rem[v] {
-			ok := true
-			for _, u := range st.In.G.Neighbors(v) {
-				if st.Col.Colors[u] == c {
-					ok = false
-					break
+		rem := st.Rem[v]
+		stamp := v + 1
+		for _, u := range g.Neighbors(v) {
+			if c := colors[u]; c != d1lc.Uncolored {
+				if i, ok := slices.BinarySearch(rem, c); ok {
+					mark[i] = stamp
 				}
 			}
-			if ok {
-				st.SetColor(v, c)
-				assigned = true
-				break
-			}
 		}
-		if !assigned {
+		i := 0
+		for i < len(rem) && mark[i] == stamp {
+			i++
+		}
+		if i == len(rem) {
 			return fmt.Errorf("hknt: greedy finish failed at node %d", v)
+		}
+		colors[v] = rem[i]
+		if st.Live(v) { // deferred and put-aside nodes already left degrees
+			st.live.Clear(int(v))
+			for _, u := range g.Neighbors(v) {
+				st.liveDeg[u]--
+			}
 		}
 	}
 	return nil

@@ -1,11 +1,16 @@
 package hknt
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
+	"parcolor/internal/par"
 )
 
 func TestSlackColorScheduleStructure(t *testing.T) {
@@ -51,18 +56,20 @@ func TestBuildColorMiddleCoversClasses(t *testing.T) {
 	}
 }
 
-// TestCliqueStepsTakeLowDegreeInliers pins which nodes the clique steps
-// schedule: dense/putaside and dense/synch take every live inlier of their
-// cliques whatever its degree, while LowDeg filters only the sparse/uneven,
-// dense and outlier bases. On Mixed(2000) every inlier the two steps start
-// with lies below LowDeg = 37. Restricting the steps to high-degree nodes
-// would change colorings, so this test makes such a change deliberate.
-func TestCliqueStepsTakeLowDegreeInliers(t *testing.T) {
+// TestCliqueStepsFollowLowDeg pins which cliques the clique steps take:
+// only those whose maximum degree Δ_C reaches LowDeg, as the paper hands
+// low-degree nodes to the low-degree algorithm. On Mixed(2000) no node
+// reaches LowDeg = 37, so the build runs no analysis and both clique steps
+// are empty, while the step list still matches the one a populated build
+// emits.
+func TestCliqueStepsFollowLowDeg(t *testing.T) {
 	st := NewState(d1lc.TrivialPalettes(graph.Mixed(2000, 1)))
 	build := BuildColorMiddle(st, Tunables{})
-	lowDeg := build.Tunables.LowDeg
-	if lowDeg != 37 {
+	if lowDeg := build.Tunables.LowDeg; lowDeg != 37 {
 		t.Fatalf("LowDeg = %d, want 37 at n = 2000", lowDeg)
+	}
+	if build.ACD != nil || build.Cliques != nil {
+		t.Fatal("a build below LowDeg computed the decomposition")
 	}
 	found := 0
 	for i := range build.Schedule.Steps {
@@ -71,18 +78,73 @@ func TestCliqueStepsTakeLowDegreeInliers(t *testing.T) {
 			continue
 		}
 		found++
-		parts := step.Participants(st)
-		if len(parts) < 390 {
-			t.Fatalf("%s: %d participants, want the ~400 live clique inliers", step.Name, len(parts))
-		}
-		for _, v := range parts {
-			if d := st.In.G.Degree(v); d >= lowDeg {
-				t.Fatalf("%s: participant %d has degree %d ≥ LowDeg %d", step.Name, v, d, lowDeg)
-			}
+		if parts := step.Participants(st); len(parts) != 0 {
+			t.Fatalf("%s: %d participants below LowDeg, want 0", step.Name, len(parts))
 		}
 	}
 	if found != 2 {
 		t.Fatalf("found %d of the 2 clique steps", found)
+	}
+
+	full := BuildColorMiddle(st, Tunables{LowDeg: 4})
+	if len(full.Schedule.Steps) != len(build.Schedule.Steps) {
+		t.Fatalf("%d steps below LowDeg, %d above", len(build.Schedule.Steps), len(full.Schedule.Steps))
+	}
+	for i, s := range full.Schedule.Steps {
+		if e := build.Schedule.Steps[i]; e.Name != s.Name || e.Tau != s.Tau {
+			t.Fatalf("step %d: %s τ=%d below LowDeg, %s τ=%d above", i, e.Name, e.Tau, s.Name, s.Tau)
+		}
+	}
+	if len(full.Cliques) < 2 {
+		t.Fatalf("LowDeg 4 kept %d cliques, want the generator's 24-cliques", len(full.Cliques))
+	}
+	var inliers, lowSlack []int32
+	for _, c := range full.Cliques {
+		if c.MaxDeg < 4 {
+			t.Fatalf("clique %d kept with Δ_C = %d < LowDeg 4", c.ID, c.MaxDeg)
+		}
+		inliers = append(inliers, c.Inliers...)
+		if c.LowSlack {
+			lowSlack = append(lowSlack, c.Inliers...)
+		}
+	}
+	for i := range full.Schedule.Steps {
+		step := &full.Schedule.Steps[i]
+		var want []int32
+		switch step.Name {
+		case "dense/putaside":
+			want = lowSlack
+		case "dense/synch":
+			want = inliers
+		default:
+			continue
+		}
+		if got := step.Participants(st); !slices.Equal(got, want) {
+			t.Fatalf("%s: %d participants, want the %d inliers of the kept cliques", step.Name, len(got), len(want))
+		}
+	}
+
+	// A LowDeg between the cliques' degrees keeps exactly the cliques
+	// that reach it.
+	cut := full.Cliques[0].MaxDeg
+	for _, c := range full.Cliques {
+		cut = max(cut, c.MaxDeg)
+	}
+	var kept []int32
+	for _, c := range full.Cliques {
+		if c.MaxDeg >= cut {
+			kept = append(kept, c.ID)
+		}
+	}
+	if len(kept) == len(full.Cliques) {
+		t.Fatalf("every clique has Δ_C = %d; the cut drops none", cut)
+	}
+	var got []int32
+	for _, c := range BuildColorMiddle(st, Tunables{LowDeg: cut}).Cliques {
+		got = append(got, c.ID)
+	}
+	if !slices.Equal(got, kept) {
+		t.Fatalf("LowDeg %d kept cliques %v, want %v", cut, got, kept)
 	}
 }
 
@@ -206,6 +268,111 @@ func TestFinishGreedyHandlesDeferred(t *testing.T) {
 	}
 	if err := d1lc.Verify(in, st.Col); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// finishGreedyOracle is the reference greedy base case: each uncolored
+// node, in node order, takes the first color of its Rem that no neighbor
+// holds, through SetColor, which keeps every neighbor's Rem maintained.
+func finishGreedyOracle(st *State) error {
+	for v := int32(0); v < int32(st.In.G.N()); v++ {
+		if st.Colored(v) {
+			continue
+		}
+		assigned := false
+		for _, c := range st.Rem[v] {
+			ok := true
+			for _, u := range st.In.G.Neighbors(v) {
+				if st.Col.Colors[u] == c {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				st.SetColor(v, c)
+				assigned = true
+				break
+			}
+		}
+		if !assigned {
+			return fmt.Errorf("oracle: greedy finish failed at node %d", v)
+		}
+	}
+	return nil
+}
+
+// TestFinishGreedyMatchesSetColorOracle checks that FinishGreedy, which
+// marks neighbors' colors in a stale Rem instead of maintaining it, gives
+// the oracle's coloring, live set and live degrees, on fresh states, after
+// an applied TryRandomColor proposal, and with deferred and put-aside
+// nodes, under trivial and random palettes.
+func TestFinishGreedyMatchesSetColorOracle(t *testing.T) {
+	instances := []struct {
+		name string
+		in   *d1lc.Instance
+	}{
+		{"gnp-trivial", d1lc.TrivialPalettes(graph.Gnp(300, 0.05, 1))},
+		{"mixed-trivial", d1lc.TrivialPalettes(graph.Mixed(300, 6))},
+		{"gnp-random-pal", d1lc.RandomPalettes(graph.Gnp(250, 0.06, 2), 2, 120, 3)},
+		{"powerlaw-random-pal", d1lc.RandomPalettes(graph.PowerLaw(300, 5, 5), 3, 200, 4)},
+	}
+	preps := []struct {
+		name string
+		prep func(st *State)
+	}{
+		{"fresh", func(*State) {}},
+		{"after-trc", func(st *State) {
+			maxPal := maxPalette(st.In)
+			src := FreshSource{Root: 7, Round: 1, Bits: TryRandomColorBits(maxPal)}
+			st.Apply(TryRandomColorPropose(st, st.LiveNodes(nil), src, nil))
+		}},
+		{"deferred-putaside", func(st *State) {
+			maxPal := maxPalette(st.In)
+			src := FreshSource{Root: 9, Round: 2, Bits: TryRandomColorBits(maxPal)}
+			st.Apply(TryRandomColorPropose(st, st.LiveNodes(func(v int32) bool { return v%2 == 0 }), src, nil))
+			for _, v := range st.LiveNodes(nil) {
+				switch {
+				case v%5 == 1:
+					st.Defer(v)
+				case v%7 == 3:
+					st.MarkPutAside(v)
+				}
+			}
+		}},
+	}
+	for _, inst := range instances {
+		for _, p := range preps {
+			got, want := NewState(inst.in), NewState(inst.in)
+			p.prep(got)
+			p.prep(want)
+			if err := FinishGreedy(got); err != nil {
+				t.Fatalf("%s/%s: %v", inst.name, p.name, err)
+			}
+			if err := finishGreedyOracle(want); err != nil {
+				t.Fatalf("%s/%s: %v", inst.name, p.name, err)
+			}
+			if err := d1lc.Verify(inst.in, got.Col); err != nil {
+				t.Fatalf("%s/%s: %v", inst.name, p.name, err)
+			}
+			for v := int32(0); v < int32(inst.in.G.N()); v++ {
+				if got.Col.Colors[v] != want.Col.Colors[v] || got.Live(v) != want.Live(v) || got.LiveDegree(v) != want.LiveDegree(v) {
+					t.Fatalf("%s/%s: node %d got color %d live %v degree %d, oracle %d %v %d", inst.name, p.name, v,
+						got.Col.Colors[v], got.Live(v), got.LiveDegree(v), want.Col.Colors[v], want.Live(v), want.LiveDegree(v))
+				}
+			}
+		}
+	}
+}
+
+// TestFinishGreedyHonoursCancellation checks that the greedy base case
+// answers a cancelled runner with the context's error.
+func TestFinishGreedyHonoursCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st := NewState(d1lc.TrivialPalettes(graph.Gnp(300, 0.05, 1)))
+	st.Par = par.NewRunner(1).WithContext(ctx)
+	if err := FinishGreedy(st); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FinishGreedy on a cancelled runner = %v, want context.Canceled", err)
 	}
 }
 

@@ -152,15 +152,17 @@ type VstartSets struct {
 	Balanced []int32
 	Disc     []int32
 	Easy     []int32 // includes balanced, disc, uneven, dense-adjacent
-	Heavy    []int32
-	Start    []int32
+	Heavy    []int32 // degree ≥ LowDeg only
+	Start    []int32 // degree ≥ LowDeg only
 }
 
 // IdentifyVstart computes Vbalanced, Vdisc, Veasy, Vheavy and Vstart from
 // the decomposition, per the display in Section 5.2. Membership tests use
 // the original-instance degrees and palettes (the sets are computed before
-// any coloring).
-func IdentifyVstart(st *State, a *acd.ACD) VstartSets {
+// any coloring). Veasy covers every node, because the Vstart test reads
+// it on neighbors; Vheavy and Vstart are tested only for nodes of degree
+// at least lowDeg, the only ones the schedule takes.
+func IdentifyVstart(st *State, a *acd.ACD, lowDeg int) VstartSets {
 	g := st.In.G
 	n := g.N()
 	var sets VstartSets
@@ -215,7 +217,7 @@ func IdentifyVstart(st *State, a *acd.ACD) VstartSets {
 			continue
 		}
 		d := g.Degree(v)
-		if d == 0 {
+		if d == 0 || d < lowDeg {
 			continue
 		}
 		_, sumH := heavyMass(st, v, heavyConst)
@@ -229,7 +231,7 @@ func IdentifyVstart(st *State, a *acd.ACD) VstartSets {
 			continue
 		}
 		d := g.Degree(v)
-		if d == 0 {
+		if d == 0 || d < lowDeg {
 			continue
 		}
 		easy := 0

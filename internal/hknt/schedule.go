@@ -146,10 +146,12 @@ type Schedule struct {
 // constants (ℓ, the put-aside cap, the SynchColorTrial tolerance and the
 // Vstart ε's) are fixed where they are used.
 type Tunables struct {
-	// LowDeg: nodes with degree below this run none of the sparse/uneven,
-	// dense or outlier steps and are left to the low-degree solver (paper:
-	// log⁷n); the clique steps do not filter by it (see
-	// BuildColorMiddle). Default: max(8, ⌈(log₂ n)^1.5⌉).
+	// LowDeg: nodes with degree below this run no step and are left to
+	// the residue (paper: log⁷n, handed to the low-degree solver), and
+	// the clique steps keep only cliques with Δ_C at least this. An
+	// instance of maximum degree below it gets an all-empty schedule
+	// without any analysis (see BuildColorMiddle). Default: max(8,
+	// ⌈(log₂ n)^1.5⌉).
 	LowDeg int
 	// TRCRounds: slack-amplification TryRandomColor rounds opening
 	// SlackColor (paper: O(1); default 3).

@@ -101,11 +101,12 @@ type reusePhase struct {
 // reuseInstance builds a partially colored state on Mixed(n, seed) (every
 // third node proposed once, so palettes have shrunk and some leaders are
 // colored) with its almost-cliques, all marked low-slack so PutAside
-// samples in every one.
+// samples in every one. LowDeg 4 keeps all of the generator's 24-cliques;
+// the default LowDeg (33 at n = 1200) would drop them.
 func reuseInstance(t *testing.T, n int, seed uint64) (*State, []CliqueInfo) {
 	t.Helper()
 	st := NewState(d1lc.TrivialPalettes(graph.Mixed(n, seed)))
-	cliques := BuildColorMiddle(st, Tunables{}).Cliques
+	cliques := BuildColorMiddle(st, Tunables{LowDeg: 4}).Cliques
 	if len(cliques) < 2 {
 		t.Fatalf("Mixed(%d): %d cliques, want at least 2", n, len(cliques))
 	}

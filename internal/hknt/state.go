@@ -69,7 +69,9 @@ type State struct {
 	In  *d1lc.Instance
 	Col *d1lc.Coloring
 	// Rem[v] is v's remaining palette: the input palette minus permanent
-	// colors of already-colored neighbors. Maintained by SetColor.
+	// colors of already-colored neighbors, in palette (ascending) order.
+	// Maintained by SetColor. FinishGreedy, the last step of a run,
+	// colors without updating it, so it is stale afterwards.
 	Rem [][]int32
 	// liveDeg[v] counts v's uncolored, non-deferred neighbors.
 	liveDeg []int32
@@ -81,9 +83,9 @@ type State struct {
 	// the pipeline's finisher rather than by recursion.
 	PutAside []bool
 	// live is the word-packed live set: live.Test(v) ⇔ uncolored ∧
-	// ¬deferred ∧ ¬put-aside. Maintained by SetColor/Defer/MarkPutAside so
-	// the per-(seed, node) Live checks of the scoring loops are one bit
-	// test instead of three array loads.
+	// ¬deferred ∧ ¬put-aside. Maintained by SetColor/Defer/MarkPutAside and
+	// FinishGreedy so the per-(seed, node) Live checks of the scoring
+	// loops are one bit test instead of three array loads.
 	live bitset.Mask
 	// Par scopes the trials' parallel loops to the owning solve's worker
 	// budget. nil means the process default. Solvers set it right after

@@ -33,9 +33,9 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	const n, seed = 100000, 11
+	const n, seed = 30000, 11
 	// Calibrate: the uncancelled wall time of this exact solve.
-	g := parcolor.GenerateGraph("gnp-sparse", n, seed)
+	g := parcolor.GenerateGraph("powerlaw", n, seed)
 	in := parcolor.TrivialPalettes(g)
 	sv, err := parcolor.NewSolver(parcolor.WithWorkers(2))
 	if err != nil {
@@ -53,7 +53,7 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	body, _ := json.Marshal(SolveRequest{
-		Graph:     GraphSpec{Generator: "gnp-sparse", N: n, Seed: seed},
+		Graph:     GraphSpec{Generator: "powerlaw", N: n, Seed: seed},
 		Algorithm: "deterministic",
 		NoCache:   true,
 	})
@@ -112,7 +112,7 @@ func TestDisconnectWhileQueuedReleasesQueue(t *testing.T) {
 
 	// Occupy the only slot with a slow (~400ms) solve.
 	slowBody, _ := json.Marshal(SolveRequest{
-		Graph:     GraphSpec{Generator: "gnp-sparse", N: 100000, Seed: 21},
+		Graph:     GraphSpec{Generator: "powerlaw", N: 30000, Seed: 21},
 		Algorithm: "deterministic",
 		NoCache:   true,
 	})

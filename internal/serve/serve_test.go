@@ -456,8 +456,9 @@ func TestEveryBoundedDegreeGeneratorAdmitted(t *testing.T) {
 func TestRequestTimeoutAnswers504(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 1, MaxInflight: 1})
 	body, _ := json.Marshal(SolveRequest{
-		// ~400ms solve against a 30ms deadline: the deadline always wins.
-		Graph:         GraphSpec{Generator: "gnp-sparse", N: 100000, Seed: 9},
+		// A solve of about a second against a 30ms deadline: the deadline
+		// always wins.
+		Graph:         GraphSpec{Generator: "powerlaw", N: 100000, Seed: 9},
 		Algorithm:     "deterministic",
 		TimeoutMillis: 30,
 		NoCache:       true,

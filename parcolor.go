@@ -162,6 +162,12 @@ type Result struct {
 	Sparsify *sparsify.Report
 	// DeferralFraction is the worst per-step deferral ratio observed.
 	DeferralFraction float64
+	// MaxGreedyResidue is the largest node count one greedy base case
+	// colored on one machine, over base instances and recursion levels
+	// (Deterministic only; 0 for the other algorithms). Theorem 12's base
+	// case assumes that residue fits on one machine, which Rounds alone
+	// does not show.
+	MaxGreedyResidue int
 }
 
 // Verify checks that col is a complete proper list coloring of in.

@@ -266,7 +266,7 @@ func (s *Solver) deframeOptions(tr Tracer) deframe.Options {
 // degree-shard relabeling the instance was permuted by (nil when
 // unsharded); its shard cuts feed the partitioner's shard-aware loops.
 func (s *Solver) solveDeterministic(ctx context.Context, in *Instance, rl *graph.Relabeling) (*Result, error) {
-	rounds := 0
+	rounds, residue := 0, 0
 	deferral := 0.0
 	var statMu sync.Mutex // base runs concurrently across restricted bins
 	dopt := s.deframeOptions(s.tracer)
@@ -285,6 +285,7 @@ func (s *Solver) solveDeterministic(ctx context.Context, in *Instance, rl *graph
 		if f := rep.MaxDeferralFraction(); f > deferral {
 			deferral = f
 		}
+		residue = max(residue, rep.MaxGreedyResidue())
 		statMu.Unlock()
 		return col, nil
 	}
@@ -301,7 +302,7 @@ func (s *Solver) solveDeterministic(ctx context.Context, in *Instance, rl *graph
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Coloring: col, Rounds: rounds, Sparsify: srep, DeferralFraction: deferral}, nil
+	return &Result{Coloring: col, Rounds: rounds, Sparsify: srep, DeferralFraction: deferral, MaxGreedyResidue: residue}, nil
 }
 
 func (s *Solver) solveRandomized(ctx context.Context, in *Instance) (*Result, error) {

@@ -332,7 +332,7 @@ func allocBytesPerRun(runs int, fn func()) uint64 {
 func TestTraceObservesDeframePhases(t *testing.T) {
 	collector := NewTraceCollector()
 	s := mustSolver(t, WithSeedBits(6), WithTrace(collector))
-	in := TrivialPalettes(GenerateGraph("mixed", 800, 4))
+	in := TrivialPalettes(GenerateGraph("mixed", 200, 4))
 	if _, err := s.Solve(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
