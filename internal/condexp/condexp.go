@@ -69,12 +69,12 @@
 //   - deframe.stepEngine: Lemma 10 over the HKNT schedule steps; win
 //     steps gather the proposal's win mask into dense participant space
 //     and popcount each chunk, SSP steps count failures per participant,
-//     both with pooled per-worker PRG scratch re-expanding only the live
-//     chunks (Options.NaiveScoring is the oracle).
+//     both with pooled per-worker lazy PRG sources that compute only the
+//     chunk bits a draw reads (Options.NaiveScoring is the oracle).
 //   - mis.Derandomized: Luby rounds; the join set is a node mask, each
 //     seed's still-undecided outcomes gather into a dense mask, chunk
-//     counts are popcounts, with chunk-sparse PRG re-expansion of only
-//     the live nodes (mis.Options.NaiveScoring).
+//     counts are popcounts, with lazy PRG chunk views read for only the
+//     live nodes (mis.Options.NaiveScoring).
 //   - lowdeg.IterativeDerandomized: trial rounds; collision losers are a
 //     dense mask, wins = seed-invariant candidate counts − loser
 //     popcounts, the best seed's winners materialize by one and-not

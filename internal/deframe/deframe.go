@@ -17,11 +17,11 @@
 //     (engine.go): the participants are partitioned into machine-local
 //     chunks, one parallel pass over the seed space fills a
 //     [chunks × seeds] contribution table with pooled per-worker scratch
-//     (PRG re-expansion of only the chunks the step reads and reusable
-//     proposals that reset only what the previous seed wrote, so a seed
-//     costs time proportional to the step's participants, their arcs and
-//     those chunks; win sets are internal/bitset masks, so win-counting
-//     chunks are popcounts), a parallel
+//     (lazy PRG chunk views that compute only the bits a draw reads, and
+//     reusable proposals that reset only what the previous seed wrote, so
+//     a seed costs time proportional to the step's participants, their
+//     arcs and the bits their draws read; win sets are internal/bitset
+//     masks, so win-counting chunks are popcounts), a parallel
 //     converge-cast aggregates per-seed totals, and both flat and bitwise
 //     selection reduce to table aggregation — the paper's "each machine
 //     scores its nodes for every seed, then converge-cast" structure. The

@@ -18,15 +18,16 @@ import (
 // time, and re-proposing the winning seed after selection — the engine
 //
 //   - walks the seed space once, reusing per-worker scratch (a reseedable
-//     ChunkedSource and an hknt.Scratch) checked out of a package pool:
+//     prg.LazySource and an hknt.Scratch) checked out of a package pool:
 //     pooled across seeds within a step, across steps and across runs,
 //   - keeps each seed's cost proportional to the step's participants,
-//     their arcs and the PRG chunks Propose reads, never to n: the
-//     hknt.Scratch resets only what the previous seed's Propose wrote, and
-//     only the live chunks are re-expanded per seed — those of the step's
-//     Readers when it declares them (SynchColorTrial: the uncolored
-//     leaders), of its participants otherwise — threaded through the
-//     pooled scratch's ReseedChunks,
+//     their arcs and the PRG bits Propose's draws read, never to n or to
+//     the step's declared bit budget: the hknt.Scratch resets only what
+//     the previous seed's Propose wrote, reseeding the lazy source draws
+//     only the generator's state (the KWise polynomial and its difference
+//     rows), and the Scratch's per-worker cursors compute a chunk's bits
+//     when a draw reaches them — of whichever node reads, participant or
+//     not,
 //   - records each seed's per-chunk score contributions straight into the
 //     seed's contiguous row of the seed-major condexp.ContribTable
 //     (zero-copy: the fill writes its final cells in place) — win-counting
@@ -36,7 +37,8 @@ import (
 //     aggregation with zero extra scorer invocations, and
 //   - caches the best-scoring proposal seen during the walk (colors, win
 //     mask and marks cloned together), so the flat winner's proposal is
-//     committed without being recomputed.
+//     committed without being recomputed; a bitwise winner other than the
+//     best seen is re-proposed once, through the same lazy source.
 //
 // The fill loop runs on the step's par.Runner: the owning solve's worker
 // budget bounds the walk, and its context cancels it between seeds.
@@ -44,7 +46,7 @@ import (
 // The naive path remains available via Options.NaiveScoring as the
 // oracle for differential tests: it proposes with a nil hknt.Scratch
 // (fresh n-sized buffers, masks from a pass over all n) and expands the
-// generator's whole output per seed.
+// generator's whole output per seed (prg.NewChunkedSource).
 
 // stepEngine scores one step's seed space incrementally.
 type stepEngine struct {
@@ -56,11 +58,6 @@ type stepEngine struct {
 	numChunks int
 	nChunks   int // score chunks (table rows)
 
-	// liveChunks lists the distinct PRG chunks the step's Propose may
-	// read: those of the step's declared Readers, or of the participants
-	// when it declares none. nil when every chunk is live (sparse
-	// re-expansion would save nothing).
-	liveChunks []int32
 	// bounds[c] is the first participant index of score chunk c — the
 	// c*np/k partition computed once instead of per chunk per seed.
 	bounds []int32
@@ -75,34 +72,15 @@ func newStepEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, 
 		gen: gen, chunkOf: chunkOf, numChunks: numChunks,
 		nChunks: condexp.ScoreChunks(len(parts)),
 	}
-	readers := parts
-	if step.Readers != nil {
-		readers = step.Readers(st)
-	}
-	seen := make([]bool, numChunks)
-	live := make([]int32, 0, len(readers))
-	for _, v := range readers {
-		if c := chunkOf[v]; !seen[c] {
-			seen[c] = true
-			live = append(live, c)
-		}
-	}
-	if len(live) < numChunks {
-		e.liveChunks = live
-	}
 	e.bounds = condexp.ChunkBounds(len(parts), e.nChunks)
 	return e
 }
 
-// reseed re-expands the worker's PRG source for one seed: only the live
-// chunks when the step reads a strict subset of them, the full output
-// otherwise. Bit-identical to a full expansion on every chunk Propose
-// reads.
-func (e *stepEngine) reseed(ss *seedScratch, seed uint64) *prg.ChunkedSource {
-	if e.liveChunks != nil {
-		return ss.src.ReseedChunks(seed, e.liveChunks)
-	}
-	return ss.src.Reseed(seed)
+// propose runs the step's Propose for one seed on the worker's scratch.
+// The proposal aliases ss.sc until its next Propose.
+func (e *stepEngine) propose(ss *seedScratch, seed uint64) hknt.Proposal {
+	ss.src.Reseed(seed)
+	return e.step.Propose(e.st, e.parts, ss.src, ss.sc)
 }
 
 // fill is the condexp.ChunkFiller: propose once for the seed with pooled
@@ -120,8 +98,7 @@ func (e *stepEngine) reseed(ss *seedScratch, seed uint64) *prg.ChunkedSource {
 // participant, exactly as the naive ScoreChunk does.
 func (e *stepEngine) fill(seed uint64, row []int64) {
 	ss := e.getScratch()
-	src := e.reseed(ss, seed)
-	prop := e.step.Propose(e.st, e.parts, src, ss.sc)
+	prop := e.propose(ss, seed)
 	k := len(row)
 	if e.step.SSP == nil {
 		pw := ss.partsWin
@@ -149,16 +126,16 @@ func (e *stepEngine) offerBest(seed uint64, score int64, prop hknt.Proposal) {
 
 // proposalFor returns the chosen seed's proposal: the cached clone when the
 // seed matches (always, for flat selection), otherwise one fresh
-// re-proposal (bitwise selection may pick a non-argmin seed).
+// re-proposal through a pooled lazy source (bitwise selection may pick a
+// non-argmin seed), cloned out of the scratch.
 func (e *stepEngine) proposalFor(seed uint64) hknt.Proposal {
 	if e.best.Matches(seed) {
 		return e.bestProp
 	}
-	src, err := prg.NewChunkedSource(e.gen, seed, e.chunkOf, e.numChunks, e.step.Bits)
-	if err != nil {
-		panic(fmt.Sprintf("deframe: %v", err))
-	}
-	return e.step.Propose(e.st, e.parts, src, nil)
+	ss := e.getScratch()
+	prop := hknt.CloneProposal(e.propose(ss, seed), hknt.Proposal{})
+	seedScratches.Put(ss)
+	return prop
 }
 
 // selectSeedTable runs the full table path for one step: build the
@@ -178,29 +155,29 @@ func (e *stepEngine) selectSeedTable(o Options) (condexp.Result, hknt.Proposal, 
 // steps and runs.
 var seedScratches = sync.Pool{New: func() any { return &seedScratch{sc: hknt.NewScratch()} }}
 
-// seedScratch is one worker's reusable evaluation state. partsWin is the
-// dense participant-index win mask the popcount scoring path gathers into.
+// seedScratch is one worker's reusable evaluation state: the lazy PRG
+// source it reseeds per seed, the hknt.Scratch whose per-worker cursors
+// read it, and partsWin, the dense participant-index win mask the popcount
+// scoring path gathers into.
 type seedScratch struct {
-	src      *prg.ChunkedScratch
+	src      *prg.LazySource
 	sc       *hknt.Scratch
 	partsWin bitset.Mask
 }
 
 // getScratch checks a seed-evaluation scratch out of the pool and
 // retargets it to the engine's (generator, chunk layout, participant)
-// shape. Retargeting an already-matching scratch — the steady state when
-// one step's fill loop checks the same objects in and out — is a few
-// comparisons.
+// shape, keeping its buffers.
 func (e *stepEngine) getScratch() *seedScratch {
 	ss := seedScratches.Get().(*seedScratch)
+	var err error
 	if ss.src == nil {
-		src, err := prg.NewChunkedScratch(e.gen, e.chunkOf, e.numChunks, e.step.Bits)
-		if err != nil {
-			// Generator too short is a construction bug; make it loud.
-			panic(fmt.Sprintf("deframe: %v", err))
-		}
-		ss.src = src
-	} else if err := ss.src.Retarget(e.gen, e.chunkOf, e.numChunks, e.step.Bits); err != nil {
+		ss.src, err = prg.NewLazySource(e.gen, e.chunkOf, e.numChunks, e.step.Bits)
+	} else {
+		err = ss.src.Retarget(e.gen, e.chunkOf, e.numChunks, e.step.Bits)
+	}
+	if err != nil {
+		// Generator too short is a construction bug; make it loud.
 		panic(fmt.Sprintf("deframe: %v", err))
 	}
 	ss.partsWin = ss.partsWin.Grow(len(e.parts))

@@ -8,7 +8,6 @@ import (
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
-	"parcolor/internal/prg"
 )
 
 // benchSelection builds a real pipeline-shaped scoring problem — a
@@ -144,34 +143,4 @@ func BenchmarkSeedSelectionLarge(b *testing.B) {
 	b.Run("naive/flat", func(b *testing.B) { benchSelection(b, 3000, false, true) })
 	b.Run("table/flat", func(b *testing.B) { benchSelection(b, 3000, false, false) })
 	b.Run("table/bitwise", func(b *testing.B) { benchSelection(b, 3000, true, false) })
-}
-
-// BenchmarkChunkedSourceReseed isolates the PRG re-expansion cost: naive
-// NewChunkedSource per seed versus the pooled scratch's in-place Reseed.
-func BenchmarkChunkedSourceReseed(b *testing.B) {
-	const numChunks, bitsPer = 256, 40
-	gen := prg.NewKWise(4, 8, prg.RequiredOutputBits(numChunks, bitsPer))
-	chunkOf := make([]int32, 300)
-	for v := range chunkOf {
-		chunkOf[v] = int32(v % numChunks)
-	}
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := prg.NewChunkedSource(gen, uint64(i)&255, chunkOf, numChunks, bitsPer); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reseed", func(b *testing.B) {
-		cs, err := prg.NewChunkedScratch(gen, chunkOf, numChunks, bitsPer)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = cs.Reseed(uint64(i) & 255)
-		}
-	})
 }

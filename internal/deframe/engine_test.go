@@ -182,3 +182,68 @@ func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestTableScoringMatchesNaiveSharedChunks runs every step of a schedule
+// under the fabricated chunk layout chunkOf[v] = v mod 3, so each live
+// chunk has many readers — each through its own lazy cursor, several at
+// once under the trials' inner fan-out — and the table engine must still
+// agree with the naive oracle, which reads one eager expansion, on every
+// step's seed, score, certificate and outcome and on the final coloring:
+// across workers 1, 4 and the process default, both PRG families and
+// both selection strategies (run under -race in CI).
+func TestTableScoringMatchesNaiveSharedChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   *d1lc.Instance
+	}{
+		{"gnp", d1lc.TrivialPalettes(graph.Gnp(140, 0.05, 3))},
+		{"cliques", d1lc.TrivialPalettes(graph.CliquesPlusMatching(3, 12, 2))},
+	} {
+		n := tc.in.G.N()
+		chunkOf := make([]int32, n)
+		for v := range chunkOf {
+			chunkOf[v] = int32(v % 3)
+		}
+		for _, workers := range []int{1, 4, 0} {
+			for _, prgKind := range []PRGKind{PRGKWise, PRGNisan} {
+				for _, bitwise := range []bool{false, true} {
+					name := fmt.Sprintf("%s/w=%d/prg=%d/bitwise=%v", tc.name, workers, prgKind, bitwise)
+					o := smallOpts()
+					o.PRG, o.Bitwise, o.Par = prgKind, bitwise, par.NewRunner(workers)
+					o = o.withDefaults(tc.in.G.MaxDegree())
+					oNaive := o
+					oNaive.NaiveScoring = true
+					stT, stN := hknt.NewState(tc.in), hknt.NewState(tc.in)
+					stT.Par, stN.Par = o.Par, o.Par
+					stepsT := hknt.BuildColorMiddle(stT, o.Tunables).Schedule.Steps
+					stepsN := hknt.BuildColorMiddle(stN, o.Tunables).Schedule.Steps
+					ran := 0
+					for i := range stepsT {
+						a, errT := DerandomizeStep(stT, &stepsT[i], chunkOf, 3, o)
+						b, errN := DerandomizeStep(stN, &stepsN[i], chunkOf, 3, oNaive)
+						if errT != nil || errN != nil {
+							t.Fatalf("%s: errs: table=%v naive=%v", name, errT, errN)
+						}
+						a.Evals, b.Evals = 0, 0 // the naive bitwise walk spends more
+						if a != b {
+							t.Fatalf("%s: step %d (%s) diverges:\ntable %+v\nnaive %+v", name, i, a.Name, a, b)
+						}
+						if a.Participants > 0 {
+							ran++
+						}
+					}
+					if ran == 0 {
+						t.Fatalf("%s: no step had participants", name)
+					}
+					for v := range stT.Col.Colors {
+						if stT.Col.Colors[v] != stN.Col.Colors[v] {
+							t.Fatalf("%s: colorings diverge at node %d", name, v)
+						}
+					}
+					stT.Release()
+					stN.Release()
+				}
+			}
+		}
+	}
+}

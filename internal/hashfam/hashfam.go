@@ -51,18 +51,25 @@ func submod61(a, b uint64) uint64 {
 // Poly is a k-wise independent hash function h(x) = Σ coef[i]·x^i over
 // GF(2^61−1). A uniformly random Poly with k coefficients is k-wise
 // independent on inputs < p.
+//
+// Drawing a Poly also computes the coefficient rows of its forward
+// differences Δ^j h, j = 0…k−1 (Δh(x) = h(x+1) − h(x), of one degree
+// less), so a PolyStepper is positioned at any point by evaluating the
+// rows there: k(k−1)/2 modular multiplications instead of k Horner
+// evaluations.
 type Poly struct {
-	coef []uint64 // coef[i] < p
+	coef []uint64 // coef[i] < p; the first k entries of rows
+	// rows holds the rows back to back: row j has k−j coefficients,
+	// lowest degree first, and row 0 is coef.
+	rows []uint64
 }
 
 // NewPoly builds a polynomial hash with k coefficients derived from seed
 // words (each reduced mod p). len(seed) determines the independence k.
 func NewPoly(seed []uint64) Poly {
-	coef := make([]uint64, len(seed))
-	for i, s := range seed {
-		coef[i] = s % MersennePrime61
-	}
-	return Poly{coef: coef}
+	var p Poly
+	p.SetCoef(seed)
+	return p
 }
 
 // SetCoef reinitializes p in place from seed words (each reduced mod p),
@@ -70,12 +77,38 @@ func NewPoly(seed []uint64) Poly {
 // allocation-free counterpart of NewPoly for hot loops that redraw the
 // polynomial once per PRG seed.
 func (p *Poly) SetCoef(seed []uint64) {
-	if cap(p.coef) < len(seed) {
-		p.coef = make([]uint64, len(seed))
+	k := len(seed)
+	size := k * (k + 1) / 2
+	if cap(p.rows) < size {
+		p.rows = make([]uint64, size)
 	}
-	p.coef = p.coef[:len(seed)]
+	p.rows = p.rows[:size]
+	p.coef = p.rows[:k]
 	for i, s := range seed {
 		p.coef[i] = s % MersennePrime61
+	}
+	// Row j+1 is Δ of row j: the Taylor shift g(x+1) by additions only
+	// (Horner's synthetic division at 1, the top coefficient fixed),
+	// minus g, whose top coefficient cancels.
+	for j, off := 0, 0; j+1 < k; j++ {
+		g := p.rows[off : off+k-j]
+		d := len(g) - 1
+		next := p.rows[off+k-j : off+k-j+d]
+		copy(next, g[:d])
+		top := g[d]
+		for i := 0; i < d; i++ {
+			for m := d - 1; m >= i; m-- {
+				up := top
+				if m+1 < d {
+					up = next[m+1]
+				}
+				next[m] = addmod61(next[m], up)
+			}
+		}
+		for i := range next {
+			next[i] = submod61(next[i], g[i])
+		}
+		off += k - j
 	}
 }
 
@@ -99,38 +132,39 @@ func (p Poly) Bin(x uint64, bins int) int {
 
 // PolyStepper evaluates a Poly at consecutive points x0, x0+1, … by
 // finite differences: a degree-(k−1) polynomial's k-th forward difference
-// vanishes, so after seeding the difference table with k Horner
-// evaluations, every further point costs k−1 modular additions instead of
-// k−1 modular multiplications. All arithmetic stays on canonical residues
-// in [0, p), so Value() is bit-identical to Eval at every point — the
-// property the PRG expansion paths rely on (the expanded bit is the
-// residue's LSB).
+// vanishes, so once the difference table holds Δ^j f(x0), every further
+// point costs k−1 modular additions instead of k−1 modular
+// multiplications. All arithmetic stays on canonical residues in [0, p),
+// so Value() is bit-identical to Eval at every point — the property the
+// PRG's lazy chunk views rely on (an output bit is the residue's LSB).
 //
-// This is the consecutive-point engine under the k-wise PRG re-expansion:
-// chunk c's bits are the polynomial at c·bitsPer+1, …, (c+1)·bitsPer, a
-// contiguous run per chunk.
+// This is the consecutive-point engine under the k-wise PRG: chunk c's
+// bits are the polynomial at c·bitsPer+1, …, (c+1)·bitsPer, a contiguous
+// run per chunk.
 type PolyStepper struct {
 	diffs []uint64
 }
 
 // Stepper starts consecutive evaluation at x0, (re)using buf for the
 // difference table (len K() or it is reallocated). The returned stepper
-// is positioned at x0: Value() == Eval(x0).
+// is positioned at x0: Value() == Eval(x0). Seeding evaluates each
+// difference row at x0 by Horner's rule, k(k−1)/2 multiplications in all.
 func (p Poly) Stepper(x0 uint64, buf []uint64) PolyStepper {
 	k := len(p.coef)
 	if cap(buf) < k {
 		buf = make([]uint64, k)
 	}
 	buf = buf[:k]
-	// buf[j] starts as f(x0+j), then in-place forward differencing turns
-	// it into Δ^j f(x0).
-	for j := 0; j < k; j++ {
-		buf[j] = p.Eval(x0 + uint64(j))
-	}
-	for lvl := 1; lvl < k; lvl++ {
-		for j := k - 1; j >= lvl; j-- {
-			buf[j] = submod61(buf[j], buf[j-1])
+	x := x0 % MersennePrime61
+	row := p.rows
+	for j := range buf {
+		r := row[:k-j]
+		row = row[k-j:]
+		acc := r[len(r)-1]
+		for i := len(r) - 2; i >= 0; i-- {
+			acc = addmod61(mulmod61(acc, x), r[i])
 		}
+		buf[j] = acc
 	}
 	return PolyStepper{diffs: buf}
 }
@@ -144,38 +178,42 @@ func (s PolyStepper) Value() uint64 {
 }
 
 // Advance moves the stepper one point forward.
-func (s PolyStepper) Advance() { StepPair(s, s, 1) }
+func (s PolyStepper) Advance() { s.Bits(1) }
 
-// StepPair returns the least significant bits of the polynomial at the
-// next m points (m ≤ 64) of s and of t, the current point's in bit 0, and
-// leaves both m points further on: Value()&1 and Advance m times, packed
-// into one word per stepper with no branch on a bit's value. s and t are
-// steppers of one polynomial and may be the same stepper.
-//
-// It is the one stepping loop, for every k. Per point, each difference
-// absorbs the next-higher one (ascending order reads the not-yet-updated
-// neighbor, which is exactly Δ^{j+1} at the old point). A point's update
-// waits on the previous point's, so one table alone runs at the latency
-// of that chain; stepping two independent tables in one loop overlaps
-// their chains.
-func StepPair(s, t PolyStepper, m int) (ws, wt uint64) {
+// Bits returns the least significant bits of the polynomial at the
+// stepper's next m points (m ≤ 64), the current point's in bit 0, and
+// leaves the stepper m points further on: Value()&1 and Advance m times,
+// packed into one word with no branch on a bit's value. Per point, each
+// difference absorbs the next-higher one (ascending order reads the
+// not-yet-updated neighbor, which is exactly Δ^{j+1} at the old point).
+// The k = 4 table (the PRG's default) is stepped in registers.
+func (s PolyStepper) Bits(m int) uint64 {
 	a := s.diffs
-	if len(a) == 0 {
-		return 0, 0
+	var w uint64
+	if len(a) == 4 {
+		d0, d1, d2, d3 := a[0], a[1], a[2], a[3]
+		for j := 0; j < m; j++ {
+			w |= (d0 & 1) << uint(j)
+			d0 = addmod61(d0, d1)
+			d1 = addmod61(d1, d2)
+			d2 = addmod61(d2, d3)
+		}
+		a[0], a[1], a[2] = d0, d1, d2
+		return w
 	}
-	b := t.diffs[:len(a)]
+	if len(a) == 0 {
+		return 0
+	}
 	for j := 0; j < m; j++ {
-		x, y := a[0], b[0]
-		ws |= (x & 1) << uint(j)
-		wt |= (y & 1) << uint(j)
+		x := a[0]
+		w |= (x & 1) << uint(j)
 		for i := 1; i < len(a); i++ {
-			xn, yn := a[i], b[i]
+			xn := a[i]
 			a[i-1] = addmod61(x, xn)
-			b[i-1] = addmod61(y, yn)
-			x, y = xn, yn
+			x = xn
 		}
 	}
-	return ws, wt
+	return w
 }
 
 // Diffs returns the stepper's difference-table storage so callers can

@@ -280,8 +280,8 @@ func TestPolySetCoefReusesStorage(t *testing.T) {
 // TestPolyStepperMatchesEval pins the finite-difference consecutive-point
 // evaluator bit-identical to Horner evaluation for every independence k
 // the PRG layer uses, across runs starting at arbitrary points — the
-// contract the k-wise chunk re-expansion relies on (the expanded bit is
-// the residue's LSB, so the full residue must match exactly).
+// contract the k-wise lazy chunk views rely on (an output bit is the
+// residue's LSB, so the full residue must match exactly).
 func TestPolyStepperMatchesEval(t *testing.T) {
 	for k := 1; k <= 8; k++ {
 		seed := make([]uint64, k)
@@ -303,11 +303,11 @@ func TestPolyStepperMatchesEval(t *testing.T) {
 	}
 }
 
-// TestStepPairMatchesEval checks the packed stepping loop: StepPair(s, t,
-// m) holds the LSBs of Eval at each stepper's next m points and leaves
-// both m points on, for every k, for run lengths that cross and fill whole
-// words, and for a stepper paired with itself.
-func TestStepPairMatchesEval(t *testing.T) {
+// TestStepperBitsMatchesEval checks the packed stepping loop: Bits(m)
+// holds the LSBs of Eval at the stepper's next m points and leaves it m
+// points on, for every k (k = 4 takes the register path), for run lengths
+// that cross and fill whole words.
+func TestStepperBitsMatchesEval(t *testing.T) {
 	lsbs := func(p Poly, x uint64, m int) uint64 {
 		var w uint64
 		for j := 0; j < m; j++ {
@@ -321,20 +321,44 @@ func TestStepPairMatchesEval(t *testing.T) {
 			seed[i] = 0xD1B54A32D192ED03 * uint64(k*17+i+1)
 		}
 		p := NewPoly(seed)
-		x, y, z := uint64(12345), uint64(1<<40), uint64(7)
-		s, u, self := p.Stepper(x, nil), p.Stepper(y, nil), p.Stepper(z, nil)
-		for _, m := range []int{1, 5, 64, 63, 2, 64, 17} {
-			ws, wu := StepPair(s, u, m)
-			if ws != lsbs(p, x, m) || wu != lsbs(p, y, m) {
-				t.Fatalf("k=%d m=%d: StepPair = %#x, %#x, want %#x, %#x", k, m, ws, wu, lsbs(p, x, m), lsbs(p, y, m))
+		x, y := uint64(12345), uint64(1<<40)
+		s, u := p.Stepper(x, nil), p.Stepper(y, nil)
+		for _, m := range []int{1, 5, 64, 63, 2, 64, 17, 0} {
+			if ws, wu := s.Bits(m), u.Bits(m); ws != lsbs(p, x, m) || wu != lsbs(p, y, m) {
+				t.Fatalf("k=%d m=%d: Bits = %#x, %#x, want %#x, %#x", k, m, ws, wu, lsbs(p, x, m), lsbs(p, y, m))
 			}
-			w1, w2 := StepPair(self, self, m)
-			if w1 != lsbs(p, z, m) || w2 != w1 {
-				t.Fatalf("k=%d m=%d: self-paired StepPair = %#x, %#x, want %#x", k, m, w1, w2, lsbs(p, z, m))
+			x, y = x+uint64(m), y+uint64(m)
+			if s.Value() != p.Eval(x) || u.Value() != p.Eval(y) {
+				t.Fatalf("k=%d: after Bits(%d) the steppers are off their points", k, m)
 			}
-			x, y, z = x+uint64(m), y+uint64(m), z+uint64(m)
-			if s.Value() != p.Eval(x) || u.Value() != p.Eval(y) || self.Value() != p.Eval(z) {
-				t.Fatalf("k=%d: after StepPair(%d) the steppers are off their points", k, m)
+		}
+	}
+}
+
+// TestStepperRowsMatchEval pins difference-row seeding: a stepper seeded
+// from the forward-difference rows at x0 must step through Eval's exact
+// residues at x0, x0+1, …, for every k from 1 to 8, at points that include
+// the top of the field (the run then wraps past p), and after SetCoef
+// redraws a polynomial of another degree into reused storage.
+func TestStepperRowsMatchEval(t *testing.T) {
+	var reused Poly
+	for k := 1; k <= 8; k++ {
+		seed := make([]uint64, k)
+		for i := range seed {
+			seed[i] = 0x9E3779B97F4A7C15*uint64(k*29+i+3) ^ uint64(i)<<61
+		}
+		reused.SetCoef(seed)
+		for _, p := range []Poly{NewPoly(seed), reused} {
+			var buf []uint64
+			for _, x0 := range []uint64{0, 1, 1 << 40, MersennePrime61 - 1 - uint64(k)} {
+				st := p.Stepper(x0, buf)
+				for j := uint64(0); j < 3*uint64(k)+70; j++ {
+					if got, want := st.Value(), p.Eval(x0+j); got != want {
+						t.Fatalf("k=%d x0=%d: Value at +%d = %d, Eval = %d", k, x0, j, got, want)
+					}
+					st.Advance()
+				}
+				buf = st.Diffs()
 			}
 		}
 	}

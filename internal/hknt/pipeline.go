@@ -254,20 +254,6 @@ func stepSynch(name string, cliques []CliqueInfo, maxPal int) Step {
 			}
 			return out
 		},
-		// Only leaders draw (the permutation for their inliers), and a
-		// leader need not be a participant itself (an uncolored leader
-		// may be deferred or put aside): the uncolored leaders are the
-		// complete reader list, so the scoring engine expands their
-		// chunks and none of the inliers'.
-		Readers: func(st *State) []int32 {
-			var out []int32
-			for i := range cliques {
-				if !st.Colored(cliques[i].Leader) {
-					out = append(out, cliques[i].Leader)
-				}
-			}
-			return out
-		},
 		Propose: func(st *State, parts []int32, src RandSource, sc *Scratch) Proposal {
 			return SynchColorTrialPropose(st, cliques, src, sc)
 		},

@@ -22,20 +22,15 @@ type Step struct {
 	// Participants selects the nodes running the procedure, given the
 	// current state. Non-live nodes are filtered by the trials themselves.
 	Participants func(st *State) []int32
-	// Readers, when non-nil, returns the complete list of nodes whose
-	// random bits Propose reads, participants or not (SynchColorTrial:
-	// the uncolored clique leaders, which draw for their inliers). nil
-	// means Propose reads exactly the participants' bits, which holds for
-	// every trial that draws per participant. The scoring engine
-	// re-expands per seed only the PRG chunks of this list, so a node
-	// missing from it would read stale bits.
-	Readers func(st *State) []int32
 	// Propose runs the procedure without mutating state. sc, when non-nil,
 	// supplies reusable buffers (see Scratch); the returned Proposal then
 	// aliases them and is invalidated by the next Propose on the same sc.
 	// With a Scratch, one call costs time proportional to the nodes it
 	// writes, their arcs and the bits it reads, not to the instance size;
 	// a nil sc allocates fresh n-sized buffers and is the reference path.
+	// Propose may read any node's bits, participant or not
+	// (SynchColorTrial's leaders draw for their inliers); a lazy source
+	// computes whichever chunk a read reaches.
 	Propose func(st *State, parts []int32, src RandSource, sc *Scratch) Proposal
 	// SSP reports participant v's strong success property under the
 	// proposal. Nil means trivially true (never defers).

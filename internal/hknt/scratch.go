@@ -4,6 +4,7 @@ import (
 	"parcolor/internal/bitset"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/par"
+	"parcolor/internal/rng"
 )
 
 // Scratch carries caller-owned buffers reused across repeated trial
@@ -21,7 +22,10 @@ import (
 // written. The next Propose resets exactly those entries before it writes,
 // and derives its win and mark masks from its own written nodes instead of
 // a pass over all n. One Scratch may serve instances of any size, in any
-// order.
+// order. Under a lazy PRG source (prg.LazySource) the bits a Propose reads
+// are also the only PRG bits computed for it: the Scratch's per-worker
+// cursors compute each chunk's bits as the draws reach them, so a seed
+// pays for the bits its draws read, not for the step's declared budget.
 //
 // Ownership contract: a Proposal returned by a scratch-aware Propose
 // aliases the Scratch's buffers and is invalidated by the next Propose on
@@ -49,6 +53,7 @@ type Scratch struct {
 	maps    []map[int32]bool
 	arenas  [][]int32
 	palBufs [][]int32
+	curs    []*rng.Bits
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -240,6 +245,25 @@ func (sc *Scratch) workerBufs(w int) (arenas, palBufs [][]int32) {
 		sc.palBufs = append(sc.palBufs, nil)
 	}
 	return sc.arenas[:w], sc.palBufs[:w]
+}
+
+// cursors returns w per-worker bit cursors, one per reader goroutine of a
+// trial's sampling loop. A lazy source (prg.LazySource) keeps its reader
+// state, a chunk buffer and a stepper, in the cursor, so reusing the
+// cursors across Propose calls keeps the seed walk free of per-seed
+// allocation. On a nil Scratch they are fresh.
+func (sc *Scratch) cursors(w int) []*rng.Bits {
+	if sc == nil {
+		cs := make([]*rng.Bits, w)
+		for i := range cs {
+			cs[i] = new(rng.Bits)
+		}
+		return cs
+	}
+	for len(sc.curs) < w {
+		sc.curs = append(sc.curs, new(rng.Bits))
+	}
+	return sc.curs[:w]
 }
 
 // mapsBuf returns w reusable per-worker hash sets (cleared by the callee).

@@ -26,15 +26,17 @@ import (
 )
 
 // RandSource provides each node's random bits for one trial.
-// prg.ChunkedSource satisfies it (PRG chunks); FreshSource draws true
-// pseudorandomness.
+// prg.LazySource and prg.ChunkedSource satisfy it (PRG chunks);
+// FreshSource draws true pseudorandomness.
 type RandSource interface {
 	BitsFor(v int32) *rng.Bits
 }
 
-// ViewSource is an optional RandSource extension for sources backed by one
-// shared bit string (prg.ChunkedSource): per-node bits are handed out as
-// cursor views into the shared words, with no per-node allocation.
+// ViewSource is an optional RandSource extension for PRG chunk sources:
+// a node's bits are handed out through a reused worker-local cursor, with
+// no per-node allocation. prg.ChunkedSource points the cursor into its
+// expanded string; prg.LazySource keeps the reader's expansion state in
+// the cursor and computes the chunk's bits as draws reach them.
 type ViewSource interface {
 	RandSource
 	BitsForInto(v int32, dst *rng.Bits)

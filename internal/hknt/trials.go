@@ -28,14 +28,14 @@ func TryRandomColorPropose(st *State, parts []int32, src RandSource, sc *Scratch
 	n := st.In.G.N()
 	sc.claim(parts)
 	cand := sc.candidates(n)
-	st.Par.ForChunkedWorker(len(parts), func(_, lo, hi int) {
-		var cur rng.Bits
+	curs := sc.cursors(st.Par.Workers(len(parts)))
+	st.Par.ForChunkedWorker(len(parts), func(wk, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := parts[i]
 			if !st.Live(v) || len(st.Rem[v]) == 0 {
 				continue
 			}
-			b := bitsFor(src, v, &cur)
+			b := bitsFor(src, v, curs[wk])
 			cand[v] = st.Rem[v][b.TakeIntn(len(st.Rem[v]))]
 		}
 	})
@@ -70,15 +70,15 @@ func MultiTrialPropose(st *State, parts []int32, x int, src RandSource, sc *Scra
 	sc.claim(parts)
 	sets := sc.setsBuf(n)
 	arenas, palBufs := sc.workerBufs(st.Par.Workers(len(parts)))
+	curs := sc.cursors(st.Par.Workers(len(parts)))
 	st.Par.ForChunkedWorker(len(parts), func(wk, lo, hi int) {
-		var cur rng.Bits
 		arena := arenas[wk][:0]
 		for i := lo; i < hi; i++ {
 			v := parts[i]
 			if !st.Live(v) || len(st.Rem[v]) == 0 {
 				continue
 			}
-			b := bitsFor(src, v, &cur)
+			b := bitsFor(src, v, curs[wk])
 			base := len(arena)
 			arena = appendSample(arena, &palBufs[wk], st.Rem[v], x, b)
 			sets[v] = arena[base:len(arena):len(arena)]
@@ -155,14 +155,14 @@ func GenerateSlackPropose(st *State, parts []int32, src RandSource, sc *Scratch)
 	n := st.In.G.N()
 	sc.claim(parts)
 	cand := sc.candidates(n)
-	st.Par.ForChunkedWorker(len(parts), func(_, lo, hi int) {
-		var cur rng.Bits
+	curs := sc.cursors(st.Par.Workers(len(parts)))
+	st.Par.ForChunkedWorker(len(parts), func(wk, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := parts[i]
 			if !st.Live(v) || len(st.Rem[v]) == 0 {
 				continue
 			}
-			b := bitsFor(src, v, &cur)
+			b := bitsFor(src, v, curs[wk])
 			if !b.TakeBool(1, 10) {
 				continue
 			}
@@ -222,8 +222,8 @@ func SynchColorTrialPropose(st *State, cliques []CliqueInfo, src RandSource, sc 
 	sc.claim(nodes)
 	cand := sc.candidates(n)
 	arenas, palBufs := sc.workerBufs(st.Par.Workers(len(cliques)))
+	curs := sc.cursors(st.Par.Workers(len(cliques)))
 	st.Par.ForChunkedWorker(len(cliques), func(wk, lo, hi int) {
-		var cur rng.Bits
 		arena := arenas[wk]
 		for ci := lo; ci < hi; ci++ {
 			live := nodes[offs[ci]:offs[ci+1]]
@@ -236,7 +236,7 @@ func SynchColorTrialPropose(st *State, cliques []CliqueInfo, src RandSource, sc 
 			if k > len(pal) {
 				k = len(pal)
 			}
-			arena = appendSample(arena[:0], &palBufs[wk], pal, k, bitsFor(src, leader, &cur))
+			arena = appendSample(arena[:0], &palBufs[wk], pal, k, bitsFor(src, leader, curs[wk]))
 			for i := 0; i < k; i++ {
 				cand[live[i]] = arena[i]
 			}
@@ -295,8 +295,8 @@ func PutAsidePropose(st *State, cliques []CliqueInfo, probFor func(c *CliqueInfo
 	})
 	sc.claim(nodes)
 	inS := sc.sampleFlags(n)
-	st.Par.ForChunkedWorker(len(cliques), func(_, lo, hi int) {
-		var cur rng.Bits
+	curs := sc.cursors(st.Par.Workers(len(cliques)))
+	st.Par.ForChunkedWorker(len(cliques), func(wk, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			live := nodes[offs[ci]:offs[ci+1]]
 			if len(live) == 0 {
@@ -304,7 +304,7 @@ func PutAsidePropose(st *State, cliques []CliqueInfo, probFor func(c *CliqueInfo
 			}
 			num, den := probFor(&cliques[ci])
 			for _, v := range live {
-				if bitsFor(src, v, &cur).TakeBool(num, den) {
+				if bitsFor(src, v, curs[wk]).TakeBool(num, den) {
 					inS[v] = true
 				}
 			}

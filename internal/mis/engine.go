@@ -8,7 +8,6 @@ import (
 	"parcolor/internal/condexp"
 	"parcolor/internal/graph"
 	"parcolor/internal/kernel"
-	"parcolor/internal/par"
 	"parcolor/internal/prg"
 	"parcolor/internal/rng"
 )
@@ -20,12 +19,13 @@ import (
 // priority/join arrays and a ChunkedSource each time — the engine
 //
 //   - walks the seed space once, reusing per-worker scratch (a reseedable
-//     prg.ChunkedScratch plus a priority buffer and word-packed join/
-//     undone masks) from a package pool shared across seeds, rounds and
-//     runs,
-//   - re-expands only the undecided nodes' chunks per seed
-//     (ChunkedScratch.ReseedChunks), so per-seed expansion cost tracks the
-//     shrinking live set instead of n,
+//     prg.LazySource, its reader cursor, a priority buffer and
+//     word-packed join/undone masks) from a package pool shared across
+//     seeds, rounds and runs,
+//   - reads the undecided nodes' chunks through the lazy source, so
+//     per-seed expansion cost tracks the shrinking live set instead of n
+//     (a priority reads all of its node's chunk, so laziness saves mis no
+//     bits; the engines share one chunk path),
 //   - keeps the per-seed join set as a bitset.Mask over nodes (a decided
 //     neighbor's bit is permanently zero, so the dominance scan reads one
 //     bit per neighbor) and gathers each seed's still-undecided outcomes
@@ -35,7 +35,9 @@ import (
 //     condexp.ContribTable, making flat and bitwise selection pure table
 //     aggregation, and
 //   - caches the best-scoring join mask seen during the walk, so the flat
-//     winner's join is committed from the mask without being recomputed.
+//     winner's join is committed from the mask without being recomputed;
+//     a bitwise winner other than the best seen is re-simulated once on
+//     pooled scratch.
 //
 // The naive path remains available via Options.NaiveScoring as the oracle
 // for differential tests; both paths are bit-identical in selected seed,
@@ -48,15 +50,14 @@ var engineIDs atomic.Uint64
 
 // roundEngine scores one Luby round's seed space incrementally.
 type roundEngine struct {
-	id         uint64 // unique per engine, never zero
-	g          *graph.Graph
-	state      []NodeState
-	parts      []int32 // undecided nodes, ascending
-	liveChunks []int32 // distinct chunk ids covering parts
-	gen        prg.PRG
-	chunkOf    []int32
-	numChunks  int
-	nChunks    int // score chunks (table rows)
+	id        uint64 // unique per engine, never zero
+	g         *graph.Graph
+	state     []NodeState
+	parts     []int32 // undecided nodes, ascending
+	gen       prg.PRG
+	chunkOf   []int32
+	numChunks int
+	nChunks   int // score chunks (table rows)
 	// bounds[c] is the first participant index of score chunk c.
 	bounds []int32
 
@@ -71,29 +72,18 @@ func newRoundEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PR
 		gen: gen, chunkOf: chunkOf, numChunks: numChunks,
 		nChunks: condexp.ScoreChunks(len(parts)),
 	}
-	seen := make([]bool, numChunks)
-	e.liveChunks = make([]int32, 0, len(parts))
-	for _, v := range parts {
-		if c := chunkOf[v]; !seen[c] {
-			seen[c] = true
-			e.liveChunks = append(e.liveChunks, c)
-		}
-	}
 	e.bounds = condexp.ChunkBounds(len(parts), e.nChunks)
 	return e
 }
 
-// fill is the condexp.ChunkFiller: simulate one Luby round for the seed
-// with pooled scratch, gather each participant's still-undecided outcome
-// into the dense undone mask, and read off every chunk's contribution as
-// a popcount over its index range.
-func (e *roundEngine) fill(seed uint64, row []int64) {
-	ss := e.getScratch()
-	src := ss.src.ReseedChunks(seed, e.liveChunks)
-	var cur rng.Bits
+// simulate draws every undecided node's priority for the seed and writes
+// the round's join set into ss.join: each undecided node joins iff no
+// undecided neighbor drew a higher priority.
+func (e *roundEngine) simulate(ss *misScratch, seed uint64) {
+	ss.src.Reseed(seed)
 	for _, v := range e.parts {
-		src.BitsForInto(v, &cur)
-		ss.prio[v] = priority(v, &cur)
+		ss.src.BitsForInto(v, &ss.cur)
+		ss.prio[v] = priority(v, &ss.cur)
 	}
 	for _, v := range e.parts {
 		best := true
@@ -105,6 +95,15 @@ func (e *roundEngine) fill(seed uint64, row []int64) {
 		}
 		ss.join.SetTo(int(v), best)
 	}
+}
+
+// fill is the condexp.ChunkFiller: simulate one Luby round for the seed
+// with pooled scratch, gather each participant's still-undecided outcome
+// into the dense undone mask, and read off every chunk's contribution as
+// a popcount over its index range.
+func (e *roundEngine) fill(seed uint64, row []int64) {
+	ss := e.getScratch()
+	e.simulate(ss, seed)
 	// Gather each participant's still-undecided outcome into the dense
 	// mask, then read chunks off as popcounts straight into the seed's
 	// in-place table row; the seed's total is the row's unit-stride
@@ -150,17 +149,16 @@ func (e *roundEngine) offerBest(seed uint64, score int64, join bitset.Mask) {
 
 // joinFor returns the chosen seed's join mask: the cached clone when the
 // seed matches (always, for flat selection), otherwise one fresh
-// re-simulation (bitwise selection may pick a non-argmin seed).
-func (e *roundEngine) joinFor(r *par.Runner, seed uint64) bitset.Mask {
+// re-simulation on pooled scratch (bitwise selection may pick a non-argmin
+// seed), cloned out of it.
+func (e *roundEngine) joinFor(seed uint64) bitset.Mask {
 	if e.best.Matches(seed) {
 		return e.bestJoin
 	}
-	src, err := prg.NewChunkedSource(e.gen, seed, e.chunkOf, e.numChunks, priorityBits)
-	if err != nil {
-		panic(err)
-	}
-	join := bitset.New(e.g.N())
-	join.FromBools(lubyRound(r, e.g, e.state, src.BitsFor))
+	ss := e.getScratch()
+	e.simulate(ss, seed)
+	join := append(bitset.Mask(nil), ss.join...)
+	scratches.Put(ss)
 	return join
 }
 
@@ -174,7 +172,7 @@ func (e *roundEngine) selectSeedTable(o Options) (condexp.Result, bitset.Mask, e
 	if err != nil {
 		return condexp.Result{}, nil, err
 	}
-	return res, e.joinFor(o.Par, res.Seed), nil
+	return res, e.joinFor(res.Seed), nil
 }
 
 // scratches pools the workers' evaluation scratch across seeds, rounds and
@@ -185,11 +183,13 @@ var scratches = sync.Pool{New: func() any { return new(misScratch) }}
 // mask are written for every undecided node on every fill, and read only
 // at undecided nodes (a decided node's join bit stays zero from the
 // owner-change reset), so they need no per-seed reset; undone is fully
-// rewritten by each fill's gather. owner tags the round engine the join
+// rewritten by each fill's gather. cur is the worker's reader cursor over
+// src, reused across nodes and seeds. owner tags the round engine the join
 // invariant currently holds for — by id, not pointer, so a pooled scratch
 // never pins a finished engine (and its graph) in memory.
 type misScratch struct {
-	src    *prg.ChunkedScratch
+	src    *prg.LazySource
+	cur    rng.Bits
 	prio   []uint64
 	join   bitset.Mask // over nodes
 	undone bitset.Mask // over dense participant indices
@@ -202,14 +202,14 @@ type misScratch struct {
 // zero without any per-seed reset.
 func (e *roundEngine) getScratch() *misScratch {
 	ss := scratches.Get().(*misScratch)
+	var err error
 	if ss.src == nil {
-		src, err := prg.NewChunkedScratch(e.gen, e.chunkOf, e.numChunks, priorityBits)
-		if err != nil {
-			// Generator too short is a construction bug; make it loud.
-			panic(err)
-		}
-		ss.src = src
-	} else if err := ss.src.Retarget(e.gen, e.chunkOf, e.numChunks, priorityBits); err != nil {
+		ss.src, err = prg.NewLazySource(e.gen, e.chunkOf, e.numChunks, priorityBits)
+	} else {
+		err = ss.src.Retarget(e.gen, e.chunkOf, e.numChunks, priorityBits)
+	}
+	if err != nil {
+		// Generator too short is a construction bug; make it loud.
 		panic(err)
 	}
 	n, np := len(e.state), len(e.parts)

@@ -254,8 +254,8 @@ func BenchmarkDerandomizedMIS(b *testing.B) {
 
 // BenchmarkSeedSelectionMIS ablates the scoring engine on a full
 // derandomized solve at n=300 (every Luby round goes through seed
-// selection): the contribution-table path (chunk-sparse re-expansion +
-// pooled scratch + cached winning join) against the naive per-seed
+// selection): the contribution-table path (lazy chunk views of the live
+// nodes + pooled scratch + cached winning join) against the naive per-seed
 // oracle, for both selection strategies. Results are identical across the
 // axis; only cost differs.
 func BenchmarkSeedSelectionMIS(b *testing.B) {

@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"fmt"
 	"testing"
 
 	"parcolor/internal/condexp"
@@ -62,5 +63,67 @@ func TestRoundEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTableScoringMatchesNaiveSharedChunks drives Luby rounds under the
+// fabricated chunk layout chunkOf[v] = v mod 3, so every chunk has many
+// readers, each through its own lazy cursor, and checks every round
+// against the naive oracle's eager expansion: same seed, score, sum and
+// certificate, and the same states after each commit — across workers 1,
+// 4 and the process default, both PRG families and both selection
+// strategies (run under -race in CI).
+func TestTableScoringMatchesNaiveSharedChunks(t *testing.T) {
+	const seedBits = 6
+	g := graph.Gnp(150, 0.05, 4)
+	n := g.N()
+	chunkOf := make([]int32, n)
+	for v := range chunkOf {
+		chunkOf[v] = int32(v % 3)
+	}
+	gens := []prg.PRG{
+		prg.NewKWise(4, seedBits, n*priorityBits),
+		prg.NewNisan(64, 7, seedBits),
+	}
+	for _, gen := range gens {
+		for _, workers := range []int{1, 4, 0} {
+			for _, bitwise := range []bool{false, true} {
+				name := fmt.Sprintf("%s/w=%d/bitwise=%v", gen.Name(), workers, bitwise)
+				o := Options{SeedBits: seedBits, Bitwise: bitwise, Par: par.NewRunner(workers)}
+				stT, stN := make([]NodeState, n), make([]NodeState, n)
+				for round := 0; ; round++ {
+					parts := undecidedNodes(stT)
+					if len(parts) == 0 {
+						break
+					}
+					if round == 4*log2(n+2)+8 {
+						t.Fatalf("%s: no convergence", name)
+					}
+					selT, join, err := newRoundEngine(g, stT, parts, gen, chunkOf, n).selectSeedTable(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					selN, err := selectSeedNaive(g, stN, gen, chunkOf, len(parts), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if selT.Seed != selN.Seed || selT.Score != selN.Score ||
+						selT.SumScores != selN.SumScores || selT.MeanUpper() != selN.MeanUpper() {
+						t.Fatalf("%s round %d diverges:\ntable %+v\nnaive %+v", name, round, selT, selN)
+					}
+					applyJoinMask(g, stT, join)
+					src, err := prg.NewChunkedSource(gen, selN.Seed, chunkOf, n, priorityBits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					applyJoin(g, stN, lubyRound(o.Par, g, stN, src.BitsFor))
+					for v := range stT {
+						if stT[v] != stN[v] {
+							t.Fatalf("%s round %d: states diverge at node %d", name, round, v)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -16,6 +16,13 @@
 // pipeline. The framework is *self-certifying* — seed selection minimizes
 // the measured failure count and failures are deferred — so generator
 // quality shifts only the deferral rate (experiment E6), never correctness.
+//
+// Two chunk sources slice an output string per node. ChunkedSource expands
+// the whole string at one seed (PRG.Expand) and is the reference the
+// naive scoring oracles and the MPC simulation read. LazySource is the
+// seed-scoring engines' path: reseeded per seed, it computes a chunk's
+// bits only as a reader's draws reach them, bit-identical to
+// ChunkedSource on every read.
 package prg
 
 import (
@@ -71,12 +78,7 @@ func (p *KWise) SeedBits() int   { return p.seedBits }
 func (p *KWise) OutputBits() int { return p.outBits }
 
 func (p *KWise) Expand(seed uint64) *rng.Bits {
-	coef := make([]uint64, p.k)
-	s := rng.New(rng.Hash2(0x5EED<<32|seed, uint64(p.k)))
-	for i := range coef {
-		coef[i] = s.Uint64()
-	}
-	h := hashfam.NewPoly(coef)
+	h := hashfam.NewPoly(p.coefs(seed, nil))
 	words := make([]uint64, (p.outBits+63)/64)
 	for i := 0; i < p.outBits; i++ {
 		if h.Eval(uint64(i)+1)&1 == 1 {
@@ -84,6 +86,21 @@ func (p *KWise) Expand(seed uint64) *rng.Bits {
 		}
 	}
 	return rng.NewBits(words, p.outBits)
+}
+
+// coefs draws the polynomial's k seed words at seed into dst, reusing its
+// storage when large enough: the one seed-to-polynomial map of Expand and
+// LazySource.
+func (p *KWise) coefs(seed uint64, dst []uint64) []uint64 {
+	if cap(dst) < p.k {
+		dst = make([]uint64, p.k)
+	}
+	dst = dst[:p.k]
+	s := rng.New(rng.Hash2(0x5EED<<32|seed, uint64(p.k)))
+	for i := range dst {
+		dst[i] = s.Uint64()
+	}
+	return dst
 }
 
 // --- Nisan-style recursive PRG --------------------------------------------
@@ -113,15 +130,7 @@ func (p *Nisan) SeedBits() int   { return p.seedBits }
 func (p *Nisan) OutputBits() int { return p.w << p.levels }
 
 func (p *Nisan) Expand(seed uint64) *rng.Bits {
-	s := rng.New(rng.Hash2(0x417A<<32|seed, uint64(p.levels)))
-	x0 := s.Uint64()
-	if p.w < 64 {
-		x0 &= (1 << uint(p.w)) - 1
-	}
-	multipliers := make([]uint64, p.levels)
-	for i := range multipliers {
-		multipliers[i] = s.Uint64() | 1
-	}
+	x0, multipliers := p.draw(seed, nil)
 	// blocks holds the leaf sequence; expand level by level.
 	blocks := []uint64{x0}
 	for lvl := 0; lvl < p.levels; lvl++ {
@@ -129,10 +138,7 @@ func (p *Nisan) Expand(seed uint64) *rng.Bits {
 		next := make([]uint64, 0, 2*len(blocks))
 		for _, b := range blocks {
 			hb := a * b
-			hb = hb ^ (hb >> 29) // cheap finalization to spread low bits
-			if p.w < 64 {
-				hb &= (1 << uint(p.w)) - 1
-			}
+			hb = (hb ^ hb>>29) & p.mask() // cheap finalization to spread low bits
 			next = append(next, b, hb)
 		}
 		blocks = next
@@ -140,6 +146,25 @@ func (p *Nisan) Expand(seed uint64) *rng.Bits {
 	out := rngBitsFromBlocks(blocks, p.w)
 	return out
 }
+
+// draw returns the start block and the level hashes' multipliers at seed,
+// the latter in mult's storage when large enough: the one seed-to-state
+// map of Expand and LazySource.
+func (p *Nisan) draw(seed uint64, mult []uint64) (x0 uint64, _ []uint64) {
+	s := rng.New(rng.Hash2(0x417A<<32|seed, uint64(p.levels)))
+	x0 = s.Uint64() & p.mask()
+	if cap(mult) < p.levels {
+		mult = make([]uint64, p.levels)
+	}
+	mult = mult[:p.levels]
+	for i := range mult {
+		mult[i] = s.Uint64() | 1
+	}
+	return x0, mult
+}
+
+// mask keeps a value's low w bits, the block width.
+func (p *Nisan) mask() uint64 { return ^uint64(0) >> uint(64-p.w) }
 
 // rngBitsFromBlocks packs len(blocks) blocks of w bits each into a Bits.
 func rngBitsFromBlocks(blocks []uint64, w int) *rng.Bits {
@@ -351,7 +376,10 @@ func (p *BruteForce) Expand(seed uint64) *rng.Bits {
 
 // ChunkedSource slices one expanded PRG string into per-node chunks
 // according to a chunk coloring of G^{4τ}: node v receives the block
-// [chunk(v)·bitsPer, (chunk(v)+1)·bitsPer).
+// [chunk(v)·bitsPer, (chunk(v)+1)·bitsPer). It expands the generator's
+// whole output up front, through PRG.Expand, so it works for every
+// generator; it is the reference that LazySource, which computes only the
+// bits readers reach, is tested against.
 type ChunkedSource struct {
 	words    []uint64
 	bitsPer  int
@@ -369,12 +397,14 @@ func NewChunkedSource(p PRG, seed uint64, chunkOf []int32, numChunks, bitsPer in
 			p.Name(), p.OutputBits(), need, numChunks, bitsPer)
 	}
 	b := p.Expand(seed)
-	words := make([]uint64, (numChunks*bitsPer+63)/64)
-	for i := 0; i < numChunks*bitsPer; i++ {
-		words[i>>6] |= b.Take(1) << uint(i&63)
+	need := numChunks * bitsPer
+	words := make([]uint64, (need+63)/64)
+	for i := range words {
+		// Take returns its k bits first-read most significant; reversing
+		// them restores the stream's LSB-first word layout.
+		k := min(64, need-64*i)
+		words[i] = bits.Reverse64(b.Take(k)) >> uint(64-k)
 	}
-	// NOTE: Take returns MSB-first within a call; taking 1 bit at a time
-	// preserves stream order.
 	return &ChunkedSource{words: words, bitsPer: bitsPer, chunkOf: chunkOf, numChunk: numChunks}, nil
 }
 

@@ -116,10 +116,28 @@ func (s *Stream) Shuffle(xs []int32) {
 // pseudorandom-generator-produced) bits consumed left to right. Definition 5
 // procedures receive their per-node randomness as a Bits value so the same
 // procedure code runs under true randomness and under PRG chunks.
+//
+// A view is eager or lazy. An eager view (NewBits, NewBitsView/SetView,
+// FreshBits) reads bits that are already in its words. A lazy view
+// (SetLazy) holds only the bits below its fill mark and asks its Filler
+// for the rest when a Take first reaches past the mark, so a view costs
+// the bits its draws read, not its declared budget. Both kinds enforce the
+// same budget.
 type Bits struct {
-	words []uint64
-	pos   int // bit cursor
-	n     int // total bits available
+	words  []uint64
+	pos    int    // bit cursor
+	n      int    // end of the view: bits [pos, n) remain
+	fill   int    // bits below fill are valid in words; n for eager views
+	filler Filler // computes bits at and past fill; nil for eager views
+}
+
+// Filler computes a lazy view's bits on demand.
+type Filler interface {
+	// Fill writes the view's bits [from, to) into words, bit i at
+	// words[i>>6], position i&63. Calls come in order: each from is the
+	// previous call's to, starting at 0 after SetLazy. Bits of words at
+	// and past to may hold anything.
+	Fill(words []uint64, from, to int)
 }
 
 // NewBits wraps words as a bit string of length n (n <= 64*len(words)).
@@ -127,13 +145,12 @@ func NewBits(words []uint64, n int) *Bits {
 	if n > 64*len(words) {
 		panic("rng: NewBits length exceeds backing words")
 	}
-	return &Bits{words: words, n: n}
+	return &Bits{words: words, n: n, fill: n}
 }
 
 // NewBitsView returns a read cursor over bits [off, off+n) of words,
-// sharing the backing storage: no bits are copied. It is the zero-copy
-// chunk accessor of the derandomization hot path — many views over one
-// expanded PRG string may be read concurrently, since a view only mutates
+// sharing the backing storage: no bits are copied. Many views over one
+// expanded bit string may be read concurrently, since a view only mutates
 // its own cursor.
 func NewBitsView(words []uint64, off, n int) *Bits {
 	b := &Bits{}
@@ -141,15 +158,30 @@ func NewBitsView(words []uint64, off, n int) *Bits {
 	return b
 }
 
-// SetView reinitializes b in place as a view over bits [off, off+n) of
-// words: the allocation-free counterpart of NewBitsView for worker-local
-// cursors reused across many nodes.
+// SetView reinitializes b in place as an eager view over bits [off, off+n)
+// of words: the allocation-free counterpart of NewBitsView for
+// worker-local cursors reused across many nodes.
 func (b *Bits) SetView(words []uint64, off, n int) {
 	if off < 0 || n < 0 || off+n > 64*len(words) {
 		panic("rng: bits view range exceeds backing words")
 	}
-	b.words, b.pos, b.n = words, off, off+n
+	b.words, b.pos, b.n, b.fill, b.filler = words, off, off+n, off+n, nil
 }
+
+// SetLazy reinitializes b in place as a lazy view of n bits whose bit i
+// lives at words[i>>6], position i&63, and is written by f the first time
+// a Take reaches it. words must hold n bits; it belongs to the view (and
+// to f) until the next Set call.
+func (b *Bits) SetLazy(words []uint64, n int, f Filler) {
+	if n < 0 || n > 64*len(words) {
+		panic("rng: lazy view exceeds backing words")
+	}
+	b.words, b.pos, b.n, b.fill, b.filler = words, 0, n, 0, f
+}
+
+// Filler returns the filler of a lazy view, nil for an eager one: a lazy
+// source re-points a reused cursor at the next chunk through it.
+func (b *Bits) Filler() Filler { return b.filler }
 
 // FreshBits draws n truly-pseudorandom bits from stream s.
 func FreshBits(s *Stream, n int) *Bits {
@@ -157,7 +189,7 @@ func FreshBits(s *Stream, n int) *Bits {
 	for i := range words {
 		words[i] = s.Uint64()
 	}
-	return &Bits{words: words, n: n}
+	return &Bits{words: words, n: n, fill: n}
 }
 
 // Remaining reports how many bits are left.
@@ -165,22 +197,34 @@ func (b *Bits) Remaining() int { return b.n - b.pos }
 
 // Take consumes k bits (k <= 64) and returns them in the low bits of the
 // result, most-significant first. It panics if fewer than k bits remain:
-// a Definition 5 procedure overdrawing its declared budget is a bug.
+// a Definition 5 procedure overdrawing its declared budget is a bug. A
+// lazy view first has its filler compute the bits up to the read's end.
+//
+// The k bits span at most two words. They are loaded LSB-first as one
+// word, and bits.Reverse64 turns the first-read bit into the most
+// significant of the k.
 func (b *Bits) Take(k int) uint64 {
 	if k < 0 || k > 64 {
 		panic("rng: Take of more than 64 bits")
 	}
-	if b.Remaining() < k {
+	end := b.pos + k
+	if end > b.n {
 		panic("rng: procedure exceeded its declared random-bit budget")
 	}
-	var v uint64
-	for i := 0; i < k; i++ {
-		w := b.words[b.pos>>6]
-		bit := (w >> uint(b.pos&63)) & 1
-		v = v<<1 | bit
-		b.pos++
+	if k == 0 {
+		return 0
 	}
-	return v
+	if end > b.fill {
+		b.filler.Fill(b.words, b.fill, end)
+		b.fill = end
+	}
+	i, off := b.pos>>6, uint(b.pos&63)
+	x := b.words[i] >> off
+	if off+uint(k) > 64 {
+		x |= b.words[i+1] << (64 - off)
+	}
+	b.pos = end
+	return bits.Reverse64(x) >> (64 - uint(k))
 }
 
 // TakeIntn consumes bits to produce an integer in [0, n) by fixed-width

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -334,4 +335,91 @@ func TestNewBitsViewValidation(t *testing.T) {
 		}
 	}()
 	NewBitsView([]uint64{0}, 60, 5)
+}
+
+// takeRef is the per-bit reference for Take: bit by bit from the cursor,
+// the first bit read ending up most significant.
+func takeRef(words []uint64, pos, k int) uint64 {
+	var v uint64
+	for i := pos; i < pos+k; i++ {
+		v = v<<1 | words[i>>6]>>uint(i&63)&1
+	}
+	return v
+}
+
+// TestTakeMatchesPerBitReference pins the word-level Take to the per-bit
+// reference at every offset within a word and every k from 0 to 64, on
+// eager views that start inside a word and reads that straddle two words.
+func TestTakeMatchesPerBitReference(t *testing.T) {
+	s := New(99)
+	words := make([]uint64, 4)
+	for i := range words {
+		words[i] = s.Uint64()
+	}
+	for viewOff := 0; viewOff < 64; viewOff += 7 {
+		for skip := 0; skip < 64; skip++ {
+			for k := 0; k <= 64; k++ {
+				b := NewBitsView(words, viewOff, 64*len(words)-viewOff)
+				b.Take(skip)
+				pos := viewOff + skip
+				if got, want := b.Take(k), takeRef(words, pos, k); got != want {
+					t.Fatalf("view at %d, after %d bits: Take(%d) = %#x, want %#x", viewOff, skip, k, got, want)
+				}
+				if b.Remaining() != 64*len(words)-pos-k {
+					t.Fatalf("view at %d: Remaining after Take(%d) = %d", viewOff, k, b.Remaining())
+				}
+			}
+		}
+	}
+}
+
+// countingFiller computes a lazy view's bits from a fixed string,
+// recording the fills it is asked for.
+type countingFiller struct {
+	src   []uint64
+	calls [][2]int
+}
+
+func (f *countingFiller) Fill(words []uint64, from, to int) {
+	f.calls = append(f.calls, [2]int{from, to})
+	for i := from; i < to; i++ {
+		off := uint(i & 63)
+		words[i>>6] = words[i>>6]&^(1<<off) | (f.src[i>>6]>>off&1)<<off
+	}
+}
+
+// TestLazyViewFillsOnlyWhatIsRead checks a lazy view: each Take past the
+// fill mark asks the filler for exactly the missing bits, in order; reads
+// equal the eager view of the same string (also through TakeIntn's
+// exhaustion fallback); garbage past the fill mark never leaks; and the
+// budget panics as an eager view's does.
+func TestLazyViewFillsOnlyWhatIsRead(t *testing.T) {
+	s := New(5)
+	src := []uint64{s.Uint64(), s.Uint64()}
+	f := &countingFiller{src: src}
+	garbage := []uint64{^uint64(0), ^uint64(0)}
+	var lazy Bits
+	lazy.SetLazy(garbage, 100, f)
+	eager := NewBits(src, 100)
+	for _, k := range []int{0, 3, 61, 1, 0, 20} {
+		if a, b := lazy.Take(k), eager.Take(k); a != b {
+			t.Fatalf("Take(%d): lazy %#x, eager %#x", k, a, b)
+		}
+	}
+	want := [][2]int{{0, 3}, {3, 64}, {64, 65}, {65, 85}}
+	if fmt.Sprint(f.calls) != fmt.Sprint(want) {
+		t.Fatalf("fills %v, want %v", f.calls, want)
+	}
+	if lazy.Filler() != f {
+		t.Fatal("Filler does not return the view's filler")
+	}
+	if a, b := lazy.TakeIntn(1<<20), eager.TakeIntn(1<<20); a != b || lazy.Remaining() != 0 {
+		t.Fatalf("exhaustion fallback: lazy %d, eager %d, remaining %d", a, b, lazy.Remaining())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on overdraw of a lazy view")
+		}
+	}()
+	lazy.Take(1)
 }
