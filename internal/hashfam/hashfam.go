@@ -186,21 +186,9 @@ func (s PolyStepper) Advance() { s.Bits(1) }
 // packed into one word with no branch on a bit's value. Per point, each
 // difference absorbs the next-higher one (ascending order reads the
 // not-yet-updated neighbor, which is exactly Δ^{j+1} at the old point).
-// The k = 4 table (the PRG's default) is stepped in registers.
 func (s PolyStepper) Bits(m int) uint64 {
 	a := s.diffs
 	var w uint64
-	if len(a) == 4 {
-		d0, d1, d2, d3 := a[0], a[1], a[2], a[3]
-		for j := 0; j < m; j++ {
-			w |= (d0 & 1) << uint(j)
-			d0 = addmod61(d0, d1)
-			d1 = addmod61(d1, d2)
-			d2 = addmod61(d2, d3)
-		}
-		a[0], a[1], a[2] = d0, d1, d2
-		return w
-	}
 	if len(a) == 0 {
 		return 0
 	}

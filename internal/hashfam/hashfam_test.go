@@ -305,8 +305,8 @@ func TestPolyStepperMatchesEval(t *testing.T) {
 
 // TestStepperBitsMatchesEval checks the packed stepping loop: Bits(m)
 // holds the LSBs of Eval at the stepper's next m points and leaves it m
-// points on, for every k (k = 4 takes the register path), for run lengths
-// that cross and fill whole words.
+// points on, for every k, for run lengths that cross and fill whole
+// words.
 func TestStepperBitsMatchesEval(t *testing.T) {
 	lsbs := func(p Poly, x uint64, m int) uint64 {
 		var w uint64
