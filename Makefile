@@ -16,8 +16,8 @@ race:
 # test-scratch-race repeats the scratch-reuse suites ten times under the
 # race detector. An hknt.Scratch carries reset state from one trial to the
 # next, the engines' workers check their scratch in and out of a sync.Pool
-# once per seed, and contribution tables, run states and reduction arenas
-# pass through package-level pools from one solve to the next, whichever
+# once per seed, and seed totals, run states and reduction arenas pass
+# through package-level pools from one solve to the next, whichever
 # Solver runs it, so a race or a reset that one interleaving misses gets
 # more chances to show.
 test-scratch-race:
@@ -75,29 +75,32 @@ HOST_FINGERPRINT = $(shell $(GO) env GOOS)-$(shell $(GO) env GOARCH)-$(shell hos
 # snapshot as the baseline. FORCE makes every stream rule rerun.
 FORCE:
 
-# bench regenerates the seed-selection benchmark suite (the contribution-
-# table engine vs its naive oracles in deframe, mis and lowdeg, plus the
-# synthetic condexp shape) as a machine-readable test2json stream — with
-# the recording host's fingerprint as the first line — so the perf
-# trajectory is diffable across PRs and baselines are keyed per machine.
+# bench regenerates the seed-selection benchmark suite (the scoring
+# engines vs their naive oracles in deframe, mis and lowdeg, plus
+# condexp.Select on a synthetic objective) as a machine-readable test2json
+# stream — with the recording host's fingerprint as the first line — so
+# the perf trajectory is diffable across PRs and baselines are keyed per
+# machine. Every row runs five times: some rows spread past the 10% gate
+# between runs of unchanged code, so the gate compares medians.
 bench: BENCH_seed_selection.json
 BENCH_seed_selection.json .bench_scratch/BENCH_seed_selection.json: FORCE
 	@mkdir -p $(@D)
 	@echo '{"Host":"$(HOST_FINGERPRINT)"}' > $@
-	$(GO) test -run '^$$' -bench 'SeedSelection' -benchmem -count 1 -json \
+	$(GO) test -run '^$$' -bench 'SeedSelection' -benchmem -count 5 -json \
 		./internal/condexp ./internal/deframe ./internal/mis ./internal/lowdeg \
 		>> $@
 	@echo "wrote $@ (host $(HOST_FINGERPRINT))"
 
-# bench-diff gates the mask-based engine path: any table/* row more than
-# 10% slower than the baseline fails the target.
+# bench-diff gates the engine path: any table/* row whose median over its
+# runs is more than 10% slower than the baseline's median fails the
+# target.
 BENCH_BASELINE ?= BENCH_seed_selection.json
 bench-diff: .bench_scratch/BENCH_seed_selection.json
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $< -tol 0.10 -filter table/
 
 # bench-kernel streams the internal/kernel microbenchmarks — the
-# unit-stride row add/reduce, compare-and-movemask, blocked-transpose,
-# popcount and and-not inner loops under the seed-major tables — into
+# unit-stride row add, compare-and-movemask, popcount, and-not and fill
+# inner loops under seed selection and the bitset masks — into
 # BENCH_kernel.json, host-stamped like the seed-selection stream. Every
 # kernel emits one row per dispatch path (dispatch=generic vs
 # dispatch=avx2 on capable amd64 hosts), so the committed stream records

@@ -100,7 +100,7 @@ func solveBench(b *testing.B, alg parcolor.Algorithm, graphName string, n int) {
 
 // BenchmarkSolveDeframe ablates the Lemma 10 scoring engine end-to-end on
 // a full derandomized run (every schedule step goes through seed
-// selection): the incremental contribution-table path (default) against
+// selection): the incremental scoring engine (default) against
 // the naive monolithic per-seed rescoring path, for both seed-selection
 // strategies. Results are identical across the axis; only cost differs.
 func BenchmarkSolveDeframe(b *testing.B) {

@@ -22,6 +22,11 @@
 // BenchmarkServingInfo/…, which the "Serving/" filter deliberately does
 // not match — they inform, never gate.
 //
+// A stream may hold several runs of each row (`make bench` records the
+// seed-selection suite with -count 5); each row is compared by its median
+// over all runs in the stream, so one noisy run neither fails the gate
+// nor hides a regression in the others.
+//
 // Rows are keyed by (package, benchmark) and matched by exact name; only
 // rows whose name contains the filter substring (default "table/", the
 // mask-based engine path) gate the exit status — the naive-oracle rows
@@ -62,13 +67,23 @@ type event struct {
 	Host string
 }
 
-var nsOp = regexp.MustCompile(`([0-9][0-9.]*) ns/op`)
+var (
+	nsOp = regexp.MustCompile(`([0-9][0-9.]*) ns/op`)
+	// runName is a result line's leading benchmark name, without the
+	// -GOMAXPROCS suffix go test appends.
+	runName = regexp.MustCompile(`^(Benchmark\S*?)(-[0-9]+)?\s`)
+)
 
-// parse reads a test2json stream and returns ns/op keyed by
-// "package benchmark", plus the stream's host fingerprint ("" when the
-// stream predates host keying). Output fragments of one benchmark arrive
-// as multiple events (the name line and the measurement line are
-// separate), so fragments are concatenated per key before matching.
+// parse reads a test2json stream and returns each row's median ns/op
+// over all its runs, keyed by "package benchmark", plus the stream's host
+// fingerprint ("" when the stream predates host keying). Output fragments
+// of one benchmark arrive as multiple events (the name line and the
+// measurement line are separate), so fragments are concatenated per key
+// before matching. With -count > 1, go test attributes only the first
+// run's output to the benchmark; later runs arrive as package output
+// whose lines start with the benchmark's name, so a fragment without a
+// benchmark belongs to the one its line names, or else to the last one
+// named in its package.
 func parse(path string) (map[string]float64, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -77,6 +92,7 @@ func parse(path string) (map[string]float64, string, error) {
 	defer f.Close()
 	host := ""
 	frags := map[string]*strings.Builder{}
+	current := map[string]string{} // package → benchmark its output belongs to
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	line := 0
@@ -96,10 +112,21 @@ func parse(path string) (map[string]float64, string, error) {
 			host = e.Host
 			continue
 		}
-		if e.Action != "output" || !strings.HasPrefix(e.Test, "Benchmark") {
+		if e.Action != "output" {
 			continue
 		}
-		key := e.Package + " " + e.Test
+		if strings.HasPrefix(e.Test, "Benchmark") {
+			current[e.Package] = e.Test
+		} else if e.Test != "" {
+			continue
+		} else if m := runName.FindStringSubmatch(e.Output); m != nil {
+			current[e.Package] = m[1]
+		}
+		name := current[e.Package]
+		if name == "" {
+			continue
+		}
+		key := e.Package + " " + name
 		b, ok := frags[key]
 		if !ok {
 			b = &strings.Builder{}
@@ -112,17 +139,28 @@ func parse(path string) (map[string]float64, string, error) {
 	}
 	out := map[string]float64{}
 	for key, b := range frags {
-		m := nsOp.FindStringSubmatch(b.String())
-		if m == nil {
-			continue
+		var runs []float64
+		for _, m := range nsOp.FindAllStringSubmatch(b.String(), -1) {
+			if v, err := strconv.ParseFloat(m[1], 64); err == nil {
+				runs = append(runs, v)
+			}
 		}
-		v, err := strconv.ParseFloat(m[1], 64)
-		if err != nil {
-			continue
+		if len(runs) > 0 {
+			out[key] = median(runs)
 		}
-		out[key] = v
 	}
 	return out, host, nil
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
+	}
+	return (xs[mid-1] + xs[mid]) / 2
 }
 
 func main() {

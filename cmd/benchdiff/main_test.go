@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,5 +117,74 @@ func TestParseRejectsTruncatedLine(t *testing.T) {
 	p := writeStream(t, "trunc.json", truncated)
 	if _, _, err := parse(p); err == nil {
 		t.Fatal("truncated final line silently skipped — parse must error")
+	}
+}
+
+// fiveRuns renders the lowdeg table rows recorded with -count 5 as go
+// test -json streams them: only the first run's output carries the
+// benchmark's name in the Test field, and later runs arrive as package
+// output, either whole or with the name and the measurement in separate
+// fragments.
+func fiveRuns(bitwise, flat []int) string {
+	const pkg = `"Package":"parcolor/internal/lowdeg"`
+	var b strings.Builder
+	b.WriteString(`{"Host":"hostA"}` + "\n")
+	row := func(name string, ns []int) {
+		out := func(test, text string) {
+			if test != "" {
+				test = `"Test":"` + test + `",`
+			}
+			fmt.Fprintf(&b, `{"Action":"output",%s,%s"Output":%q}`+"\n", pkg, test, text)
+		}
+		out(name, "=== RUN   "+name+"\n")
+		out(name, name+"-2  \t")
+		out(name, fmt.Sprintf("     330\t  %d ns/op\t  110798 B/op\t     661 allocs/op\n", ns[0]))
+		for k, v := range ns[1:] {
+			line := fmt.Sprintf("     330\t  %d ns/op\t  110798 B/op\t     661 allocs/op\n", v)
+			if k%2 == 0 {
+				out("", name+"-2  \t"+line)
+			} else {
+				out("", name+"-2  \t")
+				out("", line)
+			}
+		}
+	}
+	row("BenchmarkSeedSelectionLowdeg/table/bitwise", bitwise)
+	row("BenchmarkSeedSelectionLowdeg/table/flat", flat)
+	return b.String()
+}
+
+// TestGateComparesMediansOfRepeatedRuns drives the gate's comparison —
+// (new − old)/old against the 10% tolerance — over five-run streams in
+// both directions: a slow first run must not fail the gate, and a fast
+// first run must not hide four slow ones.
+func TestGateComparesMediansOfRepeatedRuns(t *testing.T) {
+	const (
+		bitwise = "parcolor/internal/lowdeg BenchmarkSeedSelectionLowdeg/table/bitwise"
+		flat    = "parcolor/internal/lowdeg BenchmarkSeedSelectionLowdeg/table/flat"
+		tol     = 0.10
+	)
+	base := []int{3300, 3410, 3250, 3390, 3360}
+	oldNs, _, err := parse(writeStream(t, "base.json", fiveRuns(base, base)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldNs[bitwise] != 3360 || oldNs[flat] != 3360 {
+		t.Errorf("baseline medians %v, want 3360 for both rows", oldNs)
+	}
+	slowFirst := []int{4900, 3350, 3280, 3400, 3310}
+	fastFirst := []int{3300, 4100, 4050, 4200, 3990}
+	newNs, _, err := parse(writeStream(t, "new.json", fiveRuns(slowFirst, fastFirst)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key     string
+		regress bool
+	}{{bitwise, false}, {flat, true}} {
+		o, n := oldNs[tc.key], newNs[tc.key]
+		if got := (n-o)/o > tol; got != tc.regress {
+			t.Errorf("%s: old %.0f ns/op, new %.0f ns/op: regression = %v, want %v", tc.key, o, n, got, tc.regress)
+		}
 	}
 }

@@ -2,15 +2,15 @@
 // every seed-selection engine: per-seed candidate/loser/win/live state
 // packed 64 nodes to a machine word, so the hot loops of the Lemma 10
 // derandomizers turn from branch-bound scans into memory-bound word
-// operations — chunk contributions become popcounts (CountRange),
-// conflict elimination becomes and-not (AndNot), and commit walks only
-// the set bits (ForEach).
+// operations — win counts become popcounts (Count), conflict
+// elimination becomes and-not (AndNot), and commit walks only the set
+// bits (ForEach).
 //
 // A Mask is a plain []uint64 in LSB-first bit order: bit i lives at
 // word i>>6, position i&63 — the same layout rng.Bits uses for PRG
 // output, so masks and expanded randomness share one storage discipline.
 //
-// The word loops under Count/CountRange, AndNot and FromNeq32 are
+// The word loops under Count, AndNot and FromNeq32 are
 // internal/kernel primitives (PopcountWords, AndNotWords, MaskNeq32),
 // so they take that package's AVX2 bodies on capable amd64 hosts and
 // its pure-Go references everywhere else — bit-identical either way;
@@ -81,46 +81,11 @@ func (m Mask) SetTo(i int, b bool) {
 // Test reports bit i.
 func (m Mask) Test(i int) bool { return m[i>>6]>>uint(i&63)&1 == 1 }
 
-// Bit returns bit i as 0 or 1: the branchless gather primitive
-// (word |= m.Bit(v) << k).
-func (m Mask) Bit(i int) uint64 { return m[i>>6] >> uint(i&63) & 1 }
-
 // Count returns the number of set bits: the whole-mask popcount, via
 // the dispatched kernel (AVX2 nibble-LUT on capable amd64 hosts,
 // unrolled POPCNT otherwise).
 func (m Mask) Count() int {
 	return kernel.PopcountWords(m)
-}
-
-// countRangeKernelWords is the interior word count above which
-// CountRange hands the middle run to kernel.PopcountWords: the engines'
-// per-chunk counts are 1–16 interior words, where an inline POPCNT loop
-// beats a kernel call, while FromNeq32-scale ranges clear the threshold
-// and get the vector body.
-const countRangeKernelWords = 16
-
-// CountRange returns the number of set bits in [lo, hi): one chunk's
-// contribution as a popcount over 64 participants at a time — masked
-// edge words inline, long interiors through the popcount kernel.
-func (m Mask) CountRange(lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	wlo, whi := lo>>6, (hi-1)>>6
-	first := ^uint64(0) << uint(lo&63)
-	last := ^uint64(0) >> uint(63-(hi-1)&63)
-	if wlo == whi {
-		return bits.OnesCount64(m[wlo] & first & last)
-	}
-	c := bits.OnesCount64(m[wlo] & first)
-	if whi-wlo > countRangeKernelWords {
-		c += kernel.PopcountWords(m[wlo+1 : whi])
-	} else {
-		for w := wlo + 1; w < whi; w++ {
-			c += bits.OnesCount64(m[w])
-		}
-	}
-	return c + bits.OnesCount64(m[whi]&last)
 }
 
 // Copy overwrites m with src (lengths must match).
@@ -268,24 +233,4 @@ func (m Mask) FromNeq32(r *par.Runner, xs []int32, sentinel int32) {
 // from a naive oracle's bool-slice output into mask space.
 func (m Mask) FromBools(bs []bool) {
 	m.Fill(len(bs), func(i int) bool { return bs[i] })
-}
-
-// Gather rewrites the first n bits of m as bit(i) ∈ {0, 1}, accumulating
-// into a register word flushed once per destination word (including the
-// trailing partial word): the dense participant-index gather under the
-// engines' per-chunk popcount fills. Single-goroutine — the fills
-// parallelize across seeds, not within one.
-func (m Mask) Gather(n int, bit func(i int) uint64) {
-	var w uint64
-	wi := 0
-	for i := 0; i < n; i++ {
-		w |= bit(i) << uint(i&63)
-		if i&63 == 63 {
-			m[wi] = w
-			w, wi = 0, wi+1
-		}
-	}
-	if n&63 != 0 {
-		m[wi] = w
-	}
 }

@@ -44,9 +44,6 @@ func checkAgainst(t *testing.T, m Mask, r reference, label string) {
 		if m.Test(i) != r[i] {
 			t.Fatalf("%s: Test(%d) = %v, want %v", label, i, m.Test(i), r[i])
 		}
-		if got := m.Bit(i); (got == 1) != r[i] {
-			t.Fatalf("%s: Bit(%d) = %d, want %v", label, i, got, r[i])
-		}
 	}
 	if got, want := m.Count(), r.countRange(0, len(r)); got != want {
 		t.Fatalf("%s: Count = %d, want %d", label, got, want)
@@ -75,35 +72,6 @@ func TestMaskOpsMatchReference(t *testing.T) {
 			}
 		}
 		checkAgainst(t, m, r, "ops")
-	}
-}
-
-func TestCountRangeMatchesReference(t *testing.T) {
-	for _, n := range raggedSizes {
-		if n == 0 {
-			continue
-		}
-		rng := rand.New(rand.NewSource(int64(n) + 7))
-		m, r := randomPair(n, rng)
-		// Every boundary pair around word edges plus random pairs.
-		bounds := []int{0, 1, 63, 64, 65, n - 1, n}
-		for k := 0; k < 40; k++ {
-			bounds = append(bounds, rng.Intn(n+1))
-		}
-		for _, lo := range bounds {
-			for _, hi := range bounds {
-				if lo < 0 || hi > n {
-					continue
-				}
-				want := 0
-				if lo < hi {
-					want = r.countRange(lo, hi)
-				}
-				if got := m.CountRange(lo, hi); got != want {
-					t.Fatalf("n=%d CountRange(%d,%d) = %d, want %d", n, lo, hi, got, want)
-				}
-			}
-		}
 	}
 }
 
@@ -222,28 +190,8 @@ func TestGrowPreservesCapacityContract(t *testing.T) {
 	}
 }
 
-func BenchmarkCountRangeVsBoolScan(b *testing.B) {
-	const n = 1 << 16
-	rng := rand.New(rand.NewSource(99))
-	m, r := randomPair(n, rng)
-	b.Run("mask-popcount", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if m.CountRange(17, n-17) < 0 {
-				b.Fatal("impossible")
-			}
-		}
-	})
-	b.Run("bool-scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if r.countRange(17, n-17) < 0 {
-				b.Fatal("impossible")
-			}
-		}
-	})
-}
-
 // TestMaskKernelOpsBothDispatchPaths re-runs the kernel-backed mask
-// operations (Count, CountRange, AndNot, FromNeq32) against the naive
+// operations (Count, AndNot, FromNeq32) against the naive
 // oracle under each of internal/kernel's dispatch paths: the pure-Go
 // bodies always, and the AVX2 bodies when the binary and host carry
 // them. The bitset layer must be bit-identical under both — this is the
@@ -255,13 +203,6 @@ func TestMaskKernelOpsBothDispatchPaths(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n) + 77))
 			m, r := randomPair(n, rng)
 			checkAgainst(t, m, r, "random")
-			for lo := 0; lo <= n; lo += 17 {
-				for hi := lo; hi <= n; hi += 41 {
-					if got, want := m.CountRange(lo, hi), r.countRange(lo, hi); got != want {
-						t.Fatalf("n=%d: CountRange(%d,%d) = %d, want %d", n, lo, hi, got, want)
-					}
-				}
-			}
 			b, rb := randomPair(n, rng)
 			m.AndNot(b)
 			for i := 0; i < n; i++ {

@@ -8,88 +8,44 @@
 // at most the mean over the space — the exact guarantee the paper's
 // Lemma 10 derives from E[failures] ≤ nG/2 + nG·Δ^{−11τ}.
 //
-// Two scoring architectures coexist:
+// Two scoring paths coexist:
 //
-//   - The naive Scorer path (SelectSeed, SelectSeedBitwise) re-invokes an
-//     opaque score(seed) callback for every evaluation. It is simple,
-//     assumes nothing about the objective, and serves as the oracle the
-//     optimized path is differentially tested against. SelectSeed
-//     enumerates all seeds once; SelectSeedBitwise fixes the seed one bit
-//     at a time by comparing exact conditional branch means, re-evaluating
-//     surviving seeds at every level (~2^(d+1) scorer calls in total).
+//   - The naive path (SelectSeed, SelectSeedBitwise) re-invokes the
+//     score(seed) callback for every evaluation. It is simple, assumes
+//     nothing about the objective, and serves as the oracle the engines'
+//     path is differentially tested against. SelectSeed enumerates all
+//     seeds once; SelectSeedBitwise fixes the seed one bit at a time by
+//     comparing exact conditional branch means, re-evaluating surviving
+//     seeds at every level (2^(d+1)−2 scorer calls in total).
 //
-//   - The contribution-table path (BuildTable, ContribTable.SelectSeed,
-//     ContribTable.SelectSeedBitwise) mirrors the paper's distributed
-//     implementation: the objective decomposes as score(seed) = Σ_c
-//     contrib(c, seed) over machine-local chunks, each (seed, chunk)
-//     contribution is computed exactly once into a flat seed-major
-//     [numSeeds × numChunks] table by one parallel pass over the seed
-//     space, the per-seed totals are aggregated by a converge-cast that
-//     reduces each seed's contiguous row, and both selection strategies
-//     become pure table aggregation — the bitwise method's branch means
-//     are subset sums of totals the build already paid for.
+//   - The totals path (Select) mirrors the paper's distributed
+//     implementation: machines score their nodes for every seed and a
+//     converge-cast sums the scores per seed. Select scores each seed
+//     exactly once, in one parallel pass over the seed space, into a
+//     pooled totals vector; SelectTotals and SelectTotalsBitwise then
+//     select over that vector, the bitwise method's branch means being
+//     subset sums of totals already paid for.
 //
 // Select and SelectNaive are the engines' entry points to the two paths:
-// one cancel-aware selection over 2^seedBits seeds, flat or bitwise.
-// Table storage lives in a package-level sync.Pool: BuildTable draws from
-// it and ContribTable.Release returns to it, so Select owns a table's
-// whole lifetime.
+// one cancel-aware selection over 2^seedBits seeds, flat or bitwise. Both
+// return bit-identical Results (seed, score, sum, certificate) on the
+// same objective; they differ only in Evals, the scorer-invocation count.
 //
-// Layout invariants of the seed-major table:
+// Every seed selection in the repository runs through Select, each with
+// its naive-Scorer oracle kept for differential tests:
 //
-//   - Contrib[s*NumChunks+c] is chunk c's contribution to seed s: one
-//     seed's row is one contiguous unit-stride block of the grid.
-//   - Build hands each fill ITS OWN in-place row (a capacity-capped slice
-//     of Contrib), so engines write their popcounts straight into final
-//     cells: no per-worker staging row, no stride-NumSeeds scatter. A
-//     ChunkFiller must write every cell of the row it is handed — pooled
-//     grids are not zeroed between builds.
-//   - Totals[s] = kernel.Sum(row s), a blocked unit-stride reduce; exact
-//     int64 addition makes every association order — the blocking, a
-//     sequential scan, or the MPC aggregation tree — bit-identical, so
-//     the table stays interchangeable with the MPC-faithful oracle.
-//   - BuildChunkMajorOracle retains the retired chunk-major layout purely
-//     as the differential-test reference; the suites pin every engine's
-//     table to it cell-for-transposed-cell.
-//
-// Both paths return bit-identical Results (seed, score, sum, certificate)
-// on the same objective; they differ only in Evals, the scorer-invocation
-// count. Tests check the agreement and the guarantee for both.
-//
-// Who uses the table engine — every seed selection in the repository runs
-// through ContribTable, each with its naive-Scorer oracle kept for
-// differential tests. All of them keep their per-seed participant state
-// in internal/bitset masks (win/loser/join sets packed 64 participants
-// per word), read chunk contributions off as popcounts over index ranges
-// written directly into their in-place seed rows, and bottom out in
-// internal/kernel's unit-stride loops (Sum for row totals, Add for tree
-// combines, Transpose for the MPC root's assembly, MaskNeq32 under the
-// bitset compaction):
-//
-//   - deframe.stepEngine: Lemma 10 over the HKNT schedule steps; win
-//     steps gather the proposal's win mask into dense participant space
-//     and popcount each chunk, SSP steps count failures per participant,
-//     both with pooled per-worker lazy PRG sources that compute only the
-//     chunk bits a draw reads (Options.NaiveScoring is the oracle).
-//   - mis.Derandomized: Luby rounds; the join set is a node mask, each
-//     seed's still-undecided outcomes gather into a dense mask, chunk
-//     counts are popcounts, with lazy PRG chunk views read for only the
-//     live nodes (mis.Options.NaiveScoring).
-//   - lowdeg.IterativeDerandomized: trial rounds; collision losers are a
-//     dense mask, wins = seed-invariant candidate counts − loser
-//     popcounts, the best seed's winners materialize by one and-not
+//   - deframe.stepEngine: Lemma 10 over the HKNT schedule steps; a seed's
+//     score is hknt.Step.ScoreChunk over all participants of the pooled,
+//     lazily expanded proposal (Options.NaiveScoring is the oracle).
+//   - mis.Derandomized: Luby rounds; a seed's score counts the
+//     participants its join mask leaves undecided
+//     (mis.Options.NaiveScoring).
+//   - lowdeg.IterativeDerandomized: trial rounds; a seed's score is
+//     −(candidates − collision losers), the losers a bitset.Mask popcount
 //     (lowdeg.Options.NaiveScoring).
-//   - mpc.DistributedSelectSeedRows: the same converge-cast executed as an
-//     MPC protocol — simulated machines fill distributed chunk-rows
-//     (packing a per-seed win bit alongside each score, reused at commit),
-//     the aggregation tree folds row segments with kernel.Add, and the
-//     root keeps its direct children's subtree rows as separate chunks,
-//     assembles the seed-major table by kernel.Transpose, and selects by
-//     ContribTable aggregation (mpc.DistributedSelectSeed is the
-//     scalar-batched oracle).
 //
-// ScoreChunks is the shared chunking policy: all shared-memory call sites
-// size their tables participant-proportionally through it.
+// mpc.DistributedSelectSeedRows runs the converge-cast as an MPC protocol
+// and selects over the root's summed row with SelectTotals.
 package condexp
 
 import (

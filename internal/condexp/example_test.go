@@ -7,8 +7,8 @@ import (
 )
 
 // ExampleBestSeen shows the engine-author contract shared by the deframe,
-// mis and lowdeg table engines: while the table build walks the seed
-// space (concurrently, in any order), every fill offers its (seed, score)
+// mis and lowdeg engines: while Select walks the seed space
+// (concurrently, in any order), every score call offers its (seed, score)
 // to the BestSeen slot and materializes its proposal inside keep — the
 // only moment the per-worker scratch's contents are known to be the
 // current minimum. After flat selection the winning seed always Matches,

@@ -80,8 +80,8 @@ func TestSeedSelectionMatchesClusterProtocol(t *testing.T) {
 		t.Fatalf("protocol accounting: rounds=%d violations=%d", rounds, c.Metrics.Violations)
 	}
 
-	// Row-sharded converge-cast path: each home fills its whole row of the
-	// distributed contribution table. Must agree with both of the above and
+	// Row-sharded converge-cast path: each home fills its whole row of
+	// per-seed scores. Must agree with both of the above and
 	// never exceed the scalar protocol's simulated rounds.
 	cr, err := mpc.NewCluster(mpc.Config{Machines: g.N(), LocalSpace: 4096, Strict: true})
 	if err != nil {

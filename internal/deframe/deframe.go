@@ -14,21 +14,20 @@
 //     select the seed by the method of conditional expectations over the
 //     measured failure count, commit the winning proposal, and defer the
 //     SSP failures. Seed selection runs on the incremental scoring engine
-//     (engine.go): the participants are partitioned into machine-local
-//     chunks, one parallel pass over the seed space fills a
-//     [chunks × seeds] contribution table with pooled per-worker scratch
-//     (lazy PRG chunk views that compute only the bits a draw reads, and
-//     reusable proposals that reset only what the previous seed wrote, so
-//     a seed costs time proportional to the step's participants, their
-//     arcs and the bits their draws read; win sets are internal/bitset
-//     masks, so win-counting chunks are popcounts), a parallel
-//     converge-cast aggregates per-seed totals, and both flat and bitwise
-//     selection reduce to table aggregation — the paper's "each machine
-//     scores its nodes for every seed, then converge-cast" structure. The
-//     winning proposal is cached during the walk, never recomputed. The
-//     naive per-seed rescoring path is kept (Options.NaiveScoring) as the
-//     oracle: both paths are bit-identical in chosen seed, score and
-//     certificate, and differential tests enforce it.
+//     (engine.go): one parallel pass over the seed space scores every seed
+//     exactly once with pooled per-worker scratch (lazy PRG chunk views
+//     that compute only the bits a draw reads, and reusable proposals
+//     that reset only what the previous seed wrote, so a seed costs time
+//     proportional to the step's participants, their arcs and the bits
+//     their draws read) into a vector of per-seed totals, and both flat
+//     and bitwise selection read that vector (condexp.Select) — the
+//     paper's "each machine scores its nodes for every seed, then a
+//     converge-cast sums per seed" structure, with the sum taken over all
+//     participants at once. The winning proposal is cached during the
+//     walk, never recomputed. The naive per-seed rescoring path is kept
+//     (Options.NaiveScoring) as the oracle: both paths are bit-identical
+//     in chosen seed, score and certificate, and differential tests
+//     enforce it.
 //
 //   - Theorem 12 is Run: derandomize the schedule step by step, then
 //     recurse on the deferred set through D1LC self-reducibility
@@ -80,14 +79,14 @@ type Options struct {
 	SeedBits int
 	// Bitwise switches seed selection from parallel full enumeration to
 	// the bit-by-bit method of conditional expectations (same guarantee,
-	// structured as the classical method; on the table-scoring path the
-	// branch means are subset sums of precomputed totals, so it costs the
-	// same 2^SeedBits evaluations as flat selection instead of ~2×).
+	// structured as the classical method; on the engine path the branch
+	// means are subset sums of the per-seed totals, so it costs the same
+	// 2^SeedBits evaluations as flat selection instead of ~2×).
 	Bitwise bool
 	// NaiveScoring forces the monolithic per-seed rescoring path instead
-	// of the incremental contribution-table engine. Both produce identical
-	// results (seed, score, certificate, coloring); the naive path is the
-	// oracle for differential tests and ablation baselines.
+	// of the incremental scoring engine. Both produce identical results
+	// (seed, score, certificate, coloring); the naive path is the oracle
+	// for differential tests and ablation baselines.
 	NaiveScoring bool
 	// MaxChunkGraphEdges bounds the materialized power graph; beyond it
 	// the derandomizer falls back to identity chunking (one chunk per
@@ -96,10 +95,10 @@ type Options struct {
 	MaxChunkGraphEdges int
 	// Tunables configures the underlying HKNT pipeline.
 	Tunables hknt.Tunables
-	// Par scopes every parallel loop (trial proposes, table fills,
-	// converge-casts) to an explicit worker budget. nil means the process
-	// default. Run derives a context-carrying copy from its ctx argument,
-	// so cancellation reaches the seed walks through the same handle.
+	// Par scopes every parallel loop (trial proposes, seed walks) to an
+	// explicit worker budget. nil means the process default. Run derives
+	// a context-carrying copy from its ctx argument, so cancellation
+	// reaches the seed walks through the same handle.
 	Par *par.Runner
 	// Trace observes phase enter/exit events (one phase per derandomized
 	// step, plus the greedy base case). nil disables tracing.
@@ -225,10 +224,9 @@ func buildPRG(o Options, numChunks, bitsPer int) prg.PRG {
 // commit the best seed's proposal, and defer the failures. It returns the
 // per-step report.
 //
-// Seed scoring runs on the incremental contribution-table engine
-// (engine.go) unless Options.NaiveScoring forces the monolithic per-seed
-// path. Both are bit-identical in everything but cost, which Evals
-// reports.
+// Seed scoring runs on the incremental scoring engine (engine.go) unless
+// Options.NaiveScoring forces the monolithic per-seed path. Both are
+// bit-identical in everything but cost, which Evals reports.
 func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks int, o Options) (StepReport, error) {
 	parts := step.Participants(st)
 	rep := StepReport{Name: step.Name, Participants: len(parts), SeedSpace: 1 << o.SeedBits, Chunks: numChunks}
@@ -273,20 +271,25 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 // winner. It is the oracle the engine is differentially tested against. A
 // cancelled runner surfaces the context error.
 func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
-	res, err := condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
-		src, err := prg.NewChunkedSource(gen, seed, chunkOf, numChunks, step.Bits)
-		if err != nil {
-			// Generator too short is a construction bug; make it loud.
-			panic(fmt.Sprintf("deframe: %v", err))
-		}
-		prop := step.Propose(st, parts, src, nil)
-		return step.DefaultScore(st, parts, prop)
-	})
+	res, err := condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, naiveScorer(st, step, parts, gen, chunkOf, numChunks))
 	if err != nil {
 		return condexp.Result{}, hknt.Proposal{}, err
 	}
 	src, _ := prg.NewChunkedSource(gen, res.Seed, chunkOf, numChunks, step.Bits)
 	return res, step.Propose(st, parts, src, nil), nil
+}
+
+// naiveScorer is the oracle's objective: a fresh eager expansion, a
+// scratch-free Propose and DefaultScore per seed.
+func naiveScorer(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) condexp.Scorer {
+	return func(seed uint64) int64 {
+		src, err := prg.NewChunkedSource(gen, seed, chunkOf, numChunks, step.Bits)
+		if err != nil {
+			// Generator too short is a construction bug; make it loud.
+			panic(fmt.Sprintf("deframe: %v", err))
+		}
+		return step.DefaultScore(st, parts, step.Propose(st, parts, src, nil))
+	}
 }
 
 // Run executes Theorem 12 for a D1LC instance: build the HKNT schedule,

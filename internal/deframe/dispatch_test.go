@@ -11,9 +11,9 @@ import (
 
 // TestSolveBitIdenticalAcrossDispatchPaths runs the full defective-frame
 // engine under the pure-Go and AVX2 kernel bodies and requires identical
-// colorings and identical per-step seed selections. The engine's scoring
-// reduces int64 contributions with exact wrap-around arithmetic, so the
-// vector bodies' lane regrouping must be invisible end to end. Skips
+// colorings and identical per-step seed selections. The solve's win and
+// live masks run through the dispatched bitset kernels, whose vector
+// bodies must be invisible end to end. Skips
 // when the binary has no AVX2 path (non-amd64 or -tags noasm).
 func TestSolveBitIdenticalAcrossDispatchPaths(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Mixed(150, 5))

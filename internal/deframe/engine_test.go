@@ -78,8 +78,8 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 }
 
 // TestTableScoringDeterministicAcrossWorkerCounts pins the engine's output
-// to the worker count: pooled scratch and the parallel converge-cast must
-// not leak scheduling order into results.
+// to the worker count: pooled scratch and the parallel seed walk must not
+// leak scheduling order into results.
 func TestTableScoringDeterministicAcrossWorkerCounts(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Mixed(140, 6))
 	ref, refRep, err := Run(context.Background(), in, smallOpts())
@@ -106,7 +106,7 @@ func TestTableScoringDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestBitwiseEvalReduction verifies the acceptance bound on the live
 // pipeline: with d seed bits the naive bitwise path spends 2^(d+1)−2
-// scorer invocations per step while the table path spends 2^d.
+// scorer invocations per step while the engine path spends 2^d.
 func TestBitwiseEvalReduction(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Gnp(120, 0.06, 8))
 	o := smallOpts()
@@ -186,7 +186,7 @@ func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 // TestTableScoringMatchesNaiveSharedChunks runs every step of a schedule
 // under the fabricated chunk layout chunkOf[v] = v mod 3, so each live
 // chunk has many readers — each through its own lazy cursor, several at
-// once under the trials' inner fan-out — and the table engine must still
+// once under the trials' inner fan-out — and the engine must still
 // agree with the naive oracle, which reads one eager expansion, on every
 // step's seed, score, certificate and outcome and on the final coloring:
 // across workers 1, 4 and the process default, both PRG families and

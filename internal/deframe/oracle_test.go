@@ -10,14 +10,13 @@ import (
 	"parcolor/internal/par"
 )
 
-// TestStepEngineSeedMajorMatchesChunkMajorOracle pins the step engine's
-// seed-major table bit-identical to the retained chunk-major oracle: the
-// engine's own fill, scattered into the retired layout by
-// condexp.BuildChunkMajorOracle, must transpose cell-for-cell onto the
-// table the engine builds in place — with totals in seed order and both
-// selection strategies equal — across workers 1, 4 and the process
-// default (run under -race in CI), on both fill paths (the win-mask
-// popcount path, SSP == nil, and the per-participant SSP path).
+// TestStepEngineSeedMajorMatchesChunkMajorOracle pins the step engine to
+// the naive oracle seed by seed: for every seed, the engine's pooled,
+// lazily expanded score equals naiveScorer's fresh eager one, and both
+// selection strategies equal condexp.SelectNaive over that scorer —
+// across workers 1, 4 and the process default (run under -race in CI), on
+// both objectives (−wins, SSP == nil, and SSP failures). The name is kept
+// from the chunk-major table comparison this check replaced.
 func TestStepEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Mixed(110, 5))
 	n := in.G.N()
@@ -28,8 +27,8 @@ func TestStepEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 		name string
 		ssp  func(*hknt.State, []int32, hknt.Proposal, int32) bool
 	}{
-		{"win-mask", nil}, // SSP == nil: popcount fill path
-		{"ssp", ssp},      // per-participant ScoreChunk fill path
+		{"win-mask", nil}, // SSP == nil: −wins
+		{"ssp", ssp},      // SSP failures
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := hknt.NewState(in)
@@ -45,19 +44,28 @@ func TestStepEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 			chunkOf, num, _ := chunkAssignment(nil, in.G, 4, 1_000_000)
 			parts := step.Participants(st)
 			gen := buildPRG(o, num, step.Bits)
-			numSeeds := 1 << o.SeedBits
+			naive := naiveScorer(st, &step, parts, gen, chunkOf, num)
 
-			oracleEng := newStepEngine(st, &step, parts, gen, chunkOf, num)
-			oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
-
-			for _, w := range []int{1, 4, 0} {
-				eng := newStepEngine(st, &step, parts, gen, chunkOf, num)
-				tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
-				if err != nil {
-					t.Fatal(err)
+			eng := newStepEngine(st, &step, parts, gen, chunkOf, num)
+			for seed := uint64(0); seed < 1<<o.SeedBits; seed++ {
+				if got, want := eng.score(seed), naive(seed); got != want {
+					t.Fatalf("seed %d: engine score %d, naive %d", seed, got, want)
 				}
-				if err := tbl.VerifyAgainstChunkMajorOracle(oc, ot, o.SeedBits); err != nil {
-					t.Fatalf("w=%d: %v", w, err)
+			}
+			for _, w := range []int{1, 4, 0} {
+				for _, bitwise := range []bool{false, true} {
+					o.Par, o.Bitwise = par.NewRunner(w), bitwise
+					got, _, err := newStepEngine(st, &step, parts, gen, chunkOf, num).selectSeedTable(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := condexp.SelectNaive(o.Par, o.SeedBits, bitwise, naive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Seed != want.Seed || got.Score != want.Score || got.SumScores != want.SumScores {
+						t.Fatalf("w=%d bitwise=%v: engine %+v, naive %+v", w, bitwise, got, want)
+					}
 				}
 			}
 		})

@@ -14,8 +14,8 @@ func init() { register("E16", e16SeedSelectionProtocols) }
 // protocols on one derandomized TryRandomColor round: the scalar-batched
 // aggregation (one compute round plus a full tree ascent per seed batch)
 // against the row-sharded pipelined converge-cast of Section 5.1 (one
-// compute round filling each machine's row of the [machines × seeds]
-// contribution table, then batches ascending the tree back-to-back). Both
+// compute round filling each machine's row of per-seed scores, then
+// batches ascending the tree back-to-back). Both
 // must choose the identical seed and color the identical set; the row
 // protocol must never use more simulated rounds, and cuts them whenever
 // the seed space spans multiple batches.

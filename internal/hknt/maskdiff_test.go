@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"parcolor/internal/bitset"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/par"
@@ -12,8 +11,8 @@ import (
 
 // This file pins the word-parallel mask layer bit-identical to the naive
 // sentinel scans it replaced: PostStats over the win mask versus the
-// colors-array reference, popcount win counts versus ScoreChunk, and the
-// packed live mask versus the three-array liveness predicate — across
+// colors-array reference, and the packed live mask versus the three-array
+// liveness predicate — across
 // ragged participant counts (single node, word boundaries, stragglers)
 // and worker counts 1/4/GOMAXPROCS, under -race in CI.
 
@@ -125,36 +124,6 @@ func TestPostStatsMatchesNaiveScan(t *testing.T) {
 						t.Fatalf("workers=%d n=%d v=%d: PostStats (%v,%d,%d) != naive (%v,%d,%d)",
 							workers, n, v, gw, gd, gs, ww, wd, ws)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestWinCountPopcountMatchesScoreChunk pins the engines' gather-and-
-// popcount win counting to the naive ScoreChunk scan over every chunk of
-// ragged partitions, including empty chunks (bounds colliding when the
-// participant count is below the chunk count).
-func TestWinCountPopcountMatchesScoreChunk(t *testing.T) {
-	step := &Step{Name: "wins"} // SSP == nil ⇒ ScoreChunk counts −wins
-	for _, n := range raggedNs {
-		rng := rand.New(rand.NewSource(int64(n) * 7))
-		in := d1lc.TrivialPalettes(graph.Gnp(n, 5.0/float64(n+1), uint64(n)+3))
-		st := NewState(in)
-		scrambleState(st, rng)
-		parts := st.LiveNodes(nil)
-		prop := randomProposal(st, rng)
-		np := len(parts)
-		dense := bitset.New(np)
-		// The engines' gather: dense participant-index win bits.
-		dense.Gather(np, func(i int) uint64 { return prop.Win.Bit(int(parts[i])) })
-		for _, k := range []int{1, 3, np + 2} { // np+2 forces empty chunks
-			for c := 0; c < k; c++ {
-				lo, hi := c*np/k, (c+1)*np/k
-				want := step.ScoreChunk(st, parts, prop, lo, hi)
-				got := -int64(dense.CountRange(lo, hi))
-				if got != want {
-					t.Fatalf("n=%d k=%d chunk %d: popcount %d != ScoreChunk %d", n, k, c, got, want)
 				}
 			}
 		}

@@ -37,10 +37,11 @@ type Step struct {
 	SSP func(st *State, parts []int32, prop Proposal, v int32) bool
 }
 
-// ScoreChunk evaluates the objective restricted to parts[lo:hi] — one
-// machine's local contribution in Lemma 10's converge-cast. Summing
-// ScoreChunk over a partition of the participants reproduces DefaultScore
-// exactly (integer arithmetic, no rounding).
+// ScoreChunk evaluates the objective restricted to parts[lo:hi]: the
+// number of SSP failures, or −#wins when SSP is nil. Summing ScoreChunk
+// over a partition of the participants reproduces DefaultScore exactly
+// (integer arithmetic, no rounding); deframe's engine scores a seed as
+// ScoreChunk over all participants at once.
 func (s *Step) ScoreChunk(st *State, parts []int32, prop Proposal, lo, hi int) int64 {
 	if s.SSP != nil {
 		var fails int64

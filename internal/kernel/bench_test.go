@@ -15,11 +15,11 @@ import (
 // for the same shapes and a vectorization regression is visible as a
 // shrinking gap, not just a slower absolute number.
 //
-// Sizes bracket the table shapes the engines build, at both ends:
-// n=64/256 are the NumChunks-sized rows the engines actually reduce per
-// seed (latency-bound: call overhead and tail handling dominate), 1024
-// is a full ScoreChunks row, 65536 is the FromNeq32/whole-mask regime
-// (bandwidth-bound: the vector win is in bytes per cycle).
+// Sizes bracket the call sites at both ends: n=64/256 are short segments
+// and masks (latency-bound: call overhead and tail handling dominate),
+// 1024 is a mid-sized converge-cast segment, 65536 is the
+// FromNeq32/whole-mask regime (bandwidth-bound: the vector win is in
+// bytes per cycle).
 
 func benchSizes() []int { return []int{64, 256, 1024, 65536} }
 
@@ -49,20 +49,6 @@ func runPaths(b *testing.B, name string, body func(b *testing.B)) {
 			prev := SetAVX2ForTest(p.on)
 			defer SetAVX2ForTest(prev)
 			body(b)
-		})
-	}
-}
-
-func BenchmarkKernelSum(b *testing.B) {
-	for _, n := range benchSizes() {
-		xs := randInt64s(n, rand.New(rand.NewSource(int64(n))))
-		runPaths(b, sizeName(n), func(b *testing.B) {
-			b.SetBytes(int64(n * 8))
-			var sink int64
-			for i := 0; i < b.N; i++ {
-				sink += Sum(xs)
-			}
-			benchSink = sink
 		})
 	}
 }
@@ -134,26 +120,8 @@ func BenchmarkKernelMaskNeq32(b *testing.B) {
 	})
 }
 
-func BenchmarkKernelTranspose(b *testing.B) {
-	// 8x8 is the MPC root's per-child staging tile at small clusters;
-	// 8x4096 and up are the million-node root assemblies.
-	shapes := [][2]int{{8, 8}, {8, 4096}, {64, 1024}, {256, 256}}
-	for _, sh := range shapes {
-		rows, cols := sh[0], sh[1]
-		src := randInt64s(rows*cols, rand.New(rand.NewSource(int64(rows))))
-		dst := make([]int64, rows*cols)
-		runPaths(b, shapeName(rows, cols), func(b *testing.B) {
-			b.SetBytes(int64(rows * cols * 8))
-			for i := 0; i < b.N; i++ {
-				Transpose(dst, src, rows, cols)
-			}
-		})
-	}
-}
-
 func BenchmarkKernelPopcountWords(b *testing.B) {
-	// Word counts bracketing bitset.CountRange interiors (engine chunks
-	// are 1–16 words) up to whole 64Ki-bit masks.
+	// Word counts from a few-word mask up to a whole 64Ki-bit mask.
 	for _, n := range []int{4, 16, 1024} {
 		ws := randUint64s(n, rand.New(rand.NewSource(int64(n))))
 		runPaths(b, sizeName(n), func(b *testing.B) {
@@ -184,8 +152,6 @@ func BenchmarkKernelAndNotWords(b *testing.B) {
 var benchSink int64
 
 func sizeName(n int) string { return fmt.Sprintf("n=%d", n) }
-
-func shapeName(r, c int) string { return fmt.Sprintf("%dx%d", r, c) }
 
 func BenchmarkKernelFillWords(b *testing.B) {
 	for _, n := range benchSizes() {

@@ -2,24 +2,19 @@
 
 package kernel
 
-import "os"
-
 // Runtime dispatch for the hand-vectorized amd64 bodies. AVX2 use
 // requires all of: the CPU advertising AVX2 (CPUID leaf 7 EBX bit 5),
 // the AVX+OSXSAVE feature bits (leaf 1 ECX bits 28/27), and the OS
 // having enabled XMM+YMM state saving (XGETBV XCR0 bits 1–2) — the full
 // check, not just the AVX2 bit, because a hypervisor or OS that does not
 // context-switch ymm state would corrupt registers across preemption.
-//
-// PARCOLOR_NOAVX2 (any non-empty value) forces the pure-Go bodies at
-// process start — the runtime counterpart of the `noasm` build tag.
 
 // avx2Supported is the immutable hardware capability; useAVX2 is the
 // dispatch decision the front doors consult, mutable only through
 // SetAVX2ForTest.
 var (
 	avx2Supported = detectAVX2()
-	useAVX2       = avx2Supported && os.Getenv("PARCOLOR_NOAVX2") == ""
+	useAVX2       = avx2Supported
 )
 
 // detectAVX2 performs the CPUID/XGETBV dance described above.
@@ -72,9 +67,6 @@ func xgetbv0() (eax, edx uint32)
 // thresholds are pure performance policy, not correctness requirements.
 
 //go:noescape
-func sumAVX2(xs []int64) int64
-
-//go:noescape
 func addAVX2(dst, src []int64)
 
 //go:noescape
@@ -88,23 +80,3 @@ func andNotWordsAVX2(dst, src []uint64)
 
 //go:noescape
 func fillWordsAVX2(dst []uint64, val uint64)
-
-//go:noescape
-func transposeBlocksAVX2(dst, src *int64, rows, cols, r8, c4 int)
-
-// transposeAVX2 transposes via 8×4 int64 ymm tiles (two stacked 4×4
-// vpunpcklqdq/vpunpckhqdq + vperm2i128 blocks whose stores pair into
-// full 64-byte destination lines) over the largest 8×4-aligned
-// sub-rectangle, then finishes the right and bottom edge strips with
-// the scalar rectangle walk. Shapes too thin for a single tile fall
-// back to the generic tiled walk.
-func transposeAVX2(dst, src []int64, rows, cols int) {
-	r8, c4 := rows&^7, cols&^3
-	if r8 == 0 || c4 == 0 {
-		transposeGeneric(dst, src, rows, cols)
-		return
-	}
-	transposeBlocksAVX2(&dst[0], &src[0], rows, cols, r8, c4)
-	transposeScalarRect(dst, src, rows, cols, 0, r8, c4, cols)
-	transposeScalarRect(dst, src, rows, cols, r8, rows, 0, cols)
-}

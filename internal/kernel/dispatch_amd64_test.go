@@ -26,6 +26,8 @@ func offsetInt64s(t *testing.T, back []int64, off, n int) []int64 {
 	return back[off : off+n : off+n]
 }
 
+// TestAsmSumAddRaggedUnaligned covers the add body; the name is kept
+// from when it also covered a sum body.
 func TestAsmSumAddRaggedUnaligned(t *testing.T) {
 	if !avx2Supported {
 		t.Skip("host lacks AVX2")
@@ -35,10 +37,6 @@ func TestAsmSumAddRaggedUnaligned(t *testing.T) {
 	back := randInt64s(4+maxN*2, rng)
 	for _, off := range []int{0, 1, 2, 3} {
 		for n := 0; n <= maxN; n++ {
-			xs := offsetInt64s(t, back, off, n)
-			if got, want := sumAVX2(xs), sumRef(xs); got != want {
-				t.Fatalf("off=%d n=%d: sumAVX2 = %d, want %d", off, n, got, want)
-			}
 			// Aliasing-adjacent: dst and src are back-to-back views of the
 			// same backing array — the layout mpc's converge-cast folds use
 			// when child segments land next to the accumulator row.
@@ -122,30 +120,6 @@ func TestAsmPopcountAndNotRaggedUnaligned(t *testing.T) {
 				}
 			}
 			copy(dst, saved)
-		}
-	}
-}
-
-func TestAsmTransposeTilesAllShapes(t *testing.T) {
-	if !avx2Supported {
-		t.Skip("host lacks AVX2")
-	}
-	rng := rand.New(rand.NewSource(14))
-	// Every shape with both edges ≥ the tile: full-tile grids, ragged
-	// right/bottom strips, and the 1-wide strips around them. Offsetting
-	// the source by one element unaligns every tile load.
-	for rows := 4; rows <= 37; rows++ {
-		for cols := 4; cols <= 37; cols += 3 {
-			back := randInt64s(rows*cols+1, rng)
-			src := back[1 : 1+rows*cols : 1+rows*cols]
-			want := transposeRef(src, rows, cols)
-			dst := make([]int64, rows*cols)
-			transposeAVX2(dst, src, rows, cols)
-			for i := range want {
-				if dst[i] != want[i] {
-					t.Fatalf("%dx%d: cell %d = %d, want %d", rows, cols, i, dst[i], want[i])
-				}
-			}
 		}
 	}
 }

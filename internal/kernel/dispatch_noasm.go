@@ -22,7 +22,6 @@ func SetAVX2ForTest(on bool) (prev bool) { return false }
 // AVX2 bodies — never, on this build.
 func UsingAVX2() bool { return false }
 
-func sumAVX2(xs []int64) int64 { panic("kernel: sumAVX2: unreachable without asm") }
 func addAVX2(dst, src []int64) { panic("kernel: addAVX2: unreachable without asm") }
 func maskNeq32AVX2(dst []uint64, xs []int32, s int32) {
 	panic("kernel: maskNeq32AVX2: unreachable without asm")
@@ -31,7 +30,4 @@ func popcountWordsAVX2(ws []uint64) int { panic("kernel: popcountWordsAVX2: unre
 func andNotWordsAVX2(dst, src []uint64) { panic("kernel: andNotWordsAVX2: unreachable without asm") }
 func fillWordsAVX2(dst []uint64, val uint64) {
 	panic("kernel: fillWordsAVX2: unreachable without asm")
-}
-func transposeAVX2(dst, src []int64, rows, cols int) {
-	panic("kernel: transposeAVX2: unreachable without asm")
 }

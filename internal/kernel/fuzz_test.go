@@ -20,42 +20,6 @@ func forEachPathF(t *testing.T, fn func(t *testing.T, path string)) {
 	SetAVX2ForTest(prev)
 }
 
-// FuzzTranspose pins the blocked transpose — the MPC root's seed-major
-// table assembly — to the naive double loop over arbitrary shapes and
-// contents, including the ragged tiles at both edges and a fuzzed source
-// offset so the AVX2 tile loads cross alignment boundaries.
-func FuzzTranspose(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(0), int64(3))
-	f.Add(uint8(1), uint8(40), uint8(1), int64(-9))
-	f.Add(uint8(4), uint8(4), uint8(3), int64(5))
-	f.Add(uint8(8), uint8(8), uint8(0), int64(1<<40))
-	f.Add(uint8(9), uint8(23), uint8(2), int64(-1))
-	f.Add(uint8(64), uint8(3), uint8(1), int64(7))
-	f.Fuzz(func(t *testing.T, r8, c8, off8 uint8, salt int64) {
-		rows := int(r8)%80 + 1
-		cols := int(c8)%80 + 1
-		off := int(off8) % 4
-		back := make([]int64, off+rows*cols)
-		src := back[off : off+rows*cols : off+rows*cols]
-		for i := range src {
-			// Deterministic mix: distinct cells get distinct values, so a
-			// misplaced cell cannot collide with the right one.
-			src[i] = salt*31 + int64(i)*(salt|1)
-		}
-		want := transposeRef(src, rows, cols)
-		forEachPathF(t, func(t *testing.T, path string) {
-			dst := make([]int64, rows*cols)
-			Transpose(dst, src, rows, cols)
-			for i := range want {
-				if dst[i] != want[i] {
-					t.Fatalf("%s: rows=%d cols=%d off=%d: cell %d = %d, want %d",
-						path, rows, cols, off, i, dst[i], want[i])
-				}
-			}
-		})
-	})
-}
-
 // FuzzMaskNeq32 pins the compare-and-movemask kernel to the per-bit
 // reference across arbitrary lane values, sentinels and source offsets
 // (unaligned vector loads plus ragged tails).
@@ -89,10 +53,11 @@ func FuzzMaskNeq32(f *testing.F) {
 	})
 }
 
-// FuzzSumAddAliasing pins Sum and Add on aliasing-adjacent views of one
-// backing array — dst and src back-to-back, at fuzzed offsets, so the
-// vector bodies' loads and stores run against live neighboring memory —
+// FuzzSumAddAliasing pins Add on aliasing-adjacent views of one backing
+// array — dst and src back-to-back, at fuzzed offsets, so the vector
+// body's loads and stores run against live neighboring memory —
 // including the exact-overflow lanes int64 wrap-around must preserve.
+// The name is kept from when the target also covered a Sum kernel.
 func FuzzSumAddAliasing(f *testing.F) {
 	f.Add(uint16(0), uint8(0), int64(1))
 	f.Add(uint16(15), uint8(1), int64(-1))
@@ -106,14 +71,10 @@ func FuzzSumAddAliasing(f *testing.F) {
 			back[i] = salt + int64(i)*(salt|1) + int64(i)<<40
 		}
 		src := back[off+n : off+2*n : off+2*n]
-		wantSum := sumRef(src)
 		wantDst := make([]int64, n)
 		copy(wantDst, back[off:off+n])
 		addRef(wantDst, src)
 		forEachPathF(t, func(t *testing.T, path string) {
-			if got := Sum(src); got != wantSum {
-				t.Fatalf("%s: n=%d off=%d: Sum = %d, want %d", path, n, off, got, wantSum)
-			}
 			dst := back[off : off+n : off+n]
 			saved := append([]int64(nil), dst...)
 			Add(dst, src)

@@ -26,24 +26,6 @@ func addGeneric(dst, src []int64) {
 	}
 }
 
-// sumGeneric is Sum's fallback: four independent accumulators, blocked so
-// the adds pipeline instead of serializing on one register.
-func sumGeneric(xs []int64) int64 {
-	var a0, a1, a2, a3 int64
-	i := 0
-	for ; i+4 <= len(xs); i += 4 {
-		x := xs[i : i+4 : i+4]
-		a0 += x[0]
-		a1 += x[1]
-		a2 += x[2]
-		a3 += x[3]
-	}
-	for ; i < len(xs); i++ {
-		a0 += xs[i]
-	}
-	return a0 + a1 + a2 + a3
-}
-
 // neq32 reports x != s branchlessly as 0 or 1: the lane compare under the
 // movemask accumulation (x^s is nonzero exactly when they differ, and
 // d|-d smears any nonzero into the sign bit).
@@ -80,42 +62,6 @@ func maskNeq32Generic(dst []uint64, xs []int32, sentinel int32) {
 			w |= neq32(xs[i], sentinel) << uint(i-base)
 		}
 		dst[wi] = w
-	}
-}
-
-// transposeTile is the square tile edge of the blocked transpose: 8×8
-// int64 cells are one cache line per row of the tile, so both the
-// chunk-major reads and the seed-major writes stay line-resident while a
-// tile is in flight.
-const transposeTile = 8
-
-// transposeGeneric is Transpose's fallback: tile × tile blocks so neither
-// side's stride walks out of cache.
-func transposeGeneric(dst, src []int64, rows, cols int) {
-	for r0 := 0; r0 < rows; r0 += transposeTile {
-		r1 := min(r0+transposeTile, rows)
-		for c0 := 0; c0 < cols; c0 += transposeTile {
-			c1 := min(c0+transposeTile, cols)
-			for r := r0; r < r1; r++ {
-				row := src[r*cols+c0 : r*cols+c1 : r*cols+c1]
-				for c := c0; c < c1; c++ {
-					dst[c*rows+r] = row[c-c0]
-				}
-			}
-		}
-	}
-}
-
-// transposeScalarRect transposes the sub-rectangle rows [rLo,rHi) ×
-// cols [cLo,cHi) of the [rows × cols] src into dst: the edge strips the
-// AVX2 tile loop leaves behind when rows or cols are not multiples of the
-// vector tile.
-func transposeScalarRect(dst, src []int64, rows, cols, rLo, rHi, cLo, cHi int) {
-	for r := rLo; r < rHi; r++ {
-		row := src[r*cols : (r+1)*cols : (r+1)*cols]
-		for c := cLo; c < cHi; c++ {
-			dst[c*rows+r] = row[c]
-		}
 	}
 }
 

@@ -1,21 +1,14 @@
-// Package kernel holds the unit-stride inner loops under the seed-major
-// contribution tables: the few-line, allocation-free primitives every
-// layer of the Lemma 10 scoring stack bottoms out in once the table
-// layout is Contrib[seed*NumChunks+chunk].
+// Package kernel holds the allocation-free, unit-stride inner loops the
+// seed-selection stack bottoms out in:
 //
-//   - Sum is the per-seed converge-cast: one contiguous row reduced to the
-//     seed's total (condexp.ContribTable totals, engine fill totals, the
-//     MPC root's final reduction).
 //   - Add is the tree combine: a child's row segment folded into its
 //     parent's accumulator during the pipelined converge-cast
-//     (mpc.DistributedSelectSeedRows interior machines).
+//     (mpc.DistributedSelectSeedRows).
 //   - MaskNeq32 is the compare-and-accumulate kernel: int32 lanes compared
 //     against a sentinel and the movemask accumulated eight lanes at a
 //     time into LSB-first words (bitset.FromNeq32's word fill).
-//   - Transpose converts a chunk-major staging buffer into the seed-major
-//     layout in cache-friendly tiles (the MPC root's table assembly).
 //   - PopcountWords reduces a word stream to its set-bit count
-//     (bitset.Count/CountRange, the engines' popcount-into-row fills).
+//     (bitset.Count, the lowdeg engine's per-seed loser count).
 //   - AndNotWords clears dst bits set in src, word-wise (bitset.AndNot,
 //     the winners = candidates &^ losers elimination step).
 //   - FillWords broadcasts one value into a word run (bitset.FillOnes's
@@ -35,23 +28,22 @@
 //     build tag.
 //
 // Forcing the fallback: build with `-tags noasm` (removes the assembly
-// entirely — the CI leg that keeps that path green), set PARCOLOR_NOAVX2
-// to any non-empty value before process start (runtime opt-out on an
-// AVX2 host), or flip paths inside one test binary with SetAVX2ForTest
-// (how the differential suites pin both bodies bit-identical in the same
-// run). UsingAVX2 reports which path the front doors currently take.
+// entirely — the CI leg that keeps that path green), or flip paths inside
+// one test binary with SetAVX2ForTest (how the differential suites pin
+// both bodies bit-identical in the same run). UsingAVX2 reports which
+// path the front doors currently take.
 //
 // # Determinism under lane reassociation
 //
 // The dispatch is invisible to callers because every kernel is exact:
-// int64/uint64 addition wraps (no rounding), so Sum's four-accumulator
-// blocking, the AVX2 four-lane vpaddq folds, a strict left-to-right walk,
-// and the MPC aggregation tree all produce the same bits no matter how
-// the additions associate; the compare, popcount and and-not kernels are
+// int64 addition wraps (no rounding), so Add's four-way unroll and the
+// AVX2 four-lane vpaddq folds produce the same bits as a strict
+// left-to-right walk, and the popcount's per-lane partial counts sum to
+// the same total in any order; the compare, and-not and fill kernels are
 // pure bit movement with one defined answer per lane. That is the same
-// exactness argument that keeps the shared-memory converge-cast totals
-// equal to the MPC tree-order totals, extended down to SIMD lane order —
-// nothing here would survive a float accumulator.
+// exactness argument that keeps the shared-memory totals equal to the MPC
+// tree-order totals, extended down to SIMD lane order — nothing here would
+// survive a float accumulator.
 //
 // Differential tests pin each kernel to a naive reference on both
 // dispatch paths; fuzzing covers ragged lengths, unaligned tails and
@@ -64,15 +56,14 @@ import "fmt"
 // Dispatch thresholds: below these sizes the front doors take the pure-Go
 // body unconditionally — the vector setup (ymm zeroing, horizontal
 // reduction, vzeroupper) costs more than the handful of scalar ops it
-// would replace, and the engines' latency-bound call sites (NumChunks-
-// sized rows, few-word interior popcounts) sit exactly there. The
-// assembly bodies themselves handle every length ≥ 0; the differential
-// suites call them directly below these cutoffs.
+// would replace, and latency-bound call sites (short segments, few-word
+// masks) sit exactly there. The assembly bodies themselves handle every
+// length ≥ 0; the differential suites call them directly below these
+// cutoffs.
 const (
-	minAVX2Elems = 16 // Sum/Add: int64 elements (two 4-lane unrolled steps)
+	minAVX2Elems = 16 // Add: int64 elements (two 8-element unrolled steps)
 	minAVX2Lanes = 64 // MaskNeq32: int32 lanes (one full output word)
 	minAVX2Words = 8  // PopcountWords/AndNotWords/FillWords: 64-bit words
-	minAVX2Tile  = 4  // Transpose: rows and cols for one 4×4 ymm tile
 )
 
 // Add folds src into dst elementwise: dst[i] += src[i]. Lengths must
@@ -87,17 +78,6 @@ func Add(dst, src []int64) {
 		return
 	}
 	addGeneric(dst, src)
-}
-
-// Sum reduces one contiguous row to its total. Exact integer addition
-// makes any accumulation order — the generic four-accumulator blocking,
-// the AVX2 four-lane folds, a strict scan, or the MPC aggregation tree —
-// return the same bits.
-func Sum(xs []int64) int64 {
-	if useAVX2 && len(xs) >= minAVX2Elems {
-		return sumAVX2(xs)
-	}
-	return sumGeneric(xs)
 }
 
 // MaskNeq32 writes the compare movemask of xs against sentinel into dst:
@@ -115,26 +95,8 @@ func MaskNeq32(dst []uint64, xs []int32, sentinel int32) {
 	maskNeq32Generic(dst, xs, sentinel)
 }
 
-// Transpose writes dst as the [cols × rows] transpose of the
-// [rows × cols] row-major src: dst[c*rows+r] = src[r*cols+c]. The MPC
-// root uses it to turn the converge-cast's chunk-major staging rows into
-// the seed-major contribution table. src and dst must not overlap and
-// must each hold rows*cols cells.
-func Transpose(dst, src []int64, rows, cols int) {
-	if len(src) < rows*cols || len(dst) < rows*cols {
-		panic(fmt.Sprintf("kernel: Transpose: buffers shorter than rows*cols: len(dst)=%d len(src)=%d rows=%d cols=%d", len(dst), len(src), rows, cols))
-	}
-	if useAVX2 && rows >= minAVX2Tile && cols >= minAVX2Tile {
-		transposeAVX2(dst, src, rows, cols)
-		return
-	}
-	transposeGeneric(dst, src, rows, cols)
-}
-
 // PopcountWords returns the total number of set bits across ws — the
-// whole-mask popcount under bitset.Count and the interior-word run of
-// bitset.CountRange, which is what every engine's per-chunk
-// popcount-into-row fill reduces to.
+// whole-mask popcount under bitset.Count.
 func PopcountWords(ws []uint64) int {
 	if useAVX2 && len(ws) >= minAVX2Words {
 		return popcountWordsAVX2(ws)

@@ -6,56 +6,12 @@
 //
 //   - every body handles any length ≥ 0: a ymm main loop plus a scalar
 //     tail, so the Go front doors' size thresholds are policy only;
-//   - loads and stores are unaligned (VMOVDQU) — table rows and mask
+//   - loads and stores are unaligned (VMOVDQU) — score rows and mask
 //     words are 8-byte aligned by the Go allocator, not 32-byte;
 //   - int64/uint64 adds are exact, so the 4-lane vpaddq reassociation is
 //     bit-identical to the scalar reference (see the package doc);
 //   - VZEROUPPER before every RET keeps later SSE code off the
 //     ymm-transition penalty.
-
-// func sumAVX2(xs []int64) int64
-//
-// Four ymm accumulators × 4 lanes = 16 int64 per iteration, folded
-// 4→2→1 registers, then a 128-bit extract + qword shuffle reduces the
-// final ymm to one scalar; the ≤15-element tail is scalar adds.
-TEXT ·sumAVX2(SB), NOSPLIT, $0-32
-	MOVQ xs_base+0(FP), SI
-	MOVQ xs_len+8(FP), CX
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	XORQ AX, AX
-sum_loop16:
-	CMPQ AX, DX
-	JGE  sum_reduce
-	VPADDQ (SI)(AX*8), Y0, Y0
-	VPADDQ 32(SI)(AX*8), Y1, Y1
-	VPADDQ 64(SI)(AX*8), Y2, Y2
-	VPADDQ 96(SI)(AX*8), Y3, Y3
-	ADDQ $16, AX
-	JMP  sum_loop16
-sum_reduce:
-	VPADDQ Y1, Y0, Y0
-	VPADDQ Y3, Y2, Y2
-	VPADDQ Y2, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ X1, X0, X0
-	VPSHUFD $0x4E, X0, X1
-	VPADDQ X1, X0, X0
-	MOVQ X0, BX
-sum_tail:
-	CMPQ AX, CX
-	JGE  sum_done
-	ADDQ (SI)(AX*8), BX
-	INCQ AX
-	JMP  sum_tail
-sum_done:
-	MOVQ BX, ret+24(FP)
-	VZEROUPPER
-	RET
 
 // func addAVX2(dst, src []int64)
 //
@@ -240,88 +196,6 @@ andn_tail:
 	INCQ AX
 	JMP  andn_tail
 andn_done:
-	VZEROUPPER
-	RET
-
-// func transposeBlocksAVX2(dst, src *int64, rows, cols, r8, c4 int)
-//
-// 8×4 int64 tile transpose over the aligned region [0,r8) × [0,c4) of
-// the [rows × cols] src: eight ymm row loads form two stacked 4×4
-// blocks, each transposed with vpunpcklqdq/vpunpckhqdq + vperm2i128,
-// and every dst row is stored as two adjacent ymms — 64 contiguous
-// bytes, one full cache line per destination row, which is what keeps
-// the strided dst side from wasting half its write bandwidth on large
-// square tables. The Go wrapper (transposeAVX2) finishes the ragged
-// edge strips; r8 and c4 are rows&^7 and cols&^3.
-//
-// Register plan: DI/SI dst/src bases; R12/R13 src/dst row strides in
-// bytes (cols*8 / rows*8); AX = 3*R12, R9 = 3*R13 (third-row offsets);
-// CX/BX = r/c loop counters; R14 = src base of current 8-row band;
-// R15 = dst tile cursor (advanced 4*R13 per tile); DX/R10 = the two
-// 4-row block addresses; R8/R11 = r8/c4 limits.
-TEXT ·transposeBlocksAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rows+16(FP), R13
-	MOVQ cols+24(FP), R12
-	MOVQ r8+32(FP), R8
-	MOVQ c4+40(FP), R11
-	SHLQ $3, R12           // src row stride = cols*8
-	SHLQ $3, R13           // dst row stride = rows*8
-	LEAQ (R12)(R12*2), AX  // 3 * src stride
-	LEAQ (R13)(R13*2), R9  // 3 * dst stride
-	MOVQ SI, R14
-	XORQ CX, CX            // r
-tr_rloop:
-	CMPQ CX, R8
-	JGE  tr_done
-	LEAQ (DI)(CX*8), R15   // dst + r*8: tile column base
-	XORQ BX, BX            // c
-tr_cloop:
-	CMPQ BX, R11
-	JGE  tr_rnext
-	LEAQ (R14)(BX*8), DX       // src + (r*cols + c)*8: rows r..r+3
-	LEAQ (DX)(R12*4), R10      // rows r+4..r+7
-	VMOVDQU (DX), Y0               // a0 a1 a2 a3
-	VMOVDQU (DX)(R12*1), Y1        // b0 b1 b2 b3
-	VMOVDQU (DX)(R12*2), Y2        // c0 c1 c2 c3
-	VMOVDQU (DX)(AX*1), Y3         // d0 d1 d2 d3
-	VMOVDQU (R10), Y8              // e0 e1 e2 e3
-	VMOVDQU (R10)(R12*1), Y9       // f0 f1 f2 f3
-	VMOVDQU (R10)(R12*2), Y10      // g0 g1 g2 g3
-	VMOVDQU (R10)(AX*1), Y11       // h0 h1 h2 h3
-	VPUNPCKLQDQ Y1, Y0, Y4         // a0 b0 a2 b2
-	VPUNPCKHQDQ Y1, Y0, Y5         // a1 b1 a3 b3
-	VPUNPCKLQDQ Y3, Y2, Y6         // c0 d0 c2 d2
-	VPUNPCKHQDQ Y3, Y2, Y7         // c1 d1 c3 d3
-	VPERM2I128 $0x20, Y6, Y4, Y0   // a0 b0 c0 d0
-	VPERM2I128 $0x20, Y7, Y5, Y1   // a1 b1 c1 d1
-	VPERM2I128 $0x31, Y6, Y4, Y2   // a2 b2 c2 d2
-	VPERM2I128 $0x31, Y7, Y5, Y3   // a3 b3 c3 d3
-	VPUNPCKLQDQ Y9, Y8, Y12        // e0 f0 e2 f2
-	VPUNPCKHQDQ Y9, Y8, Y13        // e1 f1 e3 f3
-	VPUNPCKLQDQ Y11, Y10, Y14      // g0 h0 g2 h2
-	VPUNPCKHQDQ Y11, Y10, Y15      // g1 h1 g3 h3
-	VPERM2I128 $0x20, Y14, Y12, Y8 // e0 f0 g0 h0
-	VPERM2I128 $0x20, Y15, Y13, Y9
-	VPERM2I128 $0x31, Y14, Y12, Y10
-	VPERM2I128 $0x31, Y15, Y13, Y11
-	VMOVDQU Y0, (R15)              // dst[(c+0)*rows + r .. r+7]: one line
-	VMOVDQU Y8, 32(R15)
-	VMOVDQU Y1, (R15)(R13*1)
-	VMOVDQU Y9, 32(R15)(R13*1)
-	VMOVDQU Y2, (R15)(R13*2)
-	VMOVDQU Y10, 32(R15)(R13*2)
-	VMOVDQU Y3, (R15)(R9*1)
-	VMOVDQU Y11, 32(R15)(R9*1)
-	LEAQ (R15)(R13*4), R15 // advance 4 dst rows
-	ADDQ $4, BX
-	JMP  tr_cloop
-tr_rnext:
-	LEAQ (R14)(R12*8), R14 // advance 8 src rows
-	ADDQ $8, CX
-	JMP  tr_rloop
-tr_done:
 	VZEROUPPER
 	RET
 

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -16,14 +15,6 @@ func addRef(dst, src []int64) {
 	}
 }
 
-func sumRef(xs []int64) int64 {
-	var acc int64
-	for _, x := range xs {
-		acc += x
-	}
-	return acc
-}
-
 func maskNeq32Ref(xs []int32, sentinel int32) []uint64 {
 	out := make([]uint64, (len(xs)+63)>>6)
 	for i, x := range xs {
@@ -32,16 +23,6 @@ func maskNeq32Ref(xs []int32, sentinel int32) []uint64 {
 		}
 	}
 	return out
-}
-
-func transposeRef(src []int64, rows, cols int) []int64 {
-	dst := make([]int64, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			dst[c*rows+r] = src[r*cols+c]
-		}
-	}
-	return dst
 }
 
 func popcountWordsRef(ws []uint64) int {
@@ -119,30 +100,6 @@ func TestAddMatchesReference(t *testing.T) {
 	})
 }
 
-func TestSumMatchesReference(t *testing.T) {
-	forEachPath(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(2))
-		for _, n := range raggedLens {
-			xs := randInt64s(n, rng)
-			if got, want := Sum(xs), sumRef(xs); got != want {
-				t.Fatalf("n=%d: Sum = %d, want %d", n, got, want)
-			}
-		}
-		// Wrap-around must match too: exactness is what makes any blocking
-		// (including the AVX2 lane reassociation) bit-identical, including
-		// at overflow. Padded past the vector threshold so both bodies see
-		// the overflowing lanes.
-		big := make([]int64, 20)
-		for i := range big {
-			big[i] = 1<<62 + int64(i)*3
-		}
-		big[19] = -11
-		if got, want := Sum(big), sumRef(big); got != want {
-			t.Fatalf("overflow: Sum = %d, want %d", got, want)
-		}
-	})
-}
-
 func TestMaskNeq32MatchesReference(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
@@ -193,37 +150,6 @@ func TestMaskNeq32SignBoundaryLanes(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("sentinel=%d: word %d = %x want %x", sentinel, i, got[i], want[i])
-				}
-			}
-		}
-	})
-}
-
-func TestTransposeMatchesReference(t *testing.T) {
-	forEachPath(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(4))
-		shapes := [][2]int{
-			{1, 1}, {1, 17}, {17, 1}, {2, 3}, {3, 2},
-			{4, 4}, {4, 5}, {5, 4}, {8, 8}, {8, 9}, {9, 8},
-			{7, 13}, {16, 16}, {5, 64}, {64, 5}, {23, 41},
-		}
-		for _, sh := range shapes {
-			rows, cols := sh[0], sh[1]
-			src := randInt64s(rows*cols, rng)
-			want := transposeRef(src, rows, cols)
-			dst := make([]int64, rows*cols)
-			Transpose(dst, src, rows, cols)
-			for i := range want {
-				if dst[i] != want[i] {
-					t.Fatalf("%dx%d: cell %d = %d, want %d", rows, cols, i, dst[i], want[i])
-				}
-			}
-			// Round trip: transposing back recovers the original.
-			back := make([]int64, rows*cols)
-			Transpose(back, dst, cols, rows)
-			for i := range src {
-				if back[i] != src[i] {
-					t.Fatalf("%dx%d: round trip differs at %d", rows, cols, i)
 				}
 			}
 		}
@@ -296,9 +222,6 @@ func TestKernelPanicsReportLengths(t *testing.T) {
 	wantPanic(t, "kernel: MaskNeq32: dst too short: len(dst)=1, need 2 words for len(xs)=65", func() {
 		MaskNeq32(make([]uint64, 1), make([]int32, 65), -1)
 	})
-	wantPanic(t, "kernel: Transpose: buffers shorter than rows*cols: len(dst)=5 len(src)=6 rows=2 cols=3", func() {
-		Transpose(make([]int64, 5), make([]int64, 6), 2, 3)
-	})
 	wantPanic(t, "kernel: AndNotWords: length mismatch: len(dst)=3 len(src)=4", func() {
 		AndNotWords(make([]uint64, 3), make([]uint64, 4))
 	})
@@ -312,13 +235,9 @@ func TestKernelsAllocationFree(t *testing.T) {
 		xs := make([]int32, 513)
 		ws := make([]uint64, 513)
 		wd := make([]uint64, 513)
-		tsrc := make([]int64, 24*24)
-		tdst := make([]int64, 24*24)
 		if a := testing.AllocsPerRun(10, func() {
 			Add(dst, src)
-			_ = Sum(src)
 			MaskNeq32(mask, xs, -1)
-			Transpose(tdst, tsrc, 24, 24)
 			_ = PopcountWords(ws)
 			AndNotWords(wd, ws)
 		}); a != 0 {
@@ -341,28 +260,17 @@ func TestDispatchPathsAgree(t *testing.T) {
 	for _, n := range []int{64, 65, 257, 4096} {
 		xs := randInt64s(n, rng)
 		SetAVX2ForTest(true)
-		sumA := Sum(xs)
 		addA := append([]int64(nil), xs...)
 		Add(addA, xs)
 		SetAVX2ForTest(false)
-		sumG := Sum(xs)
 		addG := append([]int64(nil), xs...)
 		Add(addG, xs)
-		if sumA != sumG {
-			t.Fatalf("n=%d: Sum avx2 %d != generic %d", n, sumA, sumG)
-		}
 		for i := range addA {
 			if addA[i] != addG[i] {
 				t.Fatalf("n=%d: Add diverges at %d", n, i)
 			}
 		}
 	}
-}
-
-func ExampleSum() {
-	row := []int64{3, -1, 4, 1, -5, 9}
-	fmt.Println(Sum(row))
-	// Output: 11
 }
 
 func fillWordsRef(dst []uint64, val uint64) {

@@ -7,31 +7,25 @@ import (
 	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/hknt"
-	"parcolor/internal/kernel"
 	"parcolor/internal/rng"
 )
 
-// This file is the contribution-table seed-selection engine for the
-// iterative trial rounds: the lowdeg instantiation of the condexp table
-// path. Where the naive oracle re-proposes per seed with fresh n-sized
-// candidate and proposal arrays (and re-proposes the winner after
-// selection), the engine
+// This file is the seed-selection engine for the iterative trial rounds:
+// the lowdeg instantiation of condexp.Select. Where the naive oracle
+// re-proposes per seed with fresh n-sized candidate and proposal arrays
+// (and re-proposes the winner after selection), the engine
 //
 //   - compacts the round into dense participant-index space once — the
-//     live-live edge list, remaining palettes, palette-size reciprocals
-//     and score chunk boundaries all flattened over the participants — so
-//     every per-seed structure scales with the shrinking live set instead
-//     of n,
-//   - walks the seed space once, reusing per-worker candidate buffers
+//     live-live edge list, remaining palettes and palette-size
+//     reciprocals all flattened over the participants — so every per-seed
+//     structure scales with the shrinking live set instead of n,
+//   - scores each seed exactly once, reusing per-worker candidate buffers
 //     from a package pool shared across seeds, rounds and runs, with the
 //     per-seed loser state packed into a word-wide bitset.Mask — the
-//     elimination pass sets loser bits, each chunk's wins are the
-//     seed-invariant candidate count minus a popcount over the chunk's
-//     index range (64 participants per word), and the per-seed reset is
-//     a word clear instead of a byte-per-participant sweep,
-//   - records each participant chunk's −wins contribution straight into
-//     the seed's contiguous row of the seed-major condexp.ContribTable,
-//     making flat and bitwise selection pure table aggregation, and
+//     elimination pass sets loser bits, a seed's wins are the
+//     seed-invariant candidate count minus the losers' popcount (64
+//     participants per word), and the per-seed reset is a word clear
+//     instead of a byte-per-participant sweep, and
 //   - caches the best-scoring seed's winner set during the walk (pairs
 //     materialized by an and-not of the candidate mask against the loser
 //     mask, only when a seed takes the best-seen slot), so the flat
@@ -43,10 +37,9 @@ import (
 
 // trialEngine scores one trial round's seed space incrementally.
 type trialEngine struct {
-	st      *hknt.State
-	parts   []int32
-	round   uint64
-	nChunks int // score chunks (table rows)
+	st    *hknt.State
+	parts []int32
+	round uint64
 
 	// edges lists the round's live-live edges once each, as flat pairs of
 	// participant indices. Only live nodes can hold a candidate — a
@@ -65,30 +58,23 @@ type trialEngine struct {
 	// size, so the per-(seed, participant) candidate reduction needs no
 	// hardware division.
 	divs []rng.Divisor
-	// bounds[c] is the first participant index of score chunk c — the
-	// c*np/k partition computed once instead of per chunk per seed.
-	bounds []int32
-	// candMask marks participants with a non-empty palette, and candCnt[c]
-	// counts them per chunk (a CountRange over the chunk bounds). Every
-	// such participant draws a candidate on every seed — the mask and the
-	// counts are seed-invariant — so a chunk's wins are candCnt[c] minus a
-	// popcount of its loser bits, and the best seed's winner set is one
-	// and-not: candMask &^ losers.
+	// candMask marks participants with a non-empty palette, and candCnt
+	// counts them. Every such participant draws a candidate on every seed
+	// — the mask and the count are seed-invariant — so a seed's wins are
+	// candCnt minus the popcount of its loser bits, and the best seed's
+	// winner set is one and-not: candMask &^ losers.
 	candMask bitset.Mask
-	candCnt  []int64
+	candCnt  int64
 
 	best condexp.BestSeen
 	// bestWins holds the winner proposal of the best seed as (node, color)
 	// pairs: materialized only when a seed takes the best-seen slot, so
-	// per-seed fills never write a proposal at all.
+	// per-seed scoring never writes a proposal at all.
 	bestWins []int32
 }
 
 func newTrialEngine(st *hknt.State, parts []int32, round uint64) *trialEngine {
-	e := &trialEngine{
-		st: st, parts: parts, round: round,
-		nChunks: condexp.ScoreChunks(len(parts)),
-	}
+	e := &trialEngine{st: st, parts: parts, round: round}
 	g := st.In.G
 	np := len(parts)
 	// indexOf inverts parts: participant index of each live node.
@@ -113,22 +99,18 @@ func newTrialEngine(st *hknt.State, parts []int32, round uint64) *trialEngine {
 			e.divs[i] = rng.NewDivisor(uint64(d))
 		}
 	}
-	e.bounds = condexp.ChunkBounds(np, e.nChunks)
 	e.candMask = bitset.New(np)
 	e.candMask.Fill(np, func(i int) bool { return e.palOff[i] < e.palOff[i+1] })
-	e.candCnt = make([]int64, e.nChunks)
-	for c := 0; c < e.nChunks; c++ {
-		e.candCnt[c] = int64(e.candMask.CountRange(int(e.bounds[c]), int(e.bounds[c+1])))
-	}
+	e.candCnt = int64(e.candMask.Count())
 	return e
 }
 
-// fill is the condexp.ChunkFiller: run one trial for the seed with pooled
-// scratch and record each participant chunk's −wins. The candidate draw
-// and conflict resolution match proposeRound exactly — an empty palette
-// yields Uncolored, and only live neighbors can collide — so the per-chunk
-// sums are the naive scorer's −countWins split over the partition.
-func (e *trialEngine) fill(seed uint64, row []int64) {
+// score is the condexp.Scorer: run one trial for the seed with pooled
+// scratch and return its −wins. The candidate draw and conflict
+// resolution match proposeRound exactly — an empty palette yields
+// Uncolored, and only live neighbors can collide — so the score is the
+// naive scorer's −countWins.
+func (e *trialEngine) score(seed uint64) int64 {
 	ss := getScratch(len(e.parts))
 	cand, parts := ss.cand, e.parts
 	// Pass 1: draw candidates into dense participant-index space.
@@ -155,15 +137,12 @@ func (e *trialEngine) fill(seed uint64, row []int64) {
 			loser.Set(int(b))
 		}
 	}
-	// Each chunk's −wins: seed-invariant candidate count minus a popcount
-	// of its loser bits, 64 participants per word, written straight into
-	// the seed's in-place table row; the seed's total is the row's
-	// unit-stride reduce.
-	for c := range row {
-		row[c] = -(e.candCnt[c] - int64(loser.CountRange(int(e.bounds[c]), int(e.bounds[c+1]))))
-	}
-	e.offerBest(seed, kernel.Sum(row), cand, ss)
+	// −wins: the seed-invariant candidate count minus the losers'
+	// popcount, 64 participants per word.
+	score := -(e.candCnt - int64(loser.Count()))
+	e.offerBest(seed, score, cand, ss)
 	scratches.Put(ss)
+	return score
 }
 
 // offerBest offers the seed to the best-seen cache (the flat selection's
@@ -197,12 +176,12 @@ func (e *trialEngine) proposalFor(seed uint64) hknt.Proposal {
 	return proposeRound(e.st, e.parts, seed, e.round)
 }
 
-// selectSeedTable runs the table path for one round: build the
-// contribution table in one parallel pass and aggregate (flat or bitwise).
-// The caller fetches the winning proposal via proposalFor only when the
-// round makes progress — zero-progress rounds take the greedy fallback.
+// selectSeedTable runs the engine path for one round: score every seed
+// once and select (flat or bitwise). The caller fetches the winning
+// proposal via proposalFor only when the round makes progress —
+// zero-progress rounds take the greedy fallback.
 func (e *trialEngine) selectSeedTable(o Options) (condexp.Result, error) {
-	return condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.nChunks, e.fill)
+	return condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
 }
 
 // scratches pools the workers' trial scratch across seeds, rounds and
@@ -210,7 +189,7 @@ func (e *trialEngine) selectSeedTable(o Options) (condexp.Result, error) {
 var scratches = sync.Pool{New: func() any { return new(trialScratch) }}
 
 // trialScratch is one worker's reusable evaluation state: cand[i] is
-// participant i's candidate this seed (rewritten in full by every fill),
+// participant i's candidate this seed (rewritten in full for every seed),
 // loser marks candidates eliminated by a neighbor collision (cleared per
 // seed) and winners is the and-not scratch the best-seen materialization
 // carves winners into.
@@ -222,7 +201,7 @@ type trialScratch struct {
 
 // getScratch checks a worker scratch out of the pool and resizes it to np
 // participants. Every field is fully rewritten (cand) or reset (loser)
-// per fill, so no cross-round state can leak.
+// per seed, so no cross-round state can leak.
 func getScratch(np int) *trialScratch {
 	ss := scratches.Get().(*trialScratch)
 	if cap(ss.cand) < np {

@@ -45,12 +45,12 @@ type Options struct {
 	MaxRounds int
 	// Bitwise switches seed selection from flat enumeration to the
 	// bit-by-bit method of conditional expectations (same guarantee; on the
-	// table path the branch means are subset sums of precomputed totals).
+	// engine path the branch means are subset sums of the per-seed totals).
 	Bitwise bool
 	// NaiveScoring forces the monolithic per-seed rescoring oracle instead
-	// of the incremental contribution-table engine (engine.go). Both
-	// produce identical results (seed, score, certificate, coloring); the
-	// naive path exists for differential tests and ablation baselines.
+	// of the incremental scoring engine (engine.go). Both produce
+	// identical results (seed, score, certificate, coloring); the naive
+	// path exists for differential tests and ablation baselines.
 	NaiveScoring bool
 	// Par scopes the round's parallel loops and seed walks to an explicit
 	// worker budget; IterativeDerandomized derives a context-carrying copy
@@ -69,7 +69,7 @@ type Stats struct {
 
 // IterativeDerandomized colors the instance deterministically by
 // conditional-expectation-selected trial rounds. Seed scoring runs on the
-// incremental contribution-table engine (engine.go) unless
+// incremental scoring engine (engine.go) unless
 // Options.NaiveScoring forces the per-seed oracle. Always returns a
 // complete proper coloring (or an error only for invalid instances and
 // cancellation).
@@ -144,8 +144,8 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 }
 
 // selectSeedNaive is the monolithic oracle: one full proposal plus score
-// per evaluated seed. It is the path the table engine is differentially
-// tested against. A cancelled runner surfaces the context error.
+// per evaluated seed. It is the path the engine is differentially tested
+// against. A cancelled runner surfaces the context error.
 func selectSeedNaive(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, error) {
 	return condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
 		return -int64(countWins(st, parts, seed, round))

@@ -119,8 +119,8 @@ func TestMaxComponentSize(t *testing.T) {
 	}
 }
 
-// TestTableScoringMatchesNaive is the differential test of the
-// contribution-table engine: per-round seed, score and certificate, the
+// TestTableScoringMatchesNaive is the differential test of the scoring
+// engine: per-round seed, score and certificate, the
 // fallback accounting, and the final coloring must be bit-identical to the
 // naive per-seed oracle — across instances, both selection strategies, and
 // worker counts 1, 4 and GOMAXPROCS (the default bound).
@@ -217,7 +217,7 @@ func BenchmarkIterativeDerandomized(b *testing.B) {
 
 // BenchmarkSeedSelectionLowdeg ablates the scoring engine on a full
 // iterative solve at n=300 (every trial round goes through seed
-// selection): the contribution-table path (pooled participant-reset
+// selection): the engine path (pooled participant-reset
 // scratch + cached winning proposal) against the naive per-seed oracle,
 // for both selection strategies. Results are identical across the axis;
 // only cost differs.

@@ -11,40 +11,48 @@ import (
 )
 
 // TestTrialEngineSeedMajorMatchesChunkMajorOracle pins the trial round
-// engine's seed-major table bit-identical to the retained chunk-major
-// oracle (condexp.BuildChunkMajorOracle over the engine's own fill):
-// cells transpose one-for-one, totals agree in seed order, and both
-// selection strategies match — across workers 1, 4 and the process
-// default (run under -race in CI), over several rounds so the live set
-// and palettes shrink between tables.
+// engine to the naive oracle seed by seed: for every seed, the engine's
+// −wins equals the naive −countWins, and both selection strategies equal
+// condexp.SelectNaive over that scorer — across workers 1, 4 and the
+// process default (run under -race in CI), over several rounds so the
+// live set and palettes shrink between selections. The name is kept from
+// the chunk-major table comparison this check replaced.
 func TestTrialEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 	const seedBits = 6
 	in := d1lc.RandomPalettes(graph.Gnp(120, 0.06, 3), 2, 60, 7)
 	st := hknt.NewState(in)
-	numSeeds := 1 << seedBits
 
 	for round := uint64(0); round < 3; round++ {
 		parts := st.LiveNodes(nil)
 		if len(parts) == 0 {
 			break
 		}
-		oracleEng := newTrialEngine(st, parts, round)
-		oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
-
-		for _, w := range []int{1, 4, 0} {
-			eng := newTrialEngine(st, parts, round)
-			tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
-			if err != nil {
-				t.Fatal(err)
+		naive := func(seed uint64) int64 { return -int64(countWins(st, parts, seed, round)) }
+		eng := newTrialEngine(st, parts, round)
+		for seed := uint64(0); seed < 1<<seedBits; seed++ {
+			if got, want := eng.score(seed), naive(seed); got != want {
+				t.Fatalf("round=%d seed %d: engine score %d, naive %d", round, seed, got, want)
 			}
-			if err := tbl.VerifyAgainstChunkMajorOracle(oc, ot, seedBits); err != nil {
-				t.Fatalf("round=%d w=%d: %v", round, w, err)
+		}
+		for _, w := range []int{1, 4, 0} {
+			for _, bitwise := range []bool{false, true} {
+				o := Options{SeedBits: seedBits, Bitwise: bitwise, Par: par.NewRunner(w)}
+				got, err := newTrialEngine(st, parts, round).selectSeedTable(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := condexp.SelectNaive(o.Par, seedBits, bitwise, naive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Seed != want.Seed || got.Score != want.Score || got.SumScores != want.SumScores {
+					t.Fatalf("round=%d w=%d bitwise=%v: engine %+v, naive %+v", round, w, bitwise, got, want)
+				}
 			}
 		}
 
 		// Advance the state with the selected proposal so later rounds
 		// exercise shrunken live sets and thinner palettes.
-		eng := newTrialEngine(st, parts, round)
 		sel, err := eng.selectSeedTable(Options{SeedBits: seedBits})
 		if err != nil {
 			t.Fatal(err)

@@ -7,33 +7,28 @@ import (
 	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/graph"
-	"parcolor/internal/kernel"
 	"parcolor/internal/prg"
 	"parcolor/internal/rng"
 )
 
-// This file is the contribution-table seed-selection engine for the
-// derandomized Luby rounds: the mis instantiation of the condexp table
-// path. Where the naive oracle re-runs a monolithic full-graph scorer per
-// seed — expanding the PRG over every node's chunk and allocating fresh
-// priority/join arrays and a ChunkedSource each time — the engine
+// This file is the seed-selection engine for the derandomized Luby
+// rounds: the mis instantiation of condexp.Select. Where the naive oracle
+// re-runs a monolithic full-graph scorer per seed — expanding the PRG over
+// every node's chunk and allocating fresh priority/join arrays and a
+// ChunkedSource each time — the engine
 //
-//   - walks the seed space once, reusing per-worker scratch (a reseedable
-//     prg.LazySource, its reader cursor, a priority buffer and
-//     word-packed join/undone masks) from a package pool shared across
-//     seeds, rounds and runs,
+//   - scores each seed exactly once, reusing per-worker scratch (a
+//     reseedable prg.LazySource, its reader cursor, a priority buffer and
+//     a word-packed join mask) from a package pool shared across seeds,
+//     rounds and runs,
 //   - reads the undecided nodes' chunks through the lazy source, so
 //     per-seed expansion cost tracks the shrinking live set instead of n
 //     (a priority reads all of its node's chunk, so laziness saves mis no
 //     bits; the engines share one chunk path),
 //   - keeps the per-seed join set as a bitset.Mask over nodes (a decided
 //     neighbor's bit is permanently zero, so the dominance scan reads one
-//     bit per neighbor) and gathers each seed's still-undecided outcomes
-//     into a dense participant-index mask, so every chunk's contribution
-//     is a popcount over its index range — 64 participants per word —
-//     written straight into the seed's contiguous row of the seed-major
-//     condexp.ContribTable, making flat and bitwise selection pure table
-//     aggregation, and
+//     bit per neighbor) and scores a seed by counting the participants
+//     its join set leaves undecided, and
 //   - caches the best-scoring join mask seen during the walk, so the flat
 //     winner's join is committed from the mask without being recomputed;
 //     a bitwise winner other than the best seen is re-simulated once on
@@ -57,23 +52,17 @@ type roundEngine struct {
 	gen       prg.PRG
 	chunkOf   []int32
 	numChunks int
-	nChunks   int // score chunks (table rows)
-	// bounds[c] is the first participant index of score chunk c.
-	bounds []int32
 
 	best     condexp.BestSeen
 	bestJoin bitset.Mask
 }
 
 func newRoundEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) *roundEngine {
-	e := &roundEngine{
+	return &roundEngine{
 		id: engineIDs.Add(1),
 		g:  g, state: state, parts: parts,
 		gen: gen, chunkOf: chunkOf, numChunks: numChunks,
-		nChunks: condexp.ScoreChunks(len(parts)),
 	}
-	e.bounds = condexp.ChunkBounds(len(parts), e.nChunks)
-	return e
 }
 
 // simulate draws every undecided node's priority for the seed and writes
@@ -97,29 +86,20 @@ func (e *roundEngine) simulate(ss *misScratch, seed uint64) {
 	}
 }
 
-// fill is the condexp.ChunkFiller: simulate one Luby round for the seed
-// with pooled scratch, gather each participant's still-undecided outcome
-// into the dense undone mask, and read off every chunk's contribution as
-// a popcount over its index range.
-func (e *roundEngine) fill(seed uint64, row []int64) {
+// score is the condexp.Scorer: simulate one Luby round for the seed with
+// pooled scratch and count the participants it leaves undecided.
+func (e *roundEngine) score(seed uint64) int64 {
 	ss := e.getScratch()
 	e.simulate(ss, seed)
-	// Gather each participant's still-undecided outcome into the dense
-	// mask, then read chunks off as popcounts straight into the seed's
-	// in-place table row; the seed's total is the row's unit-stride
-	// reduce.
-	undone := ss.undone
-	undone.Gather(len(e.parts), func(i int) uint64 {
-		if stillUndecided(e.g, ss.join, e.parts[i]) {
-			return 1
+	var undone int64
+	for _, v := range e.parts {
+		if stillUndecided(e.g, ss.join, v) {
+			undone++
 		}
-		return 0
-	})
-	for c := range row {
-		row[c] = int64(undone.CountRange(int(e.bounds[c]), int(e.bounds[c+1])))
 	}
-	e.offerBest(seed, kernel.Sum(row), ss.join)
+	e.offerBest(seed, undone, ss.join)
 	scratches.Put(ss)
+	return undone
 }
 
 // stillUndecided reports whether undecided node v stays undecided under
@@ -162,13 +142,12 @@ func (e *roundEngine) joinFor(seed uint64) bitset.Mask {
 	return join
 }
 
-// selectSeedTable runs the full table path for one round: build the
-// contribution table in one parallel pass on the round's runner, aggregate
-// (flat or bitwise), and return the selected seed's result plus its join
-// mask. A cancelled runner aborts the build and surfaces the context
-// error.
+// selectSeedTable runs the engine path for one round: score every seed
+// once on the round's runner, select (flat or bitwise), and return the
+// selected seed's result plus its join mask. A cancelled runner aborts
+// the walk and surfaces the context error.
 func (e *roundEngine) selectSeedTable(o Options) (condexp.Result, bitset.Mask, error) {
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.nChunks, e.fill)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
 	if err != nil {
 		return condexp.Result{}, nil, err
 	}
@@ -180,20 +159,19 @@ func (e *roundEngine) selectSeedTable(o Options) (condexp.Result, bitset.Mask, e
 var scratches = sync.Pool{New: func() any { return new(misScratch) }}
 
 // misScratch is one worker's reusable evaluation state. prio and the join
-// mask are written for every undecided node on every fill, and read only
+// mask are written for every undecided node on every seed, and read only
 // at undecided nodes (a decided node's join bit stays zero from the
-// owner-change reset), so they need no per-seed reset; undone is fully
-// rewritten by each fill's gather. cur is the worker's reader cursor over
-// src, reused across nodes and seeds. owner tags the round engine the join
-// invariant currently holds for — by id, not pointer, so a pooled scratch
-// never pins a finished engine (and its graph) in memory.
+// owner-change reset), so they need no per-seed reset. cur is the
+// worker's reader cursor over src, reused across nodes and seeds. owner
+// tags the round engine the join invariant currently holds for — by id,
+// not pointer, so a pooled scratch never pins a finished engine (and its
+// graph) in memory.
 type misScratch struct {
-	src    *prg.LazySource
-	cur    rng.Bits
-	prio   []uint64
-	join   bitset.Mask // over nodes
-	undone bitset.Mask // over dense participant indices
-	owner  uint64
+	src   *prg.LazySource
+	cur   rng.Bits
+	prio  []uint64
+	join  bitset.Mask // over nodes
+	owner uint64
 }
 
 // getScratch checks a worker scratch out of the pool, retargets it to the
@@ -212,7 +190,7 @@ func (e *roundEngine) getScratch() *misScratch {
 		// Generator too short is a construction bug; make it loud.
 		panic(err)
 	}
-	n, np := len(e.state), len(e.parts)
+	n := len(e.state)
 	if cap(ss.prio) < n {
 		ss.prio = make([]uint64, n)
 	} else {
@@ -220,7 +198,6 @@ func (e *roundEngine) getScratch() *misScratch {
 	}
 	grown := bitset.Words(n) > cap(ss.join)
 	ss.join = ss.join.Grow(n)
-	ss.undone = ss.undone.Grow(np)
 	if ss.owner != e.id {
 		if !grown { // a freshly made mask is already zero
 			ss.join.Reset()

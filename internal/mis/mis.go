@@ -149,8 +149,8 @@ func applyJoin(g *graph.Graph, state []NodeState, join []bool) int {
 }
 
 // applyJoinMask is applyJoin over a word-packed join mask: the commit
-// path of the table engine, reusing the win mask computed during scoring
-// by walking only its set bits.
+// path of the engine, reusing the join mask computed during scoring by
+// walking only its set bits.
 func applyJoinMask(g *graph.Graph, state []NodeState, join bitset.Mask) int {
 	decided := 0
 	join.ForEach(func(i int) {
@@ -204,12 +204,12 @@ type Options struct {
 	SeedBits int // PRG seed length (default Θ(log Δ) capped at 10)
 	// Bitwise switches seed selection from flat enumeration to the
 	// bit-by-bit method of conditional expectations (same guarantee; on the
-	// table path the branch means are subset sums of precomputed totals).
+	// engine path the branch means are subset sums of the per-seed totals).
 	Bitwise bool
 	// NaiveScoring forces the monolithic per-seed rescoring oracle instead
-	// of the incremental contribution-table engine (engine.go). Both
-	// produce identical results (seed, score, certificate, MIS); the naive
-	// path exists for differential tests and ablation baselines.
+	// of the incremental scoring engine (engine.go). Both produce
+	// identical results (seed, score, certificate, MIS); the naive path
+	// exists for differential tests and ablation baselines.
 	NaiveScoring bool
 	// Par scopes the round's parallel loops and seed walks to an explicit
 	// worker budget; Derandomized derives a context-carrying copy from its
@@ -223,8 +223,8 @@ type Options struct {
 // one Lemma 10 invocation — chunk the PRG output by node (identity
 // chunking suffices for MIS since the success property is radius-1),
 // select the seed minimizing the number of still-undecided nodes, commit.
-// Seed scoring runs on the incremental contribution-table engine
-// (engine.go) unless Options.NaiveScoring forces the per-seed oracle.
+// Seed scoring runs on the incremental scoring engine (engine.go) unless
+// Options.NaiveScoring forces the per-seed oracle.
 // The result is deterministic, independent with certainty, and maximal
 // with Skipped nodes (if any) excluded — mirroring that failed nodes defer
 // without breaking WSP for the rest. A final sequential sweep decides any
@@ -304,20 +304,26 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 
 // selectSeedNaive is the monolithic oracle: one full PRG expansion plus
 // full-graph Luby simulation per evaluated seed (the winner is
-// re-simulated by the caller). It is the path the table engine is
+// re-simulated by the caller). It is the path the engine is
 // differentially tested against. A cancelled runner surfaces the context
 // error.
 func selectSeedNaive(g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []int32, undecided int, o Options) (condexp.Result, error) {
+	return condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, naiveScorer(o.Par, g, state, gen, chunkOf, undecided))
+}
+
+// naiveScorer is the oracle's objective — the pessimistic estimator,
+// nodes still undecided after the round — with a fresh eager expansion
+// and full-graph simulation per seed.
+func naiveScorer(r *par.Runner, g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []int32, undecided int) condexp.Scorer {
 	n := g.N()
-	return condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
+	return func(seed uint64) int64 {
 		src, err := prg.NewChunkedSource(gen, seed, chunkOf, n, priorityBits)
 		if err != nil {
 			panic(err)
 		}
-		join := lubyRound(o.Par, g, state, src.BitsFor)
-		// Pessimistic estimator: nodes still undecided afterwards.
-		return int64(undecided) - int64(simulateDecided(o.Par, g, state, join))
-	})
+		join := lubyRound(r, g, state, src.BitsFor)
+		return int64(undecided) - int64(simulateDecided(r, g, state, join))
+	}
 }
 
 // undecidedNodes lists the current round's participants in ascending node

@@ -155,8 +155,8 @@ func TestMISSizesComparable(t *testing.T) {
 	}
 }
 
-// TestTableScoringMatchesNaive is the differential test of the
-// contribution-table engine: per-round seed, score and certificate, and
+// TestTableScoringMatchesNaive is the differential test of the scoring
+// engine: per-round seed, score and certificate, and
 // the final MIS must be bit-identical to the naive per-seed oracle —
 // across graphs, both selection strategies, and worker counts 1, 4 and
 // GOMAXPROCS (the default bound).
@@ -203,7 +203,7 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 
 // TestTableEvalReduction pins the bitwise eval saving on the live solver:
 // the naive bitwise oracle spends 2^(d+1)−2 scorer calls per round, the
-// table path 2^d fills.
+// engine path 2^d evaluations.
 func TestTableEvalReduction(t *testing.T) {
 	g := graph.Gnp(100, 0.06, 2)
 	const d = 5
@@ -254,7 +254,7 @@ func BenchmarkDerandomizedMIS(b *testing.B) {
 
 // BenchmarkSeedSelectionMIS ablates the scoring engine on a full
 // derandomized solve at n=300 (every Luby round goes through seed
-// selection): the contribution-table path (lazy chunk views of the live
+// selection): the engine path (lazy chunk views of the live
 // nodes + pooled scratch + cached winning join) against the naive per-seed
 // oracle, for both selection strategies. Results are identical across the
 // axis; only cost differs.

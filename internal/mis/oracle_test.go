@@ -11,12 +11,12 @@ import (
 )
 
 // TestRoundEngineSeedMajorMatchesChunkMajorOracle pins the Luby round
-// engine's seed-major table bit-identical to the retained chunk-major
-// oracle (condexp.BuildChunkMajorOracle over the engine's own fill):
-// cells transpose one-for-one, totals agree in seed order, and both
-// selection strategies match — across workers 1, 4 and the process
-// default (run under -race in CI), on a fresh round and on a
-// partially-decided state.
+// engine to the naive oracle seed by seed: for every seed, the engine's
+// undecided count equals naiveScorer's, and both selection strategies
+// equal condexp.SelectNaive over that scorer — across workers 1, 4 and
+// the process default (run under -race in CI), on a fresh round and on a
+// partially-decided state. The name is kept from the chunk-major table
+// comparison this check replaced.
 func TestRoundEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 	const seedBits = 6
 	g := graph.Mixed(130, 5)
@@ -47,19 +47,28 @@ func TestRoundEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 				t.Fatal("degenerate case: no undecided nodes")
 			}
 			gen := prg.NewKWise(4, seedBits, n*priorityBits)
-			numSeeds := 1 << seedBits
+			naive := naiveScorer(nil, g, tc.state, gen, chunkOf, len(parts))
 
-			oracleEng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n)
-			oc, ot := condexp.BuildChunkMajorOracle(numSeeds, oracleEng.nChunks, oracleEng.fill)
-
-			for _, w := range []int{1, 4, 0} {
-				eng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n)
-				tbl, err := condexp.BuildTable(par.NewRunner(w), numSeeds, eng.nChunks, eng.fill)
-				if err != nil {
-					t.Fatal(err)
+			eng := newRoundEngine(g, tc.state, parts, gen, chunkOf, n)
+			for seed := uint64(0); seed < 1<<seedBits; seed++ {
+				if got, want := eng.score(seed), naive(seed); got != want {
+					t.Fatalf("seed %d: engine score %d, naive %d", seed, got, want)
 				}
-				if err := tbl.VerifyAgainstChunkMajorOracle(oc, ot, seedBits); err != nil {
-					t.Fatalf("w=%d: %v", w, err)
+			}
+			for _, w := range []int{1, 4, 0} {
+				for _, bitwise := range []bool{false, true} {
+					o := Options{SeedBits: seedBits, Bitwise: bitwise, Par: par.NewRunner(w)}
+					got, _, err := newRoundEngine(g, tc.state, parts, gen, chunkOf, n).selectSeedTable(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := condexp.SelectNaive(o.Par, seedBits, bitwise, naive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Seed != want.Seed || got.Score != want.Score || got.SumScores != want.SumScores {
+						t.Fatalf("w=%d bitwise=%v: engine %+v, naive %+v", w, bitwise, got, want)
+					}
 				}
 			}
 		})

@@ -16,25 +16,23 @@ import (
 // which is the simulation argument of Section 5.1 made executable.
 //
 // Two protocols coexist, mirroring the condexp package's two scoring
-// architectures:
+// paths:
 //
 //   - DistributedSelectSeed (scalar batching) processes the seed space in
 //     batches, paying one compute round plus a full tree ascent per batch:
 //     B·L rounds for B batches over an L-level tree. It is the oracle the
 //     row protocol is differentially tested against.
 //   - DistributedSelectSeedRows (row-sharded converge-cast) is the
-//     paper's shape: each machine fills its whole row of the distributed
-//     [machines × seeds] contribution table in ONE compute round, then the
-//     row vectors ascend the tree as pipelined batches — level l forwards
+//     paper's shape: each machine scores its nodes for every seed, filling
+//     its whole row of per-seed scores in ONE compute round, then the row
+//     vectors ascend the tree as pipelined batches — level l forwards
 //     batch b in the round after its children sent it — so B batches
 //     clear L levels in L+B−1 rounds, never more than the scalar
-//     protocol's B·L. Machines ship chunk-rows (contiguous seed segments
-//     of their subtree sums, folded with a unit-stride kernel add); the
-//     root keeps its direct children's subtree rows apart and, once the
-//     cast drains, assembles the seed-major contribution table from that
-//     chunk-major staging by one blocked transpose, so the final
-//     selection is pure condexp.ContribTable aggregation with the same
-//     unit-stride per-seed row reduce the shared-memory path uses.
+//     protocol's B·L. Every machine, the root included, folds its
+//     children's segments (contiguous seed ranges of their subtree sums)
+//     into its own row with a unit-stride kernel add, so once the cast
+//     drains the root's row holds every seed's total and the selection is
+//     condexp.SelectTotals over it, as in the shared-memory path.
 
 // SeedScorer evaluates, for one machine, the summed objective of the
 // nodes that machine is responsible for under the given seed.
@@ -188,17 +186,8 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 	batch, k := c.batchGeometry()
 	startRounds := c.Metrics.Rounds
 
-	// The root's table chunks: its own row plus one chunk per direct
-	// child (heap positions 1..k), each holding that child's whole
-	// subtree sum once the cast drains. chunkRows is the chunk-major
-	// staging grid [numChunks × numSeeds] the blocked transpose below
-	// turns into the seed-major Contrib.
-	numChunks := 1 + min(k, nm-1)
-	chunkRows := make([]int64, numChunks*numSeeds)
-
-	// Compute round: every machine fills its local row of the distributed
-	// contribution table — the root straight into staging chunk 0. In the
-	// paper's regime the whole row fits in local space
+	// Compute round: every machine fills its local row of per-seed
+	// scores. In the paper's regime the whole row fits in local space
 	// (2^d ≤ poly(Δ) ≤ s); the simulation keeps rows in host-side
 	// accumulators — like the scalar protocol's batch partials, though a
 	// full row is numSeeds words where those are ≤ batch+1 — so for
@@ -207,7 +196,6 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 	// the round/traffic comparison with the scalar oracle is what the
 	// tests certify.
 	acc := make([][]int64, nm)
-	acc[0] = chunkRows[:numSeeds]
 	err = c.Round(func(m *Machine, out *Mailer) {
 		row := acc[m.ID]
 		if row == nil {
@@ -263,19 +251,11 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 					continue // duplicate delivery: fold the first copy only
 				}
 				recvd[p][segKey{d.From, b}] = true
+				// Fold the child's segment into the subtree sum, one
+				// unit-stride kernel add per record.
 				lo := b * batch
 				seg := d.Rec[1:]
-				if p == 0 {
-					// Root: keep child d.From's subtree row as its own
-					// staging chunk instead of folding it away, so the
-					// per-machine attribution survives into the table.
-					at := d.From*numSeeds + lo
-					kernel.Add(chunkRows[at:at+len(seg)], seg)
-				} else {
-					// Interior machine: fold the child's segment into the
-					// subtree sum, one unit-stride kernel add per record.
-					kernel.Add(acc[p][lo:lo+len(seg)], seg)
-				}
+				kernel.Add(acc[p][lo:lo+len(seg)], seg)
 			}
 			c.Machines[p].Inbox = nil
 		}
@@ -290,19 +270,11 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 		}
 	}
 
-	// Root assembly and selection: transpose the chunk-major staging into
-	// the seed-major table (each seed's chunks land contiguously), reduce
-	// every row to its total, and select — pure ContribTable aggregation,
-	// which also yields the certificate. Exact integer addition keeps the
-	// totals bit-identical to the scalar oracle's fold order.
-	contrib := make([]int64, numChunks*numSeeds)
-	kernel.Transpose(contrib, chunkRows, numChunks, numSeeds)
-	totals := make([]int64, numSeeds)
-	for s := 0; s < numSeeds; s++ {
-		totals[s] = kernel.Sum(contrib[s*numChunks : (s+1)*numChunks])
-	}
-	tbl := &condexp.ContribTable{NumSeeds: numSeeds, NumChunks: numChunks, Contrib: contrib, Totals: totals}
-	res = tbl.SelectSeed()
+	// Selection: with the cast drained, the root's row holds every seed's
+	// total, and selecting over it also yields the certificate. Exact
+	// integer addition keeps the totals bit-identical to the scalar
+	// oracle's fold order.
+	res = condexp.SelectTotals(acc[0])
 	if err := c.Broadcast(0, []int64{int64(res.Seed), res.Score}); err != nil {
 		return condexp.Result{}, 0, err
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestDistributedSelectSeedRowsBitIdenticalAcrossDispatchPaths requires
-// the row converge-cast — whose child folds, root staging transpose and
-// total reduction all run through the dispatched kernels — to pick the
+// the row converge-cast — whose segment folds run through the dispatched
+// kernel.Add at every machine, the root included — to pick the
 // identical (seed, score, sum) under both kernel dispatch paths, across
 // shapes that exercise the batched and deep-tree code. Skips when the
 // binary has no AVX2 path.

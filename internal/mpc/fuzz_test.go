@@ -6,13 +6,12 @@ import (
 	"parcolor/internal/rng"
 )
 
-// FuzzDistributedSelectSeedRowsMatchesScalar drives the row protocol's
-// root assembly — per-child chunk staging, blocked transpose into the
-// seed-major table, unit-stride totals — against the scalar oracle over
-// arbitrary cluster shapes, seed-space sizes and objectives. The kernel
-// package fuzzes the transpose in isolation; this fuzz pins the whole
-// assembly inside the L+B−1 pipelined converge-cast. Seeds cover single
-// machine, deep trees, and multi-batch pipelines.
+// FuzzDistributedSelectSeedRowsMatchesScalar drives the row protocol —
+// segment folds at every machine, the root included, and selection over
+// the root's summed row — against the scalar oracle over arbitrary
+// cluster shapes, seed-space sizes and objectives, inside the L+B−1
+// pipelined converge-cast. Seeds cover single machine, deep trees, and
+// multi-batch pipelines.
 func FuzzDistributedSelectSeedRowsMatchesScalar(f *testing.F) {
 	f.Add(uint8(1), uint8(64), uint8(10), uint64(1))
 	f.Add(uint8(9), uint8(64), uint8(200), uint64(7))

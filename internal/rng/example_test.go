@@ -10,9 +10,9 @@ import (
 // engines rely on: the divisor (a participant's palette size) is fixed
 // for a whole round, so the 128-bit reciprocal is precomputed once per
 // participant at engine construction, and every per-(seed, participant)
-// candidate reduction inside the fill loop is a multiply chain instead of
+// candidate reduction inside the seed walk is a multiply chain instead of
 // a hardware division. Mod is bit-identical to %, which is what keeps the
-// table path's chosen seed equal to the naive oracle's.
+// engine's chosen seed equal to the naive oracle's.
 func ExampleDivisor() {
 	palette := []int32{7, 11, 13, 42, 99}
 	// Once per round: |palette| is seed-invariant.

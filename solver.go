@@ -46,7 +46,7 @@ func NewTraceCollector() *TraceCollector { return trace.NewCollector() }
 // Solver (two Solvers with different budgets running concurrently never
 // observe each other's bound — nothing global is mutated). The per-worker
 // scratch of the derandomization engines (PRG expansion buffers, trial
-// arenas, contribution tables, run states, bitset masks) lives in
+// arenas, seed totals, run states, bitset masks) lives in
 // package-level sync.Pools that every Solver shares, so a fresh Solver
 // reuses it as well as an old one. What a Solver itself keeps across
 // solves is the chunk-assignment memo: re-solving the same *Graph skips
