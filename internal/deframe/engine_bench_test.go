@@ -13,9 +13,8 @@ import (
 // benchSelection builds a real pipeline-shaped scoring problem — a
 // GenerateSlack step over a G(n,p) instance with Linial power-graph
 // chunking — and measures one full seed selection (no state mutation), the
-// exact hot path DerandomizeStep runs per schedule step. n sweeps the
-// participant-proportional chunking policy (condexp.ScoreChunks) across
-// the small and large regimes.
+// exact hot path DerandomizeStep runs per schedule step, at a small (n =
+// 300) and a large (n = 3000) participant count.
 func benchSelection(b *testing.B, n int, bitwise, naive bool) {
 	in := d1lc.TrivialPalettes(graph.Gnp(n, 12.0/float64(n), 1))
 	st := hknt.NewState(in)
@@ -118,7 +117,7 @@ func fixedPartsFixture(b *testing.B, n int) *fixedParts {
 	return f
 }
 
-// benchFixedParticipants measures one table-path seed selection (256
+// benchFixedParticipants measures one engine seed selection (256
 // seeds, flat) over the fixed 512 participants of an n-node instance: the
 // per-seed cost contract. The time per selection should not grow with n.
 func benchFixedParticipants(b *testing.B, n int) {
@@ -136,9 +135,8 @@ func benchFixedParticipants(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkSeedSelectionLarge is the n=3000 point of the adaptive
-// score-chunk sweep: participant-proportional chunking gives the table
-// ~188 rows here where the old fixed cap gave 64.
+// BenchmarkSeedSelectionLarge is the n=3000 point of the participant
+// sweep.
 func BenchmarkSeedSelectionLarge(b *testing.B) {
 	b.Run("naive/flat", func(b *testing.B) { benchSelection(b, 3000, false, true) })
 	b.Run("table/flat", func(b *testing.B) { benchSelection(b, 3000, false, false) })
