@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE all build test race test-scratch-race vet vet-bitset fmt bench bench-smoke bench-diff bench-kernel bench-kernel-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff test-bench
+.PHONY: FORCE all build test race test-scratch-race vet vet-bitset fmt bench bench-smoke bench-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff test-bench
 
 all: build test
 
@@ -97,25 +97,6 @@ BENCH_seed_selection.json .bench_scratch/BENCH_seed_selection.json: FORCE
 BENCH_BASELINE ?= BENCH_seed_selection.json
 bench-diff: .bench_scratch/BENCH_seed_selection.json
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $< -tol 0.10 -filter table/
-
-# bench-kernel streams the internal/kernel microbenchmarks — the
-# unit-stride row add, compare-and-movemask, popcount, and-not and fill
-# inner loops under seed selection and the bitset masks — into
-# BENCH_kernel.json, host-stamped like the seed-selection stream. Every
-# kernel emits one row per dispatch path (dispatch=generic vs
-# dispatch=avx2 on capable amd64 hosts), so the committed stream records
-# the scalar-vs-vector gap, not just one number per shape.
-bench-kernel: BENCH_kernel.json
-BENCH_kernel.json .bench_scratch/BENCH_kernel.json: FORCE
-	@mkdir -p $(@D)
-	@echo '{"Host":"$(HOST_FINGERPRINT)"}' > $@
-	$(GO) test -run '^$$' -bench 'Kernel' -benchmem -count 1 -json ./internal/kernel >> $@
-	@echo "wrote $@ (host $(HOST_FINGERPRINT))"
-
-# bench-kernel-diff gates the kernel rows at the same >10% threshold.
-BENCH_KERNEL_BASELINE ?= BENCH_kernel.json
-bench-kernel-diff: .bench_scratch/BENCH_kernel.json
-	$(GO) run ./cmd/benchdiff -old $(BENCH_KERNEL_BASELINE) -new $< -tol 0.10 -filter Kernel
 
 # bench-scale sweeps the derandomized deframe solver and the classical
 # randomized baselines (Jones–Plassmann, Luby) across graph sizes up to

@@ -2,7 +2,6 @@
 // loudly when the current numbers regress beyond a tolerance against
 // the recorded baseline. It gates every stream the repo records:
 // BENCH_seed_selection.json (`make bench`, filter "table/"),
-// BENCH_kernel.json (`make bench-kernel`, filter "Kernel"),
 // BENCH_scale.json (`make bench-scale`, filter "Scale/") and the
 // serving stream BENCH_serving.json that cmd/loadgen writes
 // (`make bench-serving`, filter "Serving/").

@@ -3,7 +3,7 @@
 // content-addressed cache — against a live server, and streams the
 // measured serving performance (latency percentiles, solves/sec, cache
 // hit rate) as host-stamped test2json rows that cmd/benchdiff gates
-// exactly like the kernel and scale streams.
+// exactly like the seed-selection and scale streams.
 //
 // Usage:
 //

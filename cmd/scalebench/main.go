@@ -2,7 +2,7 @@
 // vertices and streams the measurements — wall time, rounds (the
 // work/depth proxy), peak live heap, and color count — as a
 // host-fingerprinted test2json stream that cmd/benchdiff can gate,
-// exactly like the seed-selection and kernel streams.
+// exactly like the seed-selection and serving streams.
 //
 // Usage:
 //

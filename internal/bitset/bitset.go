@@ -10,28 +10,21 @@
 // word i>>6, position i&63 — the same layout rng.Bits uses for PRG
 // output, so masks and expanded randomness share one storage discipline.
 //
-// The word loops under Count, AndNot and FromNeq32 are
-// internal/kernel primitives (PopcountWords, AndNotWords, MaskNeq32),
-// so they take that package's AVX2 bodies on capable amd64 hosts and
-// its pure-Go references everywhere else — bit-identical either way;
-// see the kernel package doc for the dispatch model.
-//
 // Invariant: bits at positions ≥ the mask's logical length are zero.
-// Every bulk constructor (Fill, FillPar, FromNeq32, FromBools)
-// maintains it; Set/Clear/SetTo callers must stay within the length they
-// allocated. Count and ForEach rely on it.
+// Every bulk constructor (Fill, FillPar, FillOnes) maintains it;
+// Set/Clear/SetTo callers must stay within the length they allocated.
+// Count and ForEach rely on it.
 //
 // Concurrency: distinct bits of one word share a read-modify-write, so
-// parallel writers must own word-aligned ranges. FillPar and FromNeq32
-// partition on word boundaries for exactly that reason; per-bit Set/Clear
-// is safe only from a single goroutine (the engines' per-seed fills, which
-// parallelize across seeds, not within one).
+// parallel writers must own word-aligned ranges. FillPar partitions on
+// word boundaries for exactly that reason; per-bit Set/Clear is safe only
+// from a single goroutine (the engines' per-seed fills, which parallelize
+// across seeds, not within one).
 package bitset
 
 import (
 	"math/bits"
 
-	"parcolor/internal/kernel"
 	"parcolor/internal/par"
 )
 
@@ -81,11 +74,13 @@ func (m Mask) SetTo(i int, b bool) {
 // Test reports bit i.
 func (m Mask) Test(i int) bool { return m[i>>6]>>uint(i&63)&1 == 1 }
 
-// Count returns the number of set bits: the whole-mask popcount, via
-// the dispatched kernel (AVX2 nibble-LUT on capable amd64 hosts,
-// unrolled POPCNT otherwise).
+// Count returns the number of set bits: the whole-mask popcount.
 func (m Mask) Count() int {
-	return kernel.PopcountWords(m)
+	c := 0
+	for _, w := range m {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // Copy overwrites m with src (lengths must match).
@@ -97,13 +92,14 @@ func (m Mask) Copy(src Mask) {
 }
 
 // AndNot clears every bit of m that is set in b: the elimination step
-// (candidates &^ losers = winners), 64 participants per operation —
-// word-wise through the dispatched and-not kernel.
+// (candidates &^ losers = winners), 64 participants per operation.
 func (m Mask) AndNot(b Mask) {
 	if len(m) != len(b) {
 		panic("bitset: AndNot length mismatch")
 	}
-	kernel.AndNotWords(m, b)
+	for i := range m {
+		m[i] &^= b[i]
+	}
 }
 
 // ForEach calls fn for every set bit in ascending order, skipping zero
@@ -131,6 +127,13 @@ func (m Mask) Fill(n int, pred func(i int) bool) {
 // rebuild small masks once per evaluated seed.
 const parWordThreshold = 64
 
+// FillSplits reports whether FillPar divides an n-bit fill across
+// workers; below parWordThreshold words it fills sequentially, as Fill
+// does. FillPar's pred escapes to the heap (the fan-out hands it to
+// goroutines), so a caller that builds a capturing closure per call can
+// fill the masks this rejects with Fill and allocate nothing.
+func FillSplits(n int) bool { return Words(n) >= parWordThreshold }
+
 // FillPar is Fill with word-aligned ranges distributed across r's
 // workers (nil = process default): each worker owns whole words, so no
 // two goroutines share a read-modify-write. The result is identical to
@@ -138,53 +141,25 @@ const parWordThreshold = 64
 // outright. Callers inside a budget-scoped solve must pass the solve's
 // runner so the fan-out honors its bound.
 func (m Mask) FillPar(r *par.Runner, n int, pred func(i int) bool) {
-	w := Words(n)
-	if w < parWordThreshold {
-		fillRange(m, 0, w, n, pred)
+	if !FillSplits(n) {
+		m.Fill(n, pred)
 		return
 	}
-	r.ForChunkedWorker(w, func(_, wlo, whi int) {
+	r.ForChunkedWorker(Words(n), func(_, wlo, whi int) {
 		fillRange(m, wlo, whi, n, pred)
 	})
 }
 
 // FillOnes sets the first n bits of m and zeroes the tail bits of the
-// last word: the all-live reset. The whole-word interior goes through
-// kernel.FillWords (AVX2 broadcast stores on capable hosts); the masked
-// tail word preserves the tail-zero invariant. The pred-driven Fill and
-// FillPar stay closure-bound — an arbitrary pred cannot dispatch to a
-// vector body — so callers with a constant-true pred should use this.
+// last word: the all-live reset. Whole words are stored as all-ones and
+// the last partial word is masked, so the tail-zero invariant holds
+// without a per-bit predicate.
 func (m Mask) FillOnes(n int) {
-	fillOnesRange(m, 0, Words(n), n)
-}
-
-// FillOnesPar is FillOnes with word-aligned ranges distributed across
-// r's workers (nil = process default); identical result for any worker
-// count, sequential below the small-mask threshold.
-func (m Mask) FillOnesPar(r *par.Runner, n int) {
-	w := Words(n)
-	if w < parWordThreshold {
-		fillOnesRange(m, 0, w, n)
-		return
+	full := n >> 6
+	for i := range m[:full] {
+		m[i] = ^uint64(0)
 	}
-	r.ForChunkedWorker(w, func(_, wlo, whi int) {
-		fillOnesRange(m, wlo, whi, n)
-	})
-}
-
-// fillOnesRange writes all-ones words to [wlo, whi), masking the final
-// word when n is not a multiple of 64 (that word is always whi-1, since
-// whi never exceeds Words(n)).
-func fillOnesRange(m Mask, wlo, whi, n int) {
-	if wlo >= whi {
-		return
-	}
-	full := whi
-	if whi<<6 > n {
-		full--
-	}
-	kernel.FillWords(m[wlo:full], ^uint64(0))
-	if full < whi {
+	if full < Words(n) {
 		m[full] = ^uint64(0) >> uint(64-n&63)
 	}
 }
@@ -205,32 +180,4 @@ func fillRange(m Mask, wlo, whi, n int, pred func(i int) bool) {
 		}
 		m[wi] = w
 	}
-}
-
-// FromNeq32 rewrites the first len(xs) bits of m as xs[i] != sentinel —
-// the colors-with-sentinel array to win-mask compaction — via
-// kernel.MaskNeq32's branchless compare-and-movemask (8 int32 lanes per
-// accumulation block instead of a branch per element), parallel over
-// word-aligned ranges on r's workers (nil = process default; sequential
-// below the small-mask threshold). m must hold Words(len(xs)) words.
-func (m Mask) FromNeq32(r *par.Runner, xs []int32, sentinel int32) {
-	n := len(xs)
-	w := Words(n)
-	if w < parWordThreshold {
-		kernel.MaskNeq32(m[:w], xs, sentinel)
-		return
-	}
-	r.ForChunkedWorker(w, func(_, wlo, whi int) {
-		hi := whi << 6
-		if hi > n {
-			hi = n
-		}
-		kernel.MaskNeq32(m[wlo:whi], xs[wlo<<6:hi], sentinel)
-	})
-}
-
-// FromBools rewrites the first len(bs) bits of m as bs[i] — the bridge
-// from a naive oracle's bool-slice output into mask space.
-func (m Mask) FromBools(bs []bool) {
-	m.Fill(len(bs), func(i int) bool { return bs[i] })
 }

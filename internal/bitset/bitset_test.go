@@ -4,14 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"parcolor/internal/kernel"
 	"parcolor/internal/par"
 )
 
 // raggedSizes covers the word-boundary cases the engines hit: empty and
 // single-node participant sets, exact multiples of 64, and stragglers on
-// either side of a word boundary.
-var raggedSizes = []int{0, 1, 2, 63, 64, 65, 127, 128, 130, 191, 192, 300, 1000}
+// either side of a word boundary. The last three reach parWordThreshold
+// words and more, so FillPar's word-aligned fan-out runs.
+var raggedSizes = []int{0, 1, 2, 63, 64, 65, 127, 128, 130, 191, 192, 300, 1000, 4096, 4097, 12293}
 
 // reference is the naive bool-slice oracle every mask operation is pinned
 // against.
@@ -122,9 +122,10 @@ func TestForEachAscendingAndComplete(t *testing.T) {
 	}
 }
 
-// TestFillParWorkerInvariance pins the parallel fills bit-identical to the
-// sequential Fill under worker counts 1, 4 and GOMAXPROCS — the ISSUE's
-// ragged-count × worker matrix, run under -race in CI.
+// TestFillParWorkerInvariance pins the parallel fill bit-identical to the
+// sequential Fill under worker counts 1, 4 and GOMAXPROCS, over every
+// ragged size: those past parWordThreshold words split the mask across
+// workers, and CI runs the split under -race.
 func TestFillParWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS default
 		r := par.NewRunner(workers)
@@ -145,27 +146,23 @@ func TestFillParWorkerInvariance(t *testing.T) {
 				}
 			}
 
+			// The same set as a colors-with-sentinel array, filled with
+			// the compare Proposal.RecomputeWin uses.
 			xs := make([]int32, n)
-			bs := make([]bool, n)
 			for i := range xs {
 				if pred(i) {
 					xs[i] = int32(i)
-					bs[i] = true
 				} else {
 					xs[i] = -1
 				}
 			}
-			got.FromNeq32(r, xs, -1)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d n=%d: FromNeq32 word %d mismatch", workers, n, i)
-				}
+			for i := range got {
+				got[i] = ^uint64(0)
 			}
-			got.Reset()
-			got.FromBools(bs)
+			got.FillPar(r, n, func(i int) bool { return xs[i] != -1 })
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("workers=%d n=%d: FromBools word %d mismatch", workers, n, i)
+					t.Fatalf("workers=%d n=%d: FillPar from sentinel word %d mismatch", workers, n, i)
 				}
 			}
 		}
@@ -190,111 +187,63 @@ func TestGrowPreservesCapacityContract(t *testing.T) {
 	}
 }
 
-// TestMaskKernelOpsBothDispatchPaths re-runs the kernel-backed mask
-// operations (Count, AndNot, FromNeq32) against the naive
-// oracle under each of internal/kernel's dispatch paths: the pure-Go
-// bodies always, and the AVX2 bodies when the binary and host carry
-// them. The bitset layer must be bit-identical under both — this is the
-// in-binary counterpart of the noasm CI leg, one layer up from the
-// kernel package's own differentials.
-func TestMaskKernelOpsBothDispatchPaths(t *testing.T) {
-	runPath := func(t *testing.T) {
-		for _, n := range raggedSizes {
-			rng := rand.New(rand.NewSource(int64(n) + 77))
-			m, r := randomPair(n, rng)
-			checkAgainst(t, m, r, "random")
-			b, rb := randomPair(n, rng)
-			m.AndNot(b)
-			for i := 0; i < n; i++ {
-				want := r[i] && !rb[i]
-				if m.Test(i) != want {
-					t.Fatalf("n=%d: AndNot bit %d = %v, want %v", n, i, m.Test(i), want)
-				}
+// TestMaskWordOpsMatchReference checks the word-loop mask operations
+// (Count, AndNot, and FillPar from a sentinel compare) against the naive
+// oracle on random masks.
+func TestMaskWordOpsMatchReference(t *testing.T) {
+	for _, n := range raggedSizes {
+		rng := rand.New(rand.NewSource(int64(n) + 77))
+		m, r := randomPair(n, rng)
+		checkAgainst(t, m, r, "random")
+		b, rb := randomPair(n, rng)
+		m.AndNot(b)
+		for i := 0; i < n; i++ {
+			want := r[i] && !rb[i]
+			if m.Test(i) != want {
+				t.Fatalf("n=%d: AndNot bit %d = %v, want %v", n, i, m.Test(i), want)
 			}
-			xs := make([]int32, n)
-			for i := range xs {
-				if rng.Intn(2) == 0 {
-					xs[i] = -1
-				} else {
-					xs[i] = int32(i)
-				}
+		}
+		xs := make([]int32, n)
+		for i := range xs {
+			if rng.Intn(2) == 0 {
+				xs[i] = -1
+			} else {
+				xs[i] = int32(i)
 			}
-			neq := New(n)
-			neq.FromNeq32(nil, xs, -1)
-			for i := 0; i < n; i++ {
-				if neq.Test(i) != (xs[i] != -1) {
-					t.Fatalf("n=%d: FromNeq32 bit %d = %v, want %v", n, i, neq.Test(i), xs[i] != -1)
-				}
+		}
+		neq := New(n)
+		neq.FillPar(nil, n, func(i int) bool { return xs[i] != -1 })
+		for i := 0; i < n; i++ {
+			if neq.Test(i) != (xs[i] != -1) {
+				t.Fatalf("n=%d: FillPar bit %d = %v, want %v", n, i, neq.Test(i), xs[i] != -1)
 			}
 		}
 	}
-	t.Run("generic", func(t *testing.T) {
-		prev := kernel.SetAVX2ForTest(false)
-		defer kernel.SetAVX2ForTest(prev)
-		runPath(t)
-	})
-	t.Run("avx2", func(t *testing.T) {
-		prev := kernel.SetAVX2ForTest(true)
-		defer kernel.SetAVX2ForTest(prev)
-		if !kernel.UsingAVX2() {
-			t.Skip("AVX2 kernel bodies unavailable in this binary")
-		}
-		runPath(t)
-	})
 }
 
-// TestFillOnesMatchesFill pins the broadcast fill to the pred-driven
-// reference on both dispatch paths and every worker bound: same set
-// bits, same zero tail, stale capacity words beyond the logical length
-// untouched only within the written word range.
+// TestFillOnesMatchesFill pins the all-ones fill to the pred-driven
+// reference: same set bits, same zero tail.
 func TestFillOnesMatchesFill(t *testing.T) {
-	runPath := func(t *testing.T) {
-		for _, n := range raggedSizes {
-			// Larger than parWordThreshold words too, so FillOnesPar's
-			// fan-out path runs.
-			for _, sz := range []int{n, n + 64*parWordThreshold} {
-				want := New(sz)
-				want.Fill(sz, func(int) bool { return true })
+	for _, n := range raggedSizes {
+		// Each ragged tail again, behind 4096 whole bits.
+		for _, sz := range []int{n, n + 64*parWordThreshold} {
+			want := New(sz)
+			want.Fill(sz, func(int) bool { return true })
 
-				got := New(sz)
-				// Poison so the tail-zero invariant is actually exercised.
-				for i := range got {
-					got[i] = 0xa5a5a5a5a5a5a5a5
+			got := New(sz)
+			// Poison so the tail-zero invariant is actually exercised.
+			for i := range got {
+				got[i] = 0xa5a5a5a5a5a5a5a5
+			}
+			got.FillOnes(sz)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("sz=%d: FillOnes word %d = %x, want %x", sz, i, got[i], want[i])
 				}
-				got.FillOnes(sz)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("sz=%d: FillOnes word %d = %x, want %x", sz, i, got[i], want[i])
-					}
-				}
-				for _, workers := range []int{1, 2, 4} {
-					for i := range got {
-						got[i] = 0xa5a5a5a5a5a5a5a5
-					}
-					got.FillOnesPar(par.NewRunner(workers), sz)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("sz=%d workers=%d: FillOnesPar word %d = %x, want %x", sz, workers, i, got[i], want[i])
-						}
-					}
-				}
-				if sz > 0 && got.Count() != sz {
-					t.Fatalf("sz=%d: Count after FillOnes = %d", sz, got.Count())
-				}
+			}
+			if sz > 0 && got.Count() != sz {
+				t.Fatalf("sz=%d: Count after FillOnes = %d", sz, got.Count())
 			}
 		}
 	}
-	t.Run("generic", func(t *testing.T) {
-		prev := kernel.SetAVX2ForTest(false)
-		defer kernel.SetAVX2ForTest(prev)
-		runPath(t)
-	})
-	t.Run("avx2", func(t *testing.T) {
-		prev := kernel.SetAVX2ForTest(true)
-		defer kernel.SetAVX2ForTest(prev)
-		if !kernel.UsingAVX2() {
-			t.Skip("AVX2 kernel bodies unavailable in this binary")
-		}
-		runPath(t)
-	})
 }

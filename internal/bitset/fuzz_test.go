@@ -44,9 +44,9 @@ func FuzzMaskAgainstReference(f *testing.F) {
 		if want := r.countRange(0, n); visited != want {
 			t.Fatalf("ForEach visited %d bits, want %d", visited, want)
 		}
-		// FromNeq32 (the compare-and-movemask kernel) against the same
-		// reference: encode the bool oracle as a sentinel array and the
-		// compaction must reproduce it bit for bit.
+		// FillPar from a sentinel compare (Proposal.RecomputeWin's fill)
+		// against the same reference: encode the bool oracle as a
+		// sentinel array and the fill must reproduce it bit for bit.
 		xs := make([]int32, n)
 		for i, b := range r {
 			if b {
@@ -56,10 +56,10 @@ func FuzzMaskAgainstReference(f *testing.F) {
 			}
 		}
 		neq := New(n)
-		neq.FromNeq32(nil, xs, -1)
+		neq.FillPar(nil, n, func(i int) bool { return xs[i] != -1 })
 		for i := 0; i < n; i++ {
 			if neq.Test(i) != r[i] {
-				t.Fatalf("FromNeq32 bit %d = %v, want %v", i, neq.Test(i), r[i])
+				t.Fatalf("FillPar bit %d = %v, want %v", i, neq.Test(i), r[i])
 			}
 		}
 		other := New(n)

@@ -321,8 +321,15 @@ func (p Proposal) SetWin(v, c int32) {
 // node-parallel conflict loops, which cannot write shared mask words
 // without racing. r scopes the fan-out (nil = process default); trials
 // pass their State's runner so the pass honors the solve's worker budget.
+// A mask too small to split is filled by Fill, whose predicate stays on
+// the stack, so the scoring oracles' per-seed rebuilds allocate nothing.
 func (p Proposal) RecomputeWin(r *par.Runner) {
-	p.Win.FromNeq32(r, p.Color, d1lc.Uncolored)
+	n := len(p.Color)
+	if !bitset.FillSplits(n) {
+		p.Win.Fill(n, func(i int) bool { return p.Color[i] != d1lc.Uncolored })
+		return
+	}
+	p.Win.FillPar(r, n, func(i int) bool { return p.Color[i] != d1lc.Uncolored })
 }
 
 // Apply commits every win and put-aside mark in the proposal, walking the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parcolor/internal/condexp"
-	"parcolor/internal/kernel"
 )
 
 // This file implements the distributed method of conditional expectations
@@ -30,8 +29,8 @@ import (
 //     clear L levels in L+B−1 rounds, never more than the scalar
 //     protocol's B·L. Every machine, the root included, folds its
 //     children's segments (contiguous seed ranges of their subtree sums)
-//     into its own row with a unit-stride kernel add, so once the cast
-//     drains the root's row holds every seed's total and the selection is
+//     into its own row element by element, so once the cast drains the
+//     root's row holds every seed's total and the selection is
 //     condexp.SelectTotals over it, as in the shared-memory path.
 
 // SeedScorer evaluates, for one machine, the summed objective of the
@@ -251,11 +250,11 @@ func DistributedSelectSeedRows(c *Cluster, numSeeds int, fill RowScorer) (res co
 					continue // duplicate delivery: fold the first copy only
 				}
 				recvd[p][segKey{d.From, b}] = true
-				// Fold the child's segment into the subtree sum, one
-				// unit-stride kernel add per record.
-				lo := b * batch
-				seg := d.Rec[1:]
-				kernel.Add(acc[p][lo:lo+len(seg)], seg)
+				// Fold the child's segment into the subtree sum.
+				row := acc[p][b*batch:]
+				for i, x := range d.Rec[1:] {
+					row[i] += x
+				}
 			}
 			c.Machines[p].Inbox = nil
 		}
