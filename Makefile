@@ -92,8 +92,8 @@ BENCH_seed_selection.json .bench_scratch/BENCH_seed_selection.json: FORCE
 	@echo "wrote $@ (host $(HOST_FINGERPRINT))"
 
 # bench-diff gates the engine path: any table/* row whose median over its
-# runs is more than 10% slower than the baseline's median fails the
-# target.
+# runs is more than 10% slower than the baseline's median, or whose median
+# allocs/op is higher, fails the target.
 BENCH_BASELINE ?= BENCH_seed_selection.json
 bench-diff: .bench_scratch/BENCH_seed_selection.json
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $< -tol 0.10 -filter table/

@@ -26,6 +26,14 @@
 // over all runs in the stream, so one noisy run neither fails the gate
 // nor hides a regression in the others.
 //
+// Rows recorded with -benchmem are also compared by their median
+// allocs/op, with no tolerance: a gated row whose allocations rise
+// regresses even when its ns/op holds. Allocation counts do not drift
+// between runs of the same code (every table/ row of the committed
+// seed-selection stream reads the same allocs/op in all five runs), so a
+// rise is a change, not noise. Rows without allocs/op (the scale and
+// serving streams) are compared by ns/op alone.
+//
 // Rows are keyed by (package, benchmark) and matched by exact name; only
 // rows whose name contains the filter substring (default "table/", the
 // mask-based engine path) gate the exit status — the naive-oracle rows
@@ -67,23 +75,30 @@ type event struct {
 }
 
 var (
-	nsOp = regexp.MustCompile(`([0-9][0-9.]*) ns/op`)
+	nsOp     = regexp.MustCompile(`([0-9][0-9.]*) ns/op`)
+	allocsOp = regexp.MustCompile(`([0-9][0-9.]*) allocs/op`)
 	// runName is a result line's leading benchmark name, without the
 	// -GOMAXPROCS suffix go test appends.
 	runName = regexp.MustCompile(`^(Benchmark\S*?)(-[0-9]+)?\s`)
 )
 
-// parse reads a test2json stream and returns each row's median ns/op
-// over all its runs, keyed by "package benchmark", plus the stream's host
-// fingerprint ("" when the stream predates host keying). Output fragments
-// of one benchmark arrive as multiple events (the name line and the
-// measurement line are separate), so fragments are concatenated per key
-// before matching. With -count > 1, go test attributes only the first
-// run's output to the benchmark; later runs arrive as package output
-// whose lines start with the benchmark's name, so a fragment without a
-// benchmark belongs to the one its line names, or else to the last one
-// named in its package.
-func parse(path string) (map[string]float64, string, error) {
+// row is one benchmark's medians over its runs in a stream. allocs is -1
+// when the row carries no allocs/op.
+type row struct {
+	ns, allocs float64
+}
+
+// parse reads a test2json stream and returns each row's median ns/op and
+// allocs/op over all its runs, keyed by "package benchmark", plus the
+// stream's host fingerprint ("" when the stream predates host keying).
+// Output fragments of one benchmark arrive as multiple events (the name
+// line and the measurement line are separate), so fragments are
+// concatenated per key before matching. With -count > 1, go test
+// attributes only the first run's output to the benchmark; later runs
+// arrive as package output whose lines start with the benchmark's name,
+// so a fragment without a benchmark belongs to the one its line names, or
+// else to the last one named in its package.
+func parse(path string) (map[string]row, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", err
@@ -136,19 +151,30 @@ func parse(path string) (map[string]float64, string, error) {
 	if err := sc.Err(); err != nil {
 		return nil, "", err
 	}
-	out := map[string]float64{}
+	out := map[string]row{}
 	for key, b := range frags {
-		var runs []float64
-		for _, m := range nsOp.FindAllStringSubmatch(b.String(), -1) {
-			if v, err := strconv.ParseFloat(m[1], 64); err == nil {
-				runs = append(runs, v)
-			}
+		ns := values(nsOp, b.String())
+		if len(ns) == 0 {
+			continue
 		}
-		if len(runs) > 0 {
-			out[key] = median(runs)
+		r := row{ns: median(ns), allocs: -1}
+		if allocs := values(allocsOp, b.String()); len(allocs) > 0 {
+			r.allocs = median(allocs)
 		}
+		out[key] = r
 	}
 	return out, host, nil
+}
+
+// values returns the number in front of every match of unit in text.
+func values(unit *regexp.Regexp, text string) []float64 {
+	var vs []float64
+	for _, m := range unit.FindAllStringSubmatch(text, -1) {
+		if v, err := strconv.ParseFloat(m[1], 64); err == nil {
+			vs = append(vs, v)
+		}
+	}
+	return vs
 }
 
 // median returns the middle value of xs (the mean of the two middle
@@ -162,6 +188,20 @@ func median(xs []float64) float64 {
 	return (xs[mid-1] + xs[mid]) / 2
 }
 
+// regressions names what makes row n worse than its baseline o: a median
+// ns/op more than tol above o's, or any rise in median allocs/op where
+// both rows carry one.
+func regressions(o, n row, tol float64) []string {
+	var out []string
+	if d := (n.ns - o.ns) / o.ns; d > tol {
+		out = append(out, fmt.Sprintf("ns/op %+.1f%%", d*100))
+	}
+	if o.allocs >= 0 && n.allocs > o.allocs {
+		out = append(out, fmt.Sprintf("allocs/op %.0f -> %.0f", o.allocs, n.allocs))
+	}
+	return out
+}
+
 func main() {
 	oldPath := flag.String("old", "BENCH_seed_selection.json", "baseline test2json stream (the committed recording)")
 	newPath := flag.String("new", ".bench_scratch/BENCH_seed_selection.json", "current test2json stream (make bench-diff writes it)")
@@ -169,12 +209,12 @@ func main() {
 	filter := flag.String("filter", "table/", "substring selecting the rows that gate the exit status")
 	flag.Parse()
 
-	oldNs, oldHost, err := parse(*oldPath)
+	oldRows, oldHost, err := parse(*oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	newNs, newHost, err := parse(*newPath)
+	newRows, newHost, err := parse(*newPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
@@ -190,7 +230,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr,
 			"benchdiff: WARNING — host mismatch: baseline %s vs current %s; "+
-				"cross-hardware ns/op is indicative only, regressions below are warnings, exit stays 0\n",
+				"cross-hardware ns/op and allocs/op are indicative only, regressions below are warnings, exit stays 0\n",
 			describe(oldHost), describe(newHost))
 		if oldHost == "" {
 			fmt.Fprintf(os.Stderr,
@@ -201,8 +241,8 @@ func main() {
 	}
 
 	var keys []string
-	for k := range newNs {
-		if _, ok := oldNs[k]; ok {
+	for k := range newRows {
+		if _, ok := oldRows[k]; ok {
 			keys = append(keys, k)
 		}
 	}
@@ -214,24 +254,30 @@ func main() {
 
 	failed := false
 	gatedRows := 0
-	fmt.Printf("%-70s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	allocs := func(v float64) string {
+		if v < 0 {
+			return "-"
+		}
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	fmt.Printf("%-70s %14s %14s %8s %10s %10s\n", "benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs")
 	for _, k := range keys {
-		o, n := oldNs[k], newNs[k]
-		delta := (n - o) / o
-		gated := strings.Contains(k, *filter)
+		o, n := oldRows[k], newRows[k]
 		status := ""
-		if gated {
+		if strings.Contains(k, *filter) {
 			gatedRows++
-			if delta > *tol {
+			if why := regressions(o, n, *tol); len(why) > 0 {
 				if sameHost {
-					status = "  REGRESSION"
+					status = "  REGRESSION: "
 					failed = true
 				} else {
-					status = "  regression? (host mismatch)"
+					status = "  regression? (host mismatch): "
 				}
+				status += strings.Join(why, ", ")
 			}
 		}
-		fmt.Printf("%-70s %14.0f %14.0f %+7.1f%%%s\n", k, o, n, delta*100, status)
+		fmt.Printf("%-70s %14.0f %14.0f %+7.1f%% %10s %10s%s\n",
+			k, o.ns, n.ns, (n.ns-o.ns)/o.ns*100, allocs(o.allocs), allocs(n.allocs), status)
 	}
 	if gatedRows == 0 {
 		// A filter that matches nothing (renamed benchmarks, typo) must not
@@ -247,7 +293,7 @@ func main() {
 		if !strings.Contains(k, "/n=1000000/deterministic/wall") {
 			continue
 		}
-		o, n := oldNs[k], newNs[k]
+		o, n := oldRows[k].ns, newRows[k].ns
 		graph := k
 		if i := strings.Index(k, "Scale/"); i >= 0 {
 			graph = k[i+len("Scale/"):]
@@ -263,12 +309,12 @@ func main() {
 		headline += fmt.Sprintf("%s %+.1f%%", graph, (n-o)/o*100)
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchdiff: FAIL — %q rows regressed more than %.0f%% vs %s%s\n",
+		fmt.Fprintf(os.Stderr, "benchdiff: FAIL — %q rows regressed more than %.0f%% in ns/op, or in allocs/op, vs %s%s\n",
 			*filter, *tol*100, *oldPath, headline)
 		os.Exit(1)
 	}
 	if sameHost {
-		fmt.Printf("benchdiff: ok — no %q row regressed more than %.0f%% (host %s)%s\n", *filter, *tol*100, oldHost, headline)
+		fmt.Printf("benchdiff: ok — no %q row regressed more than %.0f%% in ns/op, or in allocs/op (host %s)%s\n", *filter, *tol*100, oldHost, headline)
 	} else {
 		fmt.Printf("benchdiff: ok (host mismatch — comparison indicative only)%s\n", headline)
 	}

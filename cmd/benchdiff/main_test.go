@@ -32,8 +32,8 @@ func TestParseGoodStream(t *testing.T) {
 		t.Fatalf("host = %q", host)
 	}
 	key := "parcolor/internal/condexp BenchmarkSelect/table/n=256"
-	if ns[key] != 12345 {
-		t.Fatalf("ns[%q] = %v", key, ns[key])
+	if ns[key] != (row{ns: 12345, allocs: -1}) {
+		t.Fatalf("ns[%q] = %+v", key, ns[key])
 	}
 }
 
@@ -85,8 +85,8 @@ func TestParseServingStream(t *testing.T) {
 		"parcolor/loadgen BenchmarkServingInfo/mix/requests":      212,
 	}
 	for k, v := range wants {
-		if ns[k] != v {
-			t.Errorf("ns[%q] = %v, want %v", k, ns[k], v)
+		if ns[k] != (row{ns: v, allocs: -1}) {
+			t.Errorf("ns[%q] = %+v, want %v ns/op and no allocs/op", k, ns[k], v)
 		}
 	}
 	// The gate contract the serving Makefile targets rely on: the
@@ -124,12 +124,12 @@ func TestParseRejectsTruncatedLine(t *testing.T) {
 // test -json streams them: only the first run's output carries the
 // benchmark's name in the Test field, and later runs arrive as package
 // output, either whole or with the name and the measurement in separate
-// fragments.
-func fiveRuns(bitwise, flat []int) string {
+// fragments. Every run of the flat row reads flatAllocs allocs/op.
+func fiveRuns(bitwise, flat []int, flatAllocs int) string {
 	const pkg = `"Package":"parcolor/internal/lowdeg"`
 	var b strings.Builder
 	b.WriteString(`{"Host":"hostA"}` + "\n")
-	row := func(name string, ns []int) {
+	row := func(name string, ns []int, allocs int) {
 		out := func(test, text string) {
 			if test != "" {
 				test = `"Test":"` + test + `",`
@@ -138,9 +138,9 @@ func fiveRuns(bitwise, flat []int) string {
 		}
 		out(name, "=== RUN   "+name+"\n")
 		out(name, name+"-2  \t")
-		out(name, fmt.Sprintf("     330\t  %d ns/op\t  110798 B/op\t     661 allocs/op\n", ns[0]))
+		out(name, fmt.Sprintf("     330\t  %d ns/op\t  110798 B/op\t     %d allocs/op\n", ns[0], allocs))
 		for k, v := range ns[1:] {
-			line := fmt.Sprintf("     330\t  %d ns/op\t  110798 B/op\t     661 allocs/op\n", v)
+			line := fmt.Sprintf("     330\t  %d ns/op\t  110798 B/op\t     %d allocs/op\n", v, allocs)
 			if k%2 == 0 {
 				out("", name+"-2  \t"+line)
 			} else {
@@ -149,42 +149,73 @@ func fiveRuns(bitwise, flat []int) string {
 			}
 		}
 	}
-	row("BenchmarkSeedSelectionLowdeg/table/bitwise", bitwise)
-	row("BenchmarkSeedSelectionLowdeg/table/flat", flat)
+	row("BenchmarkSeedSelectionLowdeg/table/bitwise", bitwise, 661)
+	row("BenchmarkSeedSelectionLowdeg/table/flat", flat, flatAllocs)
 	return b.String()
 }
+
+const (
+	bitwiseKey = "parcolor/internal/lowdeg BenchmarkSeedSelectionLowdeg/table/bitwise"
+	flatKey    = "parcolor/internal/lowdeg BenchmarkSeedSelectionLowdeg/table/flat"
+)
 
 // TestGateComparesMediansOfRepeatedRuns drives the gate's comparison —
 // (new − old)/old against the 10% tolerance — over five-run streams in
 // both directions: a slow first run must not fail the gate, and a fast
 // first run must not hide four slow ones.
 func TestGateComparesMediansOfRepeatedRuns(t *testing.T) {
-	const (
-		bitwise = "parcolor/internal/lowdeg BenchmarkSeedSelectionLowdeg/table/bitwise"
-		flat    = "parcolor/internal/lowdeg BenchmarkSeedSelectionLowdeg/table/flat"
-		tol     = 0.10
-	)
+	const tol = 0.10
 	base := []int{3300, 3410, 3250, 3390, 3360}
-	oldNs, _, err := parse(writeStream(t, "base.json", fiveRuns(base, base)))
+	oldRows, _, err := parse(writeStream(t, "base.json", fiveRuns(base, base, 661)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oldNs[bitwise] != 3360 || oldNs[flat] != 3360 {
-		t.Errorf("baseline medians %v, want 3360 for both rows", oldNs)
+	if oldRows[bitwiseKey].ns != 3360 || oldRows[flatKey].ns != 3360 {
+		t.Errorf("baseline medians %v, want 3360 for both rows", oldRows)
 	}
 	slowFirst := []int{4900, 3350, 3280, 3400, 3310}
 	fastFirst := []int{3300, 4100, 4050, 4200, 3990}
-	newNs, _, err := parse(writeStream(t, "new.json", fiveRuns(slowFirst, fastFirst)))
+	newRows, _, err := parse(writeStream(t, "new.json", fiveRuns(slowFirst, fastFirst, 661)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		key     string
 		regress bool
-	}{{bitwise, false}, {flat, true}} {
-		o, n := oldNs[tc.key], newNs[tc.key]
-		if got := (n-o)/o > tol; got != tc.regress {
-			t.Errorf("%s: old %.0f ns/op, new %.0f ns/op: regression = %v, want %v", tc.key, o, n, got, tc.regress)
+	}{{bitwiseKey, false}, {flatKey, true}} {
+		o, n := oldRows[tc.key], newRows[tc.key]
+		if got := len(regressions(o, n, tol)) > 0; got != tc.regress {
+			t.Errorf("%s: old %.0f ns/op, new %.0f ns/op: regression = %v, want %v", tc.key, o.ns, n.ns, got, tc.regress)
 		}
+	}
+}
+
+// TestGateFailsOnAllocsRise pins the allocation half of the gate: a row
+// whose median allocs/op rises regresses although its ns/op holds, while
+// a baseline row without allocs/op, such as the serving stream's, is
+// compared by ns/op alone.
+func TestGateFailsOnAllocsRise(t *testing.T) {
+	const tol = 0.10
+	base := []int{3300, 3410, 3250, 3390, 3360}
+	oldRows, _, err := parse(writeStream(t, "base.json", fiveRuns(base, base, 225)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRows, _, err := parse(writeStream(t, "new.json", fiveRuns(base, base, 229)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, n := oldRows[flatKey], newRows[flatKey]; o.ns != n.ns || o.allocs != 225 || n.allocs != 229 {
+		t.Fatalf("fixture medians old %+v, new %+v", o, n)
+	}
+	why := regressions(oldRows[flatKey], newRows[flatKey], tol)
+	if len(why) != 1 || !strings.Contains(why[0], "allocs/op 225 -> 229") {
+		t.Errorf("flat row: regressions %q, want the allocs/op rise alone", why)
+	}
+	if why := regressions(oldRows[bitwiseKey], newRows[bitwiseKey], tol); len(why) != 0 {
+		t.Errorf("bitwise row, unchanged: regressions %q", why)
+	}
+	if why := regressions(row{ns: 3360, allocs: -1}, newRows[flatKey], tol); len(why) != 0 {
+		t.Errorf("baseline without allocs/op: regressions %q", why)
 	}
 }

@@ -42,13 +42,20 @@ func NewReduceArena() *ReduceArena { return reduceArenas.Get().(*ReduceArena) }
 // done. The caller must not use a afterwards.
 func (a *ReduceArena) Release() { reduceArenas.Put(a) }
 
-// ReducePar is the arena counterpart of the package-level ReducePar.
+// ReducePar builds the residual D1LC instance on the given uncolored
+// nodes: the induced subgraph, with each node's palette shrunk by the
+// permanent colors of its already-colored neighbors. The result is again a
+// valid D1LC instance (a palette loses at most one color per colored
+// neighbor, a degree exactly one), which is the self-reducibility property
+// the paper's Theorem 12 relies on. origOf maps residual node indices back
+// to original ones, for Apply.
+//
 // nodes must be sorted ascending and duplicate-free (the uncolored scan
 // and the bin bucketing both produce exactly that; the underlying
 // extraction panics otherwise). Each node's slab slot is sized by its
 // parent palette — an upper bound on the shrunk palette — with exclusive
 // prefix offsets, so the parallel fill writes disjoint ranges and the
-// result is bit-identical to the allocating path for any worker count.
+// result is the same for any worker count.
 func (a *ReduceArena) ReducePar(r *par.Runner, in *Instance, col *Coloring, nodes []int32) (res *Instance, origOf []int32) {
 	sub, origOf := a.sub.Extract(r, in.G, nodes)
 	k := len(origOf)
@@ -80,9 +87,9 @@ func (a *ReduceArena) ReducePar(r *par.Runner, in *Instance, col *Coloring, node
 	return &Instance{G: sub, Palettes: pals}, origOf
 }
 
-// ReduceUncolored is ReduceUncoloredPar on the arena: the keep list is
-// gathered into reused storage (ascending by construction) and the
-// reduction follows ReducePar above.
+// ReduceUncolored is ReducePar over exactly the uncolored nodes of col;
+// the keep list is gathered into reused storage (ascending by
+// construction).
 func (a *ReduceArena) ReduceUncolored(r *par.Runner, in *Instance, col *Coloring) (res *Instance, origOf []int32) {
 	nodes := a.nodes[:0]
 	for v := int32(0); v < int32(in.G.N()); v++ {

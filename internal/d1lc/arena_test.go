@@ -8,6 +8,35 @@ import (
 	"parcolor/internal/par"
 )
 
+// ReducePar is the allocating reference for ReduceArena.ReducePar: the
+// same residual instance, with one fresh palette per node.
+func ReducePar(r *par.Runner, in *Instance, col *Coloring, nodes []int32) (res *Instance, origOf []int32) {
+	sub, origOf := graph.InducedSubgraphPar(r, in.G, nodes)
+	pal := make([][]int32, sub.N())
+	r.ForChunked(len(origOf), func(lo, hi int) {
+		var blocked []int32
+		for i := lo; i < hi; i++ {
+			v := origOf[i]
+			blocked = gatherBlocked(in.G.Neighbors(v), col, blocked[:0])
+			src := in.Palettes[v]
+			p := make([]int32, 0, len(src))
+			pal[i] = subtractSorted(p, src, blocked)
+		}
+	})
+	return &Instance{G: sub, Palettes: pal}, origOf
+}
+
+// ReduceUncoloredPar is ReducePar over exactly the uncolored nodes of col.
+func ReduceUncoloredPar(r *par.Runner, in *Instance, col *Coloring) (res *Instance, origOf []int32) {
+	var nodes []int32
+	for v := int32(0); v < int32(in.G.N()); v++ {
+		if col.Colors[v] == Uncolored {
+			nodes = append(nodes, v)
+		}
+	}
+	return ReducePar(r, in, col, nodes)
+}
+
 // TestReduceArenaMatchesReducePar pins the arena reduction bit-identical
 // to the allocating path — graph, origOf, and every shrunk palette —
 // across palette shapes, worker bounds, and repeated reuse of one arena.

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"parcolor/internal/graph"
-	"parcolor/internal/par"
 	"parcolor/internal/rng"
 )
 
@@ -226,44 +225,9 @@ func randomSubset(universe, k int, s *rng.Stream) []int32 {
 }
 
 // --- Self-reduction (Definition 11) --------------------------------------
-
-// Reduce builds the residual D1LC instance on the given uncolored node set:
-// the induced subgraph, with each node's palette shrunk by the permanent
-// colors of its already-colored neighbors. The result is again a valid
-// D1LC instance (palette loses at most one color per colored neighbor,
-// degree loses exactly one per colored neighbor), which is the
-// self-reducibility property the paper's Theorem 12 relies on.
 //
-// origOf maps residual node indices back to original indices so a residual
-// coloring can be written back with Apply.
-func Reduce(in *Instance, col *Coloring, nodes []int32) (res *Instance, origOf []int32) {
-	return ReducePar(nil, in, col, nodes)
-}
-
-// ReducePar is Reduce with the residual graph construction scoped to r's
-// workers (nil = process default), so self-reduction inside a
-// budget-scoped solve honors the solve's worker bound.
-//
-// Palette shrinking is map-free: each worker gathers its node's blocked
-// colors into a reused sorted buffer and subtracts it from the (sorted)
-// palette with one merge walk. The per-node hash map this replaced was
-// the dominant allocation in million-node profiles (runtime map ops were
-// ~26% of cumulative CPU on a 10^6-node gnp solve).
-func ReducePar(r *par.Runner, in *Instance, col *Coloring, nodes []int32) (res *Instance, origOf []int32) {
-	sub, origOf := graph.InducedSubgraphPar(r, in.G, nodes)
-	pal := make([][]int32, sub.N())
-	r.ForChunked(len(origOf), func(lo, hi int) {
-		var blocked []int32
-		for i := lo; i < hi; i++ {
-			v := origOf[i]
-			blocked = gatherBlocked(in.G.Neighbors(v), col, blocked[:0])
-			src := in.Palettes[v]
-			p := make([]int32, 0, len(src))
-			pal[i] = subtractSorted(p, src, blocked)
-		}
-	})
-	return &Instance{G: sub, Palettes: pal}, origOf
-}
+// ReduceArena (arena.go) builds the residual instance on a set of
+// uncolored nodes. The merge walks below are shared with GreedyComplete.
 
 // gatherBlocked appends the colors of v's colored neighbors to buf and
 // returns it sorted (duplicates kept — the merge walks tolerate them).
@@ -311,24 +275,8 @@ func FirstFreeColor(palette, blocked []int32) int32 {
 	return Uncolored
 }
 
-// ReduceUncolored is Reduce over exactly the uncolored nodes of col.
-func ReduceUncolored(in *Instance, col *Coloring) (res *Instance, origOf []int32) {
-	return ReduceUncoloredPar(nil, in, col)
-}
-
-// ReduceUncoloredPar is ReduceUncolored on r's workers; see ReducePar.
-func ReduceUncoloredPar(r *par.Runner, in *Instance, col *Coloring) (res *Instance, origOf []int32) {
-	var nodes []int32
-	for v := int32(0); v < int32(in.G.N()); v++ {
-		if col.Colors[v] == Uncolored {
-			nodes = append(nodes, v)
-		}
-	}
-	return ReducePar(r, in, col, nodes)
-}
-
 // Apply writes a residual coloring back into the original coloring through
-// the origOf map produced by Reduce.
+// the origOf map that ReduceArena's reductions return.
 func Apply(col *Coloring, residual *Coloring, origOf []int32) {
 	for i, c := range residual.Colors {
 		if c != Uncolored {
@@ -340,9 +288,8 @@ func Apply(col *Coloring, residual *Coloring, origOf []int32) {
 // GreedyComplete colors every remaining uncolored node of col sequentially
 // with its smallest available palette color. For a valid D1LC residual this
 // always succeeds (a node has at most d(v) blocked colors and d(v)+1
-// palette colors). It is the paper's final "collect the leftovers onto one
-// machine and color greedily" step, and the universal fallback that makes
-// every pipeline in this repository unconditionally correct.
+// palette colors). Solves finish with hknt.FinishGreedy instead; tests of
+// this package and of sparsify use this one to complete partial colorings.
 func GreedyComplete(in *Instance, col *Coloring) error {
 	var blocked []int32
 	for v := int32(0); v < int32(in.G.N()); v++ {

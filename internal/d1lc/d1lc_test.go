@@ -122,7 +122,7 @@ func TestReduceProducesValidInstance(t *testing.T) {
 	col := NewColoring(5)
 	col.Colors[0] = 0
 	col.Colors[3] = 3
-	res, orig := ReduceUncolored(in, col)
+	res, orig := ReduceUncoloredPar(nil, in, col)
 	if res.N() != 3 {
 		t.Fatalf("residual n=%d", res.N())
 	}
@@ -159,7 +159,7 @@ func TestReduceApplyRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		res, orig := ReduceUncolored(in, col)
+		res, orig := ReduceUncoloredPar(nil, in, col)
 		if res.Check() != nil {
 			return false
 		}
@@ -183,7 +183,7 @@ func TestReduceSubsetOfNodes(t *testing.T) {
 	in := TrivialPalettes(g)
 	col := NewColoring(8)
 	col.Colors[1] = 1
-	res, orig := Reduce(in, col, []int32{0, 2})
+	res, orig := ReducePar(nil, in, col, []int32{0, 2})
 	if res.N() != 2 {
 		t.Fatal("wrong residual size")
 	}

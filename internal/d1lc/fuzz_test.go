@@ -1,47 +1,12 @@
 package d1lc
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"parcolor/internal/graph"
 )
 
-// FuzzReadInstance checks that the instance parser never panics and that
-// everything it accepts satisfies the D1LC invariants and round-trips.
-func FuzzReadInstance(f *testing.F) {
-	var seedBuf bytes.Buffer
-	_ = WriteInstance(&seedBuf, TrivialPalettes(graph.Cycle(5)))
-	f.Add(seedBuf.String())
-	f.Add("d1lc 2 1\n0 1\np 0 0 1\np 1 1 2\n")
-	f.Add("d1lc 0 0\n")
-	f.Add("d1lc 3 2\n0 1\n1 2\np 0 5\np 1 5 6 7\np 2 5 9\n")
-	f.Add("garbage")
-	f.Add("d1lc 1 0\np 0\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		in, err := ReadInstance(strings.NewReader(input))
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		if err := in.Check(); err != nil {
-			t.Fatalf("accepted instance fails Check: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := WriteInstance(&buf, in); err != nil {
-			t.Fatal(err)
-		}
-		again, err := ReadInstance(&buf)
-		if err != nil {
-			t.Fatalf("round trip of accepted instance failed: %v", err)
-		}
-		if again.G.N() != in.G.N() || again.G.M() != in.G.M() {
-			t.Fatal("round trip changed shape")
-		}
-	})
-}
-
-// FuzzGreedyOnArbitraryGraphs drives GreedyComplete over parser-produced
+// FuzzGreedyOnArbitraryGraphs drives GreedyComplete over generated
 // instances: any valid instance must be colorable.
 func FuzzGreedyOnArbitraryGraphs(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint8(30))

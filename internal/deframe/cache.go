@@ -33,7 +33,7 @@ type chunkVal struct {
 }
 
 // maxChunkMemo bounds the memo; when full it is reset wholesale (the
-// entries are pure caches, recomputable at the cost of one PowerGraph).
+// entries are pure caches, recomputable at the cost of one PowerGraphPar).
 // The bound is deliberately small: each key pins its graph alive, and the
 // win case is repeated solves of the same instance (whose top-level graph
 // pointer recurs), while recursion residuals and sparsify sub-instances

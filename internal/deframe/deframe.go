@@ -473,11 +473,3 @@ func (r *Report) CertificatesHold() bool {
 	}
 	return true
 }
-
-// LevelCount returns the number of recursion levels used.
-func (r *Report) LevelCount() int {
-	if r.Recursed == nil {
-		return 1
-	}
-	return 1 + r.Recursed.LevelCount()
-}

@@ -9,6 +9,14 @@ import (
 	"parcolor/internal/hknt"
 )
 
+// LevelCount returns the number of recursion levels used.
+func (r *Report) LevelCount() int {
+	if r.Recursed == nil {
+		return 1
+	}
+	return 1 + r.Recursed.LevelCount()
+}
+
 func smallOpts() Options {
 	return Options{SeedBits: 6, Tunables: hknt.Tunables{LowDeg: 4}}
 }

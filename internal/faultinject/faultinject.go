@@ -110,9 +110,6 @@ func New(inner mpc.Transport, sched Schedule, tr trace.Tracer) *Transport {
 // Stats returns the fault counters accumulated so far.
 func (t *Transport) Stats() Stats { return t.stats }
 
-// Tick returns the schedule clock (Deliver calls observed).
-func (t *Transport) Tick() int { return t.tick }
-
 func spanActive(from, to, tick int) bool {
 	return tick >= from && (to < 0 || tick < to)
 }

@@ -137,22 +137,6 @@ func logRatio(u, p float64) float64 {
 	return math.Log(1-u) / math.Log(1-p)
 }
 
-// pairFromIndex maps a linear index over {(u,v): 0<=u<v<n} in lexicographic
-// order back to the pair. It scans rows from zero, so it is O(n) per call —
-// retained as the reference the streaming row cursor in GnpEdges is pinned
-// against, not for use on a hot path.
-func pairFromIndex(pos int64, n int) (int32, int32) {
-	// Row u occupies n-1-u entries. Find u by accumulating.
-	u := int64(0)
-	rowLen := int64(n - 1)
-	for pos >= rowLen {
-		pos -= rowLen
-		u++
-		rowLen--
-	}
-	return int32(u), int32(u + 1 + pos)
-}
-
 // RandomRegular returns a (near-)d-regular graph on n nodes via the
 // permutation-matching construction: d rounds of random perfect matchings
 // over a shuffled node sequence, dropping collisions. The result has
@@ -310,21 +294,6 @@ func NoisyClique(c, fringe int, eps float64, seed uint64) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// Bipartite returns a random bipartite graph with sides a, b and edge
-// probability p; side A is nodes [0,a), side B is [a, a+b).
-func Bipartite(a, bn int, p float64, seed uint64) *Graph {
-	bld := NewBuilder(a + bn)
-	s := rng.New(rng.Hash2(seed, 0xB1))
-	for u := 0; u < a; u++ {
-		for v := 0; v < bn; v++ {
-			if s.Float64() < p {
-				bld.AddEdge(int32(u), int32(a+v))
-			}
-		}
-	}
-	return bld.Build()
 }
 
 // Caterpillar returns a path of length spine with legs pendant nodes

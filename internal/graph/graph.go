@@ -29,7 +29,7 @@
 // Relabeling permutes vertices into degree-sorted order and cuts the new
 // id space into shards whose adjacency storage fits a cache budget.
 // NewOf/OldOf are inverse bijections; a coloring computed on the relabeled
-// graph maps back through OldOf exactly (MapColoringBack), so the layout
+// graph maps back through OldOf exactly (MapBack), so the layout
 // is a pure optimization — solvers observe a relabeled instance, callers
 // observe original ids, bit-for-bit.
 package graph
@@ -253,18 +253,17 @@ func dedupSorted(s []int32) int {
 }
 
 // StreamBuilder constructs a CSR graph in two passes without ever holding
-// an intermediate edge list: pass one counts each node's arcs (CountArc /
-// CountEdge), pass two writes them directly into the final adjacency
-// array (FillArc / FillEdge). Producers that can enumerate their arcs
+// an intermediate edge list: pass one counts each node's arcs
+// (CountArcs), pass two writes them directly into the final adjacency
+// array (FillArc). Producers that can enumerate their arcs
 // twice — induced subgraphs, power-graph balls, streamed generators — pay
 // exactly the output CSR in memory, nothing else.
 //
 // The producer must emit the same multiset of arcs in both passes: every
-// directed arc u→v exactly once (use CountEdge/FillEdge to emit both
-// directions of an undirected edge at once), no self-loops, no
-// duplicates. Finish checks the two passes agreed on every node's count
-// and that each list is duplicate-free after sorting, returning an error
-// otherwise.
+// directed arc u→v exactly once (both directions of an undirected edge),
+// no self-loops, no duplicates. Finish checks the two passes agreed on
+// every node's count and that each list is duplicate-free after sorting,
+// returning an error otherwise.
 type StreamBuilder struct {
 	n       int
 	offsets []int32 // counts during pass 1, prefix-summed by BeginFill
@@ -279,19 +278,9 @@ func NewStreamBuilder(n int) *StreamBuilder {
 	return &StreamBuilder{n: n, offsets: make([]int32, n+1)}
 }
 
-// CountArc records, during the counting pass, that u will receive one
-// neighbor entry.
-func (b *StreamBuilder) CountArc(u int32) { b.offsets[u+1]++ }
-
 // CountArcs records k neighbor entries for u at once (a BFS ball's size,
 // a filtered adjacency length).
 func (b *StreamBuilder) CountArcs(u int32, k int) { b.offsets[u+1] += int32(k) }
-
-// CountEdge counts both directions of the undirected edge {u,v}.
-func (b *StreamBuilder) CountEdge(u, v int32) {
-	b.offsets[u+1]++
-	b.offsets[v+1]++
-}
 
 // BeginFill ends the counting pass: offsets are prefix-summed and the
 // adjacency array is allocated at its exact final size.
@@ -308,12 +297,6 @@ func (b *StreamBuilder) BeginFill() {
 func (b *StreamBuilder) FillArc(u, v int32) {
 	b.adj[int(b.offsets[u])+int(b.cursor[u])] = v
 	b.cursor[u]++
-}
-
-// FillEdge writes both directions of the undirected edge {u,v}.
-func (b *StreamBuilder) FillEdge(u, v int32) {
-	b.FillArc(u, v)
-	b.FillArc(v, u)
 }
 
 // Finish sorts each adjacency list (parallel on r's workers; nil =
@@ -348,19 +331,6 @@ func (b *StreamBuilder) Finish(r *par.Runner, sortedLists bool) (*Graph, error) 
 		}
 	}
 	return &Graph{offsets: b.offsets, adj: b.adj}, nil
-}
-
-// FromAdjacency constructs a graph directly from adjacency lists; used by
-// tests and by quick-check shrinkers. Lists may be unsorted and contain
-// duplicates; symmetry is completed automatically.
-func FromAdjacency(lists [][]int32) *Graph {
-	b := NewBuilder(len(lists))
-	for u, ns := range lists {
-		for _, v := range ns {
-			b.AddEdge(int32(u), v)
-		}
-	}
-	return b.Build()
 }
 
 // InducedSubgraph returns the subgraph induced by keep (any order, no
@@ -450,63 +420,12 @@ func LineGraph(g *Graph) (lg *Graph, edges [][2]int32) {
 	return b.Build(), edges
 }
 
-// BallBounded performs a BFS from v up to depth radius, appending every
-// node at distance in [1, radius] to dst (excluding v itself) and returning
-// it. If the ball exceeds maxSize nodes the traversal stops and ok is
-// false; this is how callers enforce MPC local-space limits when collecting
-// τ-hop neighborhoods (Lemma 17).
-//
-// scratch must be a caller-owned slice of length g.N() initialized to -1;
-// it is restored to -1 before returning, so it can be reused across calls.
-func BallBounded(g *Graph, v int32, radius, maxSize int, dst []int32, scratch []int32) (out []int32, ok bool) {
-	out = dst[:0]
-	if radius <= 0 {
-		return out, true
-	}
-	scratch[v] = 0
-	frontier := []int32{v}
-	touched := []int32{v}
-	ok = true
-bfs:
-	for depth := 1; depth <= radius && len(frontier) > 0; depth++ {
-		var next []int32
-		for _, u := range frontier {
-			for _, w := range g.Neighbors(u) {
-				if scratch[w] >= 0 {
-					continue
-				}
-				scratch[w] = int32(depth)
-				touched = append(touched, w)
-				out = append(out, w)
-				next = append(next, w)
-				if maxSize > 0 && len(out) > maxSize {
-					ok = false
-					break bfs
-				}
-			}
-		}
-		frontier = next
-	}
-	for _, u := range touched {
-		scratch[u] = -1
-	}
-	if !ok {
-		return out[:0], false
-	}
-	return out, true
-}
-
-// PowerGraph returns G^radius restricted to nodes whose balls stay within
-// maxBall (0 = unbounded): nodes u,v are adjacent iff their distance in G
-// is in [1, radius]. Used to build the G^{4τ} instance whose coloring
-// assigns PRG chunks in Lemma 10.
-func PowerGraph(g *Graph, radius, maxBall int) (*Graph, error) {
-	return PowerGraphPar(nil, g, radius, maxBall)
-}
-
-// PowerGraphPar is PowerGraph with construction scoped to r's workers
-// (nil = process default), so the power-graph build inside a
-// budget-scoped solve honors the solve's worker bound.
+// PowerGraphPar returns G^radius restricted to nodes whose balls stay
+// within maxBall (0 = unbounded): nodes u,v are adjacent iff their
+// distance in G is in [1, radius]. It builds the G^{4τ} instance whose
+// coloring assigns PRG chunks in Lemma 10, on r's workers (nil = process
+// default), so the build inside a budget-scoped solve honors the solve's
+// worker bound.
 //
 // Construction is streaming and chunked: each worker re-runs the
 // deterministic bounded BFS in a counting pass and a fill pass, writing

@@ -64,7 +64,6 @@ func TestGeneratorsValidate(t *testing.T) {
 		"powerlaw":    PowerLaw(150, 3, 4),
 		"cliques":     CliquesPlusMatching(4, 10, 5),
 		"noisy":       NoisyClique(20, 10, 0.1, 6),
-		"bipartite":   Bipartite(20, 30, 0.2, 7),
 		"caterpillar": Caterpillar(10, 3),
 		"mixed":       Mixed(120, 8),
 	}
@@ -103,6 +102,21 @@ func TestGnpEdgeCases(t *testing.T) {
 	if g := Gnp(1, 0.5, 1); g.N() != 1 || g.M() != 0 {
 		t.Fatal("n=1 wrong")
 	}
+}
+
+// pairFromIndex maps a linear index over {(u,v): 0<=u<v<n} in lexicographic
+// order back to the pair. It scans rows from zero, so it is O(n) per call:
+// the reference the streaming row cursor in GnpEdges is pinned against.
+func pairFromIndex(pos int64, n int) (int32, int32) {
+	// Row u occupies n-1-u entries. Find u by accumulating.
+	u := int64(0)
+	rowLen := int64(n - 1)
+	for pos >= rowLen {
+		pos -= rowLen
+		u++
+		rowLen--
+	}
+	return int32(u), int32(u + 1 + pos)
 }
 
 // TestGnpEdgesMatchesPairFromIndex pins GnpEdges' streaming row cursor
@@ -255,36 +269,9 @@ func TestLineGraphDegreeIdentity(t *testing.T) {
 	}
 }
 
-func TestBallBounded(t *testing.T) {
-	g := Path(10)
-	scratch := make([]int32, g.N())
-	for i := range scratch {
-		scratch[i] = -1
-	}
-	ball, ok := BallBounded(g, 5, 2, 0, nil, scratch)
-	if !ok || len(ball) != 4 {
-		t.Fatalf("ball=%v ok=%v", ball, ok)
-	}
-	// scratch must be restored
-	for i, s := range scratch {
-		if s != -1 {
-			t.Fatalf("scratch[%d]=%d not restored", i, s)
-		}
-	}
-	_, ok = BallBounded(g, 5, 3, 2, nil, scratch)
-	if ok {
-		t.Fatal("expected overflow")
-	}
-	for i, s := range scratch {
-		if s != -1 {
-			t.Fatalf("scratch[%d]=%d not restored after overflow", i, s)
-		}
-	}
-}
-
 func TestPowerGraph(t *testing.T) {
 	g := Path(6)
-	p2, err := PowerGraph(g, 2, 0)
+	p2, err := PowerGraphPar(nil, g, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,14 +282,14 @@ func TestPowerGraph(t *testing.T) {
 	if !p2.HasEdge(0, 2) || p2.HasEdge(0, 3) {
 		t.Fatal("power edges wrong")
 	}
-	pn, err := PowerGraph(g, 10, 0)
+	pn, err := PowerGraphPar(nil, g, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pn.M() != 15 {
 		t.Fatalf("P6^10 should be complete, m=%d", pn.M())
 	}
-	if _, err := PowerGraph(Complete(10), 2, 3); err == nil {
+	if _, err := PowerGraphPar(nil, Complete(10), 2, 3); err == nil {
 		t.Fatal("expected ball-size error")
 	}
 }
@@ -404,6 +391,19 @@ func TestNamedArcsBoundsBuiltGraphs(t *testing.T) {
 	}
 }
 
+// FromAdjacency constructs a graph directly from adjacency lists. Lists
+// may be unsorted and contain duplicates; symmetry is completed
+// automatically.
+func FromAdjacency(lists [][]int32) *Graph {
+	b := NewBuilder(len(lists))
+	for u, ns := range lists {
+		for _, v := range ns {
+			b.AddEdge(int32(u), v)
+		}
+	}
+	return b.Build()
+}
+
 func TestFromAdjacencyCompletesSymmetry(t *testing.T) {
 	g := FromAdjacency([][]int32{{1, 2}, {}, {}})
 	if g.M() != 2 || !g.HasEdge(1, 0) {
@@ -430,7 +430,7 @@ func BenchmarkPowerGraph(b *testing.B) {
 	g := RandomRegular(500, 4, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PowerGraph(g, 4, 0); err != nil {
+		if _, err := PowerGraphPar(nil, g, 4, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,36 +4,20 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 )
 
-// This file provides the edge-list exchange format used by the CLIs:
+// This file reads the edge-list exchange format of cmd/d1lc -input (the
+// format cmd/graphgen writes):
 //
 //	n m
 //	u v        (one line per edge, 0-based node ids)
 //
 // Lines starting with '#' are comments and are skipped.
 
-// WriteEdgeList writes g in the exchange format.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), g.M()); err != nil {
-		return err
-	}
-	for u := int32(0); u < int32(g.N()); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadEdgeList parses the exchange format. Duplicate edges and self-loops
 // are dropped (Builder semantics); the declared m is validated against the
-// number of distinct edges read.
+// number of edge lines read.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var n, m int
@@ -42,6 +26,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	}
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative header %d %d", n, m)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: header declares %d nodes, more than int32 node ids address", n)
 	}
 	b := NewBuilder(n)
 	read := 0

@@ -1,11 +1,33 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// WriteEdgeList writes g in the exchange format.
+func WriteEdgeList(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), g.M()); err != nil {
+		return err
+	}
+	for u := int32(0); u < int32(g.N()); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v {
+				if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return bw.Flush()
+}
 
 func TestEdgeListRoundTrip(t *testing.T) {
 	for _, g := range []*Graph{Gnp(120, 0.05, 1), Complete(10), Cycle(9), Empty(5)} {
@@ -71,10 +93,44 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"out-of-range": "2 1\n0 5\n",
 		"wrong-count":  "3 5\n0 1\n",
 		"negative":     "-3 1\n",
+		"n-over-int32": "3000000000 0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
 	}
+}
+
+// FuzzReadEdgeList checks that the edge-list reader never panics, that
+// every graph it accepts passes Validate, and that an accepted graph
+// round-trips through WriteEdgeList unchanged. The header is built from
+// 16-bit fields, so a declared n costs at most 64K nodes; the body is
+// arbitrary.
+func FuzzReadEdgeList(f *testing.F) {
+	f.Add(uint16(3), uint16(2), "0 1\n1 2\n")
+	f.Add(uint16(4), uint16(3), "0 1\n1 0\n2 2\n")
+	f.Add(uint16(1), uint16(0), "")
+	f.Add(uint16(2), uint16(1), "0 x\n")
+	f.Add(uint16(5), uint16(1), "4 -1\n")
+	f.Fuzz(func(t *testing.T, n, m uint16, body string) {
+		g, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("%d %d\n", n, m) + body))
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph fails Validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("round trip of an accepted graph failed: %v", err)
+		}
+		if !slices.Equal(again.offsets, g.offsets) || !slices.Equal(again.adj, g.adj) {
+			t.Fatal("round trip changed the graph")
+		}
+	})
 }

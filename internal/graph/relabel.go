@@ -28,7 +28,8 @@ type Relabeling struct {
 	NewOf []int32
 	OldOf []int32
 	// ShardOffsets cuts the new id space: shard s is the half-open range
-	// [ShardOffsets[s], ShardOffsets[s+1]) of new ids. len = NumShards+1.
+	// [ShardOffsets[s], ShardOffsets[s+1]) of new ids; one entry more
+	// than there are shards.
 	ShardOffsets []int32
 }
 
@@ -87,14 +88,6 @@ func DegreeSortedSharded(g *Graph, shardAdjEntries int) *Relabeling {
 	return rl
 }
 
-// NumShards returns the number of shards.
-func (rl *Relabeling) NumShards() int { return len(rl.ShardOffsets) - 1 }
-
-// Shard returns shard s's half-open range of new ids.
-func (rl *Relabeling) Shard(s int) (lo, hi int32) {
-	return rl.ShardOffsets[s], rl.ShardOffsets[s+1]
-}
-
 // Apply builds the relabeled graph: new vertex i is old vertex OldOf[i],
 // with neighbors mapped through NewOf. Construction is streaming (exact
 // counting pass, direct fill into the output CSR) with per-list sorts on
@@ -124,52 +117,14 @@ func (rl *Relabeling) Apply(r *par.Runner, g *Graph) *Graph {
 }
 
 // MapBack translates a per-new-id result vector to original ids:
-// out[old] = vals[NewOf[old]]. The translation is exact — MapBack after
-// MapForward is the identity on every input, which is what lets a solve
-// run entirely on the relabeled graph and still report original-id
-// results bit-identically.
+// out[old] = vals[NewOf[old]]. The translation is exact — it inverts
+// the relabeling on every input, which is what lets a solve run entirely
+// on the relabeled graph and still report original-id results
+// bit-identically.
 func (rl *Relabeling) MapBack(vals []int32) []int32 {
 	out := make([]int32, len(vals))
 	for old, newID := range rl.NewOf {
 		out[old] = vals[newID]
 	}
 	return out
-}
-
-// MapForward translates a per-old-id vector to new ids:
-// out[new] = vals[OldOf[new]].
-func (rl *Relabeling) MapForward(vals []int32) []int32 {
-	out := make([]int32, len(vals))
-	for newID, old := range rl.OldOf {
-		out[newID] = vals[old]
-	}
-	return out
-}
-
-// Validate checks the bijection invariants (each of NewOf/OldOf is the
-// other's inverse) and the shard cover (offsets ascending from 0 to n).
-// Property tests call this on every generated relabeling.
-func (rl *Relabeling) Validate() error {
-	n := len(rl.NewOf)
-	if len(rl.OldOf) != n {
-		return fmt.Errorf("graph: relabeling NewOf/OldOf length mismatch %d vs %d", n, len(rl.OldOf))
-	}
-	for v := 0; v < n; v++ {
-		i := rl.NewOf[v]
-		if i < 0 || int(i) >= n {
-			return fmt.Errorf("graph: NewOf[%d] = %d out of range", v, i)
-		}
-		if rl.OldOf[i] != int32(v) {
-			return fmt.Errorf("graph: OldOf[NewOf[%d]] = %d, want %d", v, rl.OldOf[i], v)
-		}
-	}
-	if len(rl.ShardOffsets) < 2 || rl.ShardOffsets[0] != 0 || rl.ShardOffsets[len(rl.ShardOffsets)-1] != int32(n) {
-		return fmt.Errorf("graph: shard offsets %v do not cover [0,%d)", rl.ShardOffsets, n)
-	}
-	for s := 1; s < len(rl.ShardOffsets); s++ {
-		if rl.ShardOffsets[s] <= rl.ShardOffsets[s-1] && n > 0 {
-			return fmt.Errorf("graph: shard %d empty or out of order", s-1)
-		}
-	}
-	return nil
 }

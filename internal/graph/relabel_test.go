@@ -1,11 +1,49 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 
 	"parcolor/internal/par"
 	"parcolor/internal/rng"
 )
+
+// MapForward translates a per-old-id vector to new ids:
+// out[new] = vals[OldOf[new]].
+func (rl *Relabeling) MapForward(vals []int32) []int32 {
+	out := make([]int32, len(vals))
+	for newID, old := range rl.OldOf {
+		out[newID] = vals[old]
+	}
+	return out
+}
+
+// Validate checks the bijection invariants (each of NewOf/OldOf is the
+// other's inverse) and the shard cover (offsets ascending from 0 to n).
+func (rl *Relabeling) Validate() error {
+	n := len(rl.NewOf)
+	if len(rl.OldOf) != n {
+		return fmt.Errorf("graph: relabeling NewOf/OldOf length mismatch %d vs %d", n, len(rl.OldOf))
+	}
+	for v := 0; v < n; v++ {
+		i := rl.NewOf[v]
+		if i < 0 || int(i) >= n {
+			return fmt.Errorf("graph: NewOf[%d] = %d out of range", v, i)
+		}
+		if rl.OldOf[i] != int32(v) {
+			return fmt.Errorf("graph: OldOf[NewOf[%d]] = %d, want %d", v, rl.OldOf[i], v)
+		}
+	}
+	if len(rl.ShardOffsets) < 2 || rl.ShardOffsets[0] != 0 || rl.ShardOffsets[len(rl.ShardOffsets)-1] != int32(n) {
+		return fmt.Errorf("graph: shard offsets %v do not cover [0,%d)", rl.ShardOffsets, n)
+	}
+	for s := 1; s < len(rl.ShardOffsets); s++ {
+		if rl.ShardOffsets[s] <= rl.ShardOffsets[s-1] && n > 0 {
+			return fmt.Errorf("graph: shard %d empty or out of order", s-1)
+		}
+	}
+	return nil
+}
 
 func relabelTestGraphs() map[string]*Graph {
 	return map[string]*Graph{
@@ -79,11 +117,12 @@ func TestRelabelShardBudget(t *testing.T) {
 	g := Gnp(500, 0.05, 3)
 	budget := 128
 	rl := DegreeSortedSharded(g, budget)
-	if rl.NumShards() < 2 {
-		t.Fatalf("expected multiple shards, got %d", rl.NumShards())
+	shards := len(rl.ShardOffsets) - 1
+	if shards < 2 {
+		t.Fatalf("expected multiple shards, got %d", shards)
 	}
-	for s := 0; s < rl.NumShards(); s++ {
-		lo, hi := rl.Shard(s)
+	for s := 0; s < shards; s++ {
+		lo, hi := rl.ShardOffsets[s], rl.ShardOffsets[s+1]
 		vol := 0
 		for i := lo; i < hi; i++ {
 			vol += g.Degree(rl.OldOf[i])

@@ -91,10 +91,11 @@ func TestStreamBuilderRejectsBadFills(t *testing.T) {
 
 	// Duplicate arc.
 	b := NewStreamBuilder(2)
-	b.CountEdge(0, 1)
-	b.CountArc(0)
+	b.CountArcs(0, 2)
+	b.CountArcs(1, 1)
 	b.BeginFill()
-	b.FillEdge(0, 1)
+	b.FillArc(0, 1)
+	b.FillArc(1, 0)
 	b.FillArc(0, 1)
 	if _, err := b.Finish(r, false); err == nil {
 		t.Fatal("duplicate arc not rejected")
@@ -102,7 +103,7 @@ func TestStreamBuilderRejectsBadFills(t *testing.T) {
 
 	// Self-loop.
 	b = NewStreamBuilder(2)
-	b.CountArc(1)
+	b.CountArcs(1, 1)
 	b.BeginFill()
 	b.FillArc(1, 1)
 	if _, err := b.Finish(r, false); err == nil {
@@ -113,8 +114,8 @@ func TestStreamBuilderRejectsBadFills(t *testing.T) {
 	// underfilled node must be caught at Finish.
 	b = NewStreamBuilder(3)
 	b.CountArcs(0, 2)
-	b.CountArc(1)
-	b.CountArc(2)
+	b.CountArcs(1, 1)
+	b.CountArcs(2, 1)
 	b.BeginFill()
 	b.FillArc(0, 1)
 	b.FillArc(1, 0)

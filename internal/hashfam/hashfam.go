@@ -6,8 +6,6 @@
 //     probabilities given a seed-bit prefix are exactly 0, 1, or 1/2 — the
 //     exactly-computable estimator behind the deterministic bit-by-bit
 //     partitioning of Section 6 (Lemma 23).
-//   - MultiplyShift: the classical 2-universal multiply-shift bin hash
-//     (Dietzfelbinger et al.), used where a cheap universal family suffices.
 //   - Poly: degree-(k−1) polynomial evaluation over the Mersenne prime
 //     p = 2^61 − 1, the standard k-wise independent family; it is the
 //     expansion core of the k-wise PRG in package prg.
@@ -112,9 +110,6 @@ func (p *Poly) SetCoef(seed []uint64) {
 	}
 }
 
-// K returns the independence of the family this function was drawn from.
-func (p Poly) K() int { return len(p.coef) }
-
 // Eval evaluates the polynomial at x (reduced mod p) by Horner's rule.
 func (p Poly) Eval(x uint64) uint64 {
 	x %= MersennePrime61
@@ -135,8 +130,9 @@ func (p Poly) Bin(x uint64, bins int) int {
 // vanishes, so once the difference table holds Δ^j f(x0), every further
 // point costs k−1 modular additions instead of k−1 modular
 // multiplications. All arithmetic stays on canonical residues in [0, p),
-// so Value() is bit-identical to Eval at every point — the property the
-// PRG's lazy chunk views rely on (an output bit is the residue's LSB).
+// so the stepped residue is bit-identical to Eval at every point — the
+// property the PRG's lazy chunk views rely on (an output bit is the
+// residue's LSB).
 //
 // This is the consecutive-point engine under the k-wise PRG: chunk c's
 // bits are the polynomial at c·bitsPer+1, …, (c+1)·bitsPer, a contiguous
@@ -146,9 +142,10 @@ type PolyStepper struct {
 }
 
 // Stepper starts consecutive evaluation at x0, (re)using buf for the
-// difference table (len K() or it is reallocated). The returned stepper
-// is positioned at x0: Value() == Eval(x0). Seeding evaluates each
-// difference row at x0 by Horner's rule, k(k−1)/2 multiplications in all.
+// difference table (length k, the number of coefficients, or it is
+// reallocated). The returned stepper is positioned at x0: its residue is
+// Eval(x0). Seeding evaluates each difference row at x0 by Horner's rule,
+// k(k−1)/2 multiplications in all.
 func (p Poly) Stepper(x0 uint64, buf []uint64) PolyStepper {
 	k := len(p.coef)
 	if cap(buf) < k {
@@ -169,21 +166,10 @@ func (p Poly) Stepper(x0 uint64, buf []uint64) PolyStepper {
 	return PolyStepper{diffs: buf}
 }
 
-// Value returns the polynomial at the stepper's current point.
-func (s PolyStepper) Value() uint64 {
-	if len(s.diffs) == 0 {
-		return 0
-	}
-	return s.diffs[0]
-}
-
-// Advance moves the stepper one point forward.
-func (s PolyStepper) Advance() { s.Bits(1) }
-
 // Bits returns the least significant bits of the polynomial at the
-// stepper's next m points (m ≤ 64), the current point's in bit 0, and
-// leaves the stepper m points further on: Value()&1 and Advance m times,
-// packed into one word with no branch on a bit's value. Per point, each
+// stepper's next m points (m ≤ 64), the current point's in bit 0, packed
+// into one word with no branch on a bit's value, and leaves the stepper m
+// points further on. Per point, each
 // difference absorbs the next-higher one (ascending order reads the
 // not-yet-updated neighbor, which is exactly Δ^{j+1} at the old point).
 func (s PolyStepper) Bits(m int) uint64 {
@@ -207,33 +193,6 @@ func (s PolyStepper) Bits(m int) uint64 {
 // Diffs returns the stepper's difference-table storage so callers can
 // hand it back to Stepper and keep the evaluation loop allocation-free.
 func (s PolyStepper) Diffs() []uint64 { return s.diffs }
-
-// SeedWords reports how many uint64 seed words a k-wise Poly needs.
-func SeedWords(k int) int { return k }
-
-// MultiplyShift is the 2-universal bin hash
-// h_a(x) = (a·x mod 2^64) >> (64−bitsOut), a odd.
-type MultiplyShift struct {
-	a       uint64
-	bitsOut uint
-}
-
-// NewMultiplyShift builds a multiply-shift hash with 2^bitsOut bins from a
-// seed word (forced odd).
-func NewMultiplyShift(seed uint64, bitsOut uint) MultiplyShift {
-	if bitsOut == 0 || bitsOut > 63 {
-		panic("hashfam: bitsOut out of range")
-	}
-	return MultiplyShift{a: seed | 1, bitsOut: bitsOut}
-}
-
-// Bins returns the number of bins (2^bitsOut).
-func (m MultiplyShift) Bins() int { return 1 << m.bitsOut }
-
-// Bin maps x to a bin.
-func (m MultiplyShift) Bin(x uint64) int {
-	return int(m.a * x >> (64 - m.bitsOut))
-}
 
 // GF2Linear is the hash h(x) = parity(a AND x) XOR c over 64-bit keys:
 // one output bit, pairwise independent for distinct keys. The seed is the

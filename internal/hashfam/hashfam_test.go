@@ -9,6 +9,20 @@ import (
 	"parcolor/internal/rng"
 )
 
+// K returns the independence of the family p was drawn from.
+func (p Poly) K() int { return len(p.coef) }
+
+// Value returns the polynomial at the stepper's current point.
+func (s PolyStepper) Value() uint64 {
+	if len(s.diffs) == 0 {
+		return 0
+	}
+	return s.diffs[0]
+}
+
+// Advance moves the stepper one point forward.
+func (s PolyStepper) Advance() { s.Bits(1) }
+
 func TestMulmod61AgainstBigInt(t *testing.T) {
 	p := new(big.Int).SetUint64(MersennePrime61)
 	f := func(a, b uint64) bool {
@@ -120,51 +134,6 @@ func TestPolyPairwiseIndependenceEmpirically(t *testing.T) {
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("collision rate %f want ≈%f", got, want)
 	}
-}
-
-func TestPolyKAndSeedWords(t *testing.T) {
-	if SeedWords(4) != 4 {
-		t.Fatal("SeedWords")
-	}
-	if NewPoly(make([]uint64, 6)).K() != 6 {
-		t.Fatal("K")
-	}
-}
-
-func TestMultiplyShiftRange(t *testing.T) {
-	m := NewMultiplyShift(0xDEADBEEF, 5)
-	if m.Bins() != 32 {
-		t.Fatal("Bins")
-	}
-	for x := uint64(0); x < 10000; x++ {
-		b := m.Bin(x)
-		if b < 0 || b >= 32 {
-			t.Fatalf("bin %d out of range", b)
-		}
-	}
-}
-
-func TestMultiplyShiftSpread(t *testing.T) {
-	m := NewMultiplyShift(rng.New(5).Uint64(), 4)
-	counts := make([]int, 16)
-	const total = 16000
-	for x := uint64(0); x < total; x++ {
-		counts[m.Bin(x*2654435761)]++
-	}
-	for b, c := range counts {
-		if c < total/16/2 || c > total/16*2 {
-			t.Fatalf("bin %d badly unbalanced: %d", b, c)
-		}
-	}
-}
-
-func TestMultiplyShiftPanicsOnBadBits(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMultiplyShift(1, 0)
 }
 
 func TestGF2LinearBitBalance(t *testing.T) {

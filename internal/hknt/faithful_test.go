@@ -2,7 +2,7 @@ package hknt
 
 // Faithfulness cross-checks: the fast shared-state trial implementations
 // must produce exactly the outcomes of a literal message-passing LOCAL
-// implementation (package local) of the same pseudocode with the same
+// implementation (localRound below) of the same pseudocode with the same
 // randomness. This pins the shared-state versions to the paper's
 // Algorithm 3/4 semantics.
 
@@ -11,11 +11,116 @@ import (
 
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
-	"parcolor/internal/local"
 	"parcolor/internal/rng"
 )
 
-// localTryRandomColor runs Algorithm 3 literally on the LOCAL engine:
+// inbox is the set of messages one node receives in one round: From[i]
+// sent Msgs[i], and senders appear in ascending order.
+type inbox struct {
+	From []int32
+	Msgs [][]int32
+}
+
+// localRound runs one synchronous LOCAL round on g. Every node's
+// broadcast (nil sends nothing) is taken before any receive handler runs,
+// so a handler never observes a same-round effect of a neighbor; then each
+// node receives its neighbors' messages in ascending sender order.
+func localRound(g *graph.Graph, broadcast func(v int32) []int32, receive func(v int32, in inbox)) {
+	n := g.N()
+	sent := make([][]int32, n)
+	for v := range sent {
+		sent[v] = broadcast(int32(v))
+	}
+	for v := int32(0); v < int32(n); v++ {
+		var in inbox
+		for _, u := range g.Neighbors(v) {
+			if m := sent[u]; m != nil {
+				in.From = append(in.From, u)
+				in.Msgs = append(in.Msgs, m)
+			}
+		}
+		receive(v, in)
+	}
+}
+
+func TestLocalRoundDelivery(t *testing.T) {
+	g := graph.Cycle(5)
+	got := make([][]int32, 5)
+	localRound(g, func(v int32) []int32 { return []int32{v * 10} }, func(v int32, in inbox) {
+		for _, m := range in.Msgs {
+			got[v] = append(got[v], m[0])
+		}
+	})
+	for v := int32(0); v < 5; v++ {
+		if len(got[v]) != 2 {
+			t.Fatalf("node %d received %d messages", v, len(got[v]))
+		}
+		for i, u := range g.Neighbors(v) {
+			if got[v][i] != u*10 {
+				t.Fatalf("node %d received %v from neighbors %v", v, got[v], g.Neighbors(v))
+			}
+		}
+	}
+}
+
+func TestLocalRoundSnapshotSemantics(t *testing.T) {
+	// Receive must observe pre-round state: each node broadcasts its value,
+	// then doubles it on receive. All received values must be originals.
+	g := graph.Complete(4)
+	vals := []int32{1, 2, 3, 4}
+	localRound(g, func(v int32) []int32 { return []int32{vals[v]} }, func(v int32, in inbox) {
+		sum := int32(0)
+		for _, m := range in.Msgs {
+			sum += m[0]
+		}
+		// sum of others' originals = 10 - vals[v]
+		if sum != 10-vals[v] {
+			t.Errorf("node %d observed a same-round mutation: sum %d", v, sum)
+		}
+		vals[v] *= 2
+	})
+}
+
+func TestLocalRoundSenderOrder(t *testing.T) {
+	g := graph.Complete(5)
+	localRound(g, func(v int32) []int32 { return []int32{v} }, func(v int32, in inbox) {
+		for i := 1; i < len(in.From); i++ {
+			if in.From[i-1] >= in.From[i] {
+				t.Errorf("inbox of %d not sorted: %v", v, in.From)
+				return
+			}
+		}
+	})
+}
+
+func TestLocalRoundFlood(t *testing.T) {
+	// BFS-style flooding needs exactly eccentricity rounds on a path.
+	g := graph.Path(6)
+	reached := make([]bool, 6)
+	reached[0] = true
+	for r := 0; r < 5; r++ {
+		next := make([]bool, 6)
+		copy(next, reached)
+		localRound(g, func(v int32) []int32 {
+			if reached[v] {
+				return []int32{1}
+			}
+			return nil
+		}, func(v int32, in inbox) {
+			if len(in.Msgs) > 0 {
+				next[v] = true
+			}
+		})
+		reached = next
+	}
+	for v, r := range reached {
+		if !r {
+			t.Fatalf("node %d not reached after 5 rounds", v)
+		}
+	}
+}
+
+// localTryRandomColor runs Algorithm 3 literally as a LOCAL round:
 // round 1 broadcasts candidates, receivers decide; the decision must equal
 // the proposal of TryRandomColorPropose under the same per-node bits.
 func localTryRandomColor(g *graph.Graph, st *State, bitsAt func(v int32) *rng.Bits) []int32 {
@@ -32,25 +137,21 @@ func localTryRandomColor(g *graph.Graph, st *State, bitsAt func(v int32) *rng.Bi
 		}
 		cand[v] = st.Rem[v][bitsAt(v).TakeIntn(len(st.Rem[v]))]
 	}
-	eng := local.New(g)
-	eng.Run(local.Round{
-		Broadcast: func(v int32) []int32 {
-			if cand[v] == d1lc.Uncolored {
-				return nil
-			}
-			return []int32{cand[v]}
-		},
-		Receive: func(v int32, in local.Inbox) {
-			if cand[v] == d1lc.Uncolored {
+	localRound(g, func(v int32) []int32 {
+		if cand[v] == d1lc.Uncolored {
+			return nil
+		}
+		return []int32{cand[v]}
+	}, func(v int32, in inbox) {
+		if cand[v] == d1lc.Uncolored {
+			return
+		}
+		for _, m := range in.Msgs {
+			if m[0] == cand[v] {
 				return
 			}
-			for _, m := range in.Msgs {
-				if m[0] == cand[v] {
-					return
-				}
-			}
-			won[v] = cand[v]
-		},
+		}
+		won[v] = cand[v]
 	})
 	return won
 }
@@ -89,26 +190,22 @@ func localMultiTrial(g *graph.Graph, st *State, x int, bitsAt func(v int32) *rng
 		}
 		sets[v] = sampleColors(st.Rem[v], x, bitsAt(v))
 	}
-	eng := local.New(g)
-	eng.Run(local.Round{
-		Broadcast: func(v int32) []int32 { return sets[v] },
-		Receive: func(v int32, in local.Inbox) {
-			if sets[v] == nil {
+	localRound(g, func(v int32) []int32 { return sets[v] }, func(v int32, in inbox) {
+		if sets[v] == nil {
+			return
+		}
+		blocked := map[int32]bool{}
+		for _, m := range in.Msgs {
+			for _, c := range m {
+				blocked[c] = true
+			}
+		}
+		for _, c := range sets[v] {
+			if !blocked[c] {
+				won[v] = c
 				return
 			}
-			blocked := map[int32]bool{}
-			for _, m := range in.Msgs {
-				for _, c := range m {
-					blocked[c] = true
-				}
-			}
-			for _, c := range sets[v] {
-				if !blocked[c] {
-					won[v] = c
-					return
-				}
-			}
-		},
+		}
 	})
 	return won
 }
@@ -132,10 +229,6 @@ func TestMultiTrialMatchesLocalEngine(t *testing.T) {
 	}
 }
 
-// TestTRCMatchesMPCEngine ties all three tiers together: the shared-state
-// trial, the LOCAL engine, and the full MPC cluster implementation
-// (mpc.TryRandomColorRound) pick candidates from the same (seed, node,
-// round) streams; the MPC tier resolves identically.
 func TestWordBudgetsGenerous(t *testing.T) {
 	// Declared per-node budgets must cover the worst-case draws of each
 	// trial (sampling x colors, leader permutations, Bernoulli draws).

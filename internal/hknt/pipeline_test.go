@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -423,6 +424,28 @@ func TestRolesLeaderIsInlierAndPartition(t *testing.T) {
 		if c.MaxDeg <= 0 {
 			t.Fatal("MaxDeg not computed")
 		}
+	}
+}
+
+func TestHeavyMass(t *testing.T) {
+	// Star center: each leaf has palette {0,1}, |Rem(u)|=2 ⇒ H(0)=H(1)=d/2.
+	g := graph.Star(7) // 6 leaves
+	pal := make([][]int32, 7)
+	pal[0] = []int32{0, 1, 2, 3, 4, 5, 6}
+	for v := 1; v < 7; v++ {
+		pal[v] = []int32{0, 1}
+	}
+	st := NewState(&d1lc.Instance{G: g, Palettes: pal})
+	heavy, sum := heavyMass(st, 0, 2.5)
+	if len(heavy) != 2 || heavy[0] != 0 || heavy[1] != 1 {
+		t.Fatalf("heavy=%v", heavy)
+	}
+	if math.Abs(sum-6) > 1e-9 { // 3 + 3
+		t.Fatalf("sumH=%f", sum)
+	}
+	heavy, _ = heavyMass(st, 0, 3.5)
+	if len(heavy) != 0 {
+		t.Fatalf("threshold 3.5 should exclude all, got %v", heavy)
 	}
 }
 

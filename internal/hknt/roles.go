@@ -247,8 +247,11 @@ func IdentifyVstart(st *State, a *acd.ACD, lowDeg int) VstartSets {
 	return sets
 }
 
-// heavyMass mirrors params.HeavyColors but reads the live remaining
-// palettes from the state.
+// heavyMass returns the colors c in v's remaining palette whose expected
+// number of picks among v's live neighbors,
+// H(c) = Σ_{u∈N(v) live, c∈Rem(u)} 1/|Rem(u)|, is at least threshold,
+// together with Σ_{heavy c} H(c): the C^heavy_v set of the Vstart
+// definition (Section 5.2).
 func heavyMass(st *State, v int32, threshold float64) (heavy []int32, sumH float64) {
 	load := map[int32]float64{}
 	for _, u := range st.In.G.Neighbors(v) {

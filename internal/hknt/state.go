@@ -20,7 +20,6 @@ import (
 
 	"parcolor/internal/bitset"
 	"parcolor/internal/d1lc"
-	"parcolor/internal/local"
 	"parcolor/internal/par"
 	"parcolor/internal/rng"
 )
@@ -66,6 +65,17 @@ func (f FreshSource) BitsFor(v int32) *rng.Bits {
 	return rng.FreshBits(rng.At2(f.Root, uint64(v), f.Round), f.Bits)
 }
 
+// Meter counts the LOCAL rounds a run simulates. The trials run directly
+// on shared state, so the schedule loops Tick once per LOCAL round a step
+// stands for, and Result.Rounds and the experiment tables report that
+// unit.
+type Meter struct {
+	Rounds int
+}
+
+// Tick records n LOCAL rounds.
+func (m *Meter) Tick(n int) { m.Rounds += n }
+
 // State is the evolving coloring state shared by every subroutine.
 type State struct {
 	In  *d1lc.Instance
@@ -95,7 +105,7 @@ type State struct {
 	// budgets.
 	Par *par.Runner
 	// Meter accounts LOCAL rounds consumed.
-	Meter local.Meter
+	Meter Meter
 	// remArena is the flat backing the Rem slices are carved from.
 	// Palettes only ever shrink in place after initialization
 	// (removeColor compacts within the slice), so carved sub-slices can
@@ -117,7 +127,7 @@ func NewState(in *d1lc.Instance) *State {
 	st.In = in
 	st.Col = d1lc.NewColoring(n) // escapes with the caller; never pooled
 	st.Par = nil
-	st.Meter = local.Meter{}
+	st.Meter = Meter{}
 	if cap(st.Rem) < n {
 		st.Rem = make([][]int32, n)
 	} else {
@@ -178,13 +188,6 @@ func growBoolZeroed(b []bool, n int) []bool {
 
 // LiveDegree returns the number of uncolored, non-deferred neighbors of v.
 func (st *State) LiveDegree(v int32) int { return int(st.liveDeg[v]) }
-
-// Slack returns |Rem(v)| − liveDegree(v). Deferring neighbors increases
-// slack (they leave the degree but block no colors): the monotonicity at
-// the heart of Definition 5's deferral-tolerance for coloring.
-func (st *State) Slack(v int32) int {
-	return len(st.Rem[v]) - int(st.liveDeg[v])
-}
 
 // Colored reports whether v has a permanent color.
 func (st *State) Colored(v int32) bool { return st.Col.Colors[v] != d1lc.Uncolored }
@@ -258,17 +261,6 @@ func (st *State) Defer(v int32) {
 	for _, u := range st.In.G.Neighbors(v) {
 		st.liveDeg[u]--
 	}
-}
-
-// DeferredNodes returns the deferred set.
-func (st *State) DeferredNodes() []int32 {
-	var out []int32
-	for v := int32(0); v < int32(len(st.Deferred)); v++ {
-		if st.Deferred[v] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func removeColor(pal []int32, c int32) []int32 {

@@ -8,9 +8,26 @@ import (
 	"parcolor/internal/bitset"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
-	"parcolor/internal/local"
 	"parcolor/internal/par"
 )
+
+// Slack returns |Rem(v)| − liveDegree(v). Deferring neighbors increases
+// slack (they leave the degree but block no colors): the monotonicity at
+// the heart of Definition 5's deferral-tolerance for coloring.
+func (st *State) Slack(v int32) int {
+	return len(st.Rem[v]) - int(st.liveDeg[v])
+}
+
+// DeferredNodes returns the deferred set.
+func (st *State) DeferredNodes() []int32 {
+	var out []int32
+	for v := int32(0); v < int32(len(st.Deferred)); v++ {
+		if st.Deferred[v] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
 
 func TestNewStateInitialInvariants(t *testing.T) {
 	g := graph.Cycle(6)
@@ -188,7 +205,7 @@ func TestNewStateReuseAcrossSizes(t *testing.T) {
 	checkFresh := func(st *State, in *d1lc.Instance) {
 		t.Helper()
 		n := in.G.N()
-		if st.In != in || st.Par != nil || st.Meter != (local.Meter{}) {
+		if st.In != in || st.Par != nil || st.Meter != (Meter{}) {
 			t.Fatalf("n=%d: In/Par/Meter not reset (Par %v, Meter %+v)", n, st.Par, st.Meter)
 		}
 		if len(st.Rem) != n || len(st.liveDeg) != n || len(st.Deferred) != n || len(st.PutAside) != n || len(st.Col.Colors) != n {

@@ -112,23 +112,10 @@ func MultiTrialPropose(st *State, parts []int32, x int, src RandSource, sc *Scra
 	return prop
 }
 
-// sampleColors draws min(x, len(pal)) distinct colors by a partial
-// Fisher–Yates over a copy of pal.
-func sampleColors(pal []int32, x int, b *rng.Bits) []int32 {
-	if x >= len(pal) {
-		return append([]int32(nil), pal...)
-	}
-	cp := append([]int32(nil), pal...)
-	for i := 0; i < x; i++ {
-		j := i + b.TakeIntn(len(cp)-i)
-		cp[i], cp[j] = cp[j], cp[i]
-	}
-	return cp[:x]
-}
-
-// appendSample appends the same draw sampleColors makes — identical bit
-// consumption and output order — into a worker-local arena, shuffling in a
-// reused palette buffer instead of a fresh copy.
+// appendSample draws min(x, len(pal)) distinct colors by a partial
+// Fisher–Yates over pal and appends them to a worker-local arena,
+// shuffling in a reused palette buffer instead of a fresh copy. The
+// sampleColors reference in the tests makes the same draw on a copy.
 func appendSample(arena []int32, palBuf *[]int32, pal []int32, x int, b *rng.Bits) []int32 {
 	if x >= len(pal) {
 		return append(arena, pal...)

@@ -7,7 +7,22 @@ import (
 	"parcolor/internal/acd"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
+	"parcolor/internal/rng"
 )
+
+// sampleColors draws min(x, len(pal)) distinct colors by a partial
+// Fisher–Yates over a copy of pal.
+func sampleColors(pal []int32, x int, b *rng.Bits) []int32 {
+	if x >= len(pal) {
+		return append([]int32(nil), pal...)
+	}
+	cp := append([]int32(nil), pal...)
+	for i := 0; i < x; i++ {
+		j := i + b.TakeIntn(len(cp)-i)
+		cp[i], cp[j] = cp[j], cp[i]
+	}
+	return cp[:x]
+}
 
 // proposalConflictFree verifies no two adjacent wins share a color and all
 // wins come from remaining palettes.

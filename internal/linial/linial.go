@@ -26,13 +26,10 @@ type Result struct {
 	Rounds    int
 }
 
-// Color computes a deterministic O(Δ²·polylog Δ)-coloring of g on the
-// process-default worker bound.
-func Color(g *graph.Graph) Result { return ColorPar(nil, g) }
-
-// ColorPar is Color with the per-round node fan-out scoped to r's workers
-// (nil = process default), so the power-graph coloring inside a
-// budget-scoped solve honors the solve's worker bound.
+// ColorPar computes a deterministic O(Δ²·polylog Δ)-coloring of g, with
+// the per-round node fan-out scoped to r's workers (nil = process
+// default), so the power-graph coloring inside a budget-scoped solve
+// honors the solve's worker bound.
 func ColorPar(r *par.Runner, g *graph.Graph) Result {
 	n := g.N()
 	colors := make([]int32, n)
@@ -182,18 +179,6 @@ func isPrime(n int) bool {
 	for d := 2; d*d <= n; d++ {
 		if n%d == 0 {
 			return false
-		}
-	}
-	return true
-}
-
-// Verify checks that colors is a proper coloring of g.
-func Verify(g *graph.Graph, colors []int32) bool {
-	for v := int32(0); v < int32(g.N()); v++ {
-		for _, u := range g.Neighbors(v) {
-			if u > v && colors[u] == colors[v] {
-				return false
-			}
 		}
 	}
 	return true

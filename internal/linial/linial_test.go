@@ -7,6 +7,18 @@ import (
 	"parcolor/internal/graph"
 )
 
+// Verify checks that colors is a proper coloring of g.
+func Verify(g *graph.Graph, colors []int32) bool {
+	for v := int32(0); v < int32(g.N()); v++ {
+		for _, u := range g.Neighbors(v) {
+			if u > v && colors[u] == colors[v] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestColorProperOnSuite(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"cycle":    graph.Cycle(101),
@@ -18,7 +30,7 @@ func TestColorProperOnSuite(t *testing.T) {
 		"grid":     graph.Grid(12, 12),
 	}
 	for name, g := range graphs {
-		res := Color(g)
+		res := ColorPar(nil, g)
 		if !Verify(g, res.Colors) {
 			t.Fatalf("%s: improper coloring", name)
 		}
@@ -32,7 +44,7 @@ func TestColorProperOnSuite(t *testing.T) {
 
 func TestColorCountNearDeltaSquared(t *testing.T) {
 	g := graph.RandomRegular(2000, 4, 3)
-	res := Color(g)
+	res := ColorPar(nil, g)
 	if !Verify(g, res.Colors) {
 		t.Fatal("improper")
 	}
@@ -47,8 +59,8 @@ func TestColorCountNearDeltaSquared(t *testing.T) {
 
 func TestColorRoundsLogStar(t *testing.T) {
 	// Rounds should stay tiny even as n grows 100×.
-	small := Color(graph.Cycle(100)).Rounds
-	big := Color(graph.Cycle(10000)).Rounds
+	small := ColorPar(nil, graph.Cycle(100)).Rounds
+	big := ColorPar(nil, graph.Cycle(10000)).Rounds
 	if big > small+3 {
 		t.Fatalf("rounds grew from %d to %d: not log*-like", small, big)
 	}
@@ -58,15 +70,15 @@ func TestColorRoundsLogStar(t *testing.T) {
 }
 
 func TestColorEmptyAndSingleton(t *testing.T) {
-	res := Color(graph.Empty(0))
+	res := ColorPar(nil, graph.Empty(0))
 	if res.NumColors != 0 {
 		t.Fatal("empty graph")
 	}
-	res = Color(graph.Empty(1))
+	res = ColorPar(nil, graph.Empty(1))
 	if len(res.Colors) != 1 {
 		t.Fatal("singleton")
 	}
-	res = Color(graph.Empty(50))
+	res = ColorPar(nil, graph.Empty(50))
 	if !Verify(graph.Empty(50), res.Colors) {
 		t.Fatal("edgeless verify")
 	}
@@ -74,8 +86,8 @@ func TestColorEmptyAndSingleton(t *testing.T) {
 
 func TestColorDeterministic(t *testing.T) {
 	g := graph.Gnp(200, 0.05, 7)
-	a := Color(g)
-	b := Color(g)
+	a := ColorPar(nil, g)
+	b := ColorPar(nil, g)
 	for v := range a.Colors {
 		if a.Colors[v] != b.Colors[v] {
 			t.Fatal("nondeterministic")
@@ -86,11 +98,11 @@ func TestColorDeterministic(t *testing.T) {
 func TestColorOnPowerGraph(t *testing.T) {
 	// The Lemma 10 use case: color G^4 so nodes within distance 4 differ.
 	g := graph.Cycle(60)
-	p4, err := graph.PowerGraph(g, 4, 0)
+	p4, err := graph.PowerGraphPar(nil, g, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Color(p4)
+	res := ColorPar(nil, p4)
 	if !Verify(p4, res.Colors) {
 		t.Fatal("improper on power graph")
 	}
@@ -158,6 +170,6 @@ func BenchmarkColor(b *testing.B) {
 	g := graph.RandomRegular(3000, 8, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Color(g)
+		_ = ColorPar(nil, g)
 	}
 }

@@ -3,22 +3,14 @@
 // instances with polylogarithmic maximum degree, and for the
 // post-shattering residue).
 //
-// Two deterministic strategies are provided, mirroring the two situations
-// the paper invokes Lemma 14 in:
-//
-//   - IterativeDerandomized: rounds of color trials where each node's
-//     candidate is drawn by a seeded hash and the seed is chosen by the
-//     method of conditional expectations to color at least the expected
-//     fraction of live nodes. Under a pairwise-independent family each
-//     round colors a constant fraction in expectation, so the chosen seed
-//     colors a constant fraction deterministically; a greedy fallback on a
-//     zero-progress round makes termination unconditional. This is the
-//     [CDP21b]-style bounded-independence derandomization.
-//
-//   - ComponentGreedy: for shattered residues (small components), gather
-//     each connected component and color it greedily — the MPC "collect
-//     the component onto one machine" step, feasible whenever component
-//     sizes fit in local space.
+// IterativeDerandomized runs rounds of color trials where each node's
+// candidate is drawn by a seeded hash and the seed is chosen by the method
+// of conditional expectations to color at least the expected fraction of
+// live nodes. Under a pairwise-independent family each round colors a
+// constant fraction in expectation, so the chosen seed colors a constant
+// fraction deterministically; a greedy fallback on a zero-progress round
+// makes termination unconditional. This is the [CDP21b]-style
+// bounded-independence derandomization.
 //
 // The round-complexity gap versus the paper (O(log n) vs O(log log log n))
 // is confined to this base case and reported separately in the E1 table.
@@ -222,58 +214,6 @@ func firstFree(st *hknt.State, v int32) (int32, error) {
 		}
 	}
 	return d1lc.Uncolored, fmt.Errorf("lowdeg: node %d has no free color (invalid instance)", v)
-}
-
-// ComponentGreedy colors the instance by gathering connected components
-// and coloring each greedily. maxComponent bounds the component size a
-// single "machine" may hold (0 = unbounded); components exceeding it are
-// reported in the error, mirroring the MPC space constraint.
-func ComponentGreedy(in *d1lc.Instance, maxComponent int) (*d1lc.Coloring, error) {
-	comp, sizes := graph.Components(in.G)
-	if maxComponent > 0 {
-		for id, s := range sizes {
-			if int(s) > maxComponent {
-				return nil, fmt.Errorf("lowdeg: component %d has %d nodes > machine capacity %d",
-					id, s, maxComponent)
-			}
-		}
-	}
-	col := d1lc.NewColoring(in.G.N())
-	// Components are independent; color each in parallel.
-	buckets := make([][]int32, len(sizes))
-	for v := int32(0); v < int32(in.G.N()); v++ {
-		buckets[comp[v]] = append(buckets[comp[v]], v)
-	}
-	errs := make([]error, len(buckets))
-	var r *par.Runner // nil: GOMAXPROCS workers, no cancellation
-	r.For(len(buckets), func(ci int) {
-		for _, v := range buckets[ci] {
-			blocked := map[int32]bool{}
-			for _, u := range in.G.Neighbors(v) {
-				if c := col.Colors[u]; c != d1lc.Uncolored {
-					blocked[c] = true
-				}
-			}
-			assigned := false
-			for _, c := range in.Palettes[v] {
-				if !blocked[c] {
-					col.Colors[v] = c
-					assigned = true
-					break
-				}
-			}
-			if !assigned {
-				errs[ci] = fmt.Errorf("lowdeg: no free color for node %d", v)
-				return
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
 }
 
 // MaxComponentSize reports the largest component of g: the shattering

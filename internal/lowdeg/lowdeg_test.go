@@ -85,29 +85,6 @@ func TestIterativeTinySeedSpaceStillTerminates(t *testing.T) {
 	t.Logf("fallbacks=%d rounds=%d", stats.GreedyFallback, stats.Rounds)
 }
 
-func TestComponentGreedyProper(t *testing.T) {
-	g := graph.DisjointUnion(graph.Complete(8), graph.Cycle(9), graph.Star(7))
-	in := d1lc.TrivialPalettes(g)
-	col, err := ComponentGreedy(in, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d1lc.Verify(in, col); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestComponentGreedyCapacity(t *testing.T) {
-	g := graph.Complete(20)
-	in := d1lc.TrivialPalettes(g)
-	if _, err := ComponentGreedy(in, 10); err == nil {
-		t.Fatal("expected capacity error for a 20-node component")
-	}
-	if _, err := ComponentGreedy(in, 20); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxComponentSize(t *testing.T) {
 	b := graph.NewBuilder(10)
 	b.AddEdge(0, 1)

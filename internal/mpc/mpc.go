@@ -151,9 +151,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // SetContext attaches ctx to the cluster: every subsequent Round checks it
 // first and returns its error when cancelled, so multi-round protocols
 // (selection trees, converge-casts, sort passes) abort at the next round

@@ -77,15 +77,6 @@ func (r *Runner) Err() error {
 	return r.ctx.Err()
 }
 
-// Context returns the attached context, or context.Background() when none
-// is attached (never nil).
-func (r *Runner) Context() context.Context {
-	if r == nil || r.ctx == nil {
-		return context.Background()
-	}
-	return r.ctx
-}
-
 // Workers reports the number of workers a parallel loop over n items will
 // use: min(bound, n), at least 1.
 func (r *Runner) Workers(n int) int {

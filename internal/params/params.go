@@ -16,6 +16,7 @@ package params
 
 import (
 	"parcolor/internal/d1lc"
+	"parcolor/internal/graph"
 	"parcolor/internal/par"
 )
 
@@ -38,16 +39,17 @@ type Params struct {
 	CommonNbrs []int32
 }
 
-// Compute evaluates all parameters for the instance.
-func Compute(in *d1lc.Instance) *Params { return ComputePar(nil, in) }
-
-// ComputePar is Compute with the per-node parameter pass — quadratic in
-// degree through the non-edge counts and palette disparities — scoped to
-// r's worker budget and cancellation. When r is cancelled mid-pass the
-// remaining nodes keep zero parameters; callers threading a cancellable
-// runner must check r.Err() before using the result.
+// ComputePar evaluates all parameters for the instance, with the per-node
+// pass — quadratic in degree through the non-edge counts and palette
+// disparities — scoped to r's worker budget (nil = process default) and
+// cancellation. When r is cancelled mid-pass the remaining nodes keep
+// zero parameters; callers threading a cancellable runner must check
+// r.Err() before using the result.
 func ComputePar(r *par.Runner, in *d1lc.Instance) *Params {
-	g := in.G
+	// Naming the graph package here, rather than reaching it only through
+	// d1lc, gives the compiler graph's inline bodies: g.M and g.ArcOffset
+	// inline instead of being called.
+	var g *graph.Graph = in.G
 	n := g.N()
 	p := &Params{
 		Slack:       make([]int, n),
@@ -136,29 +138,4 @@ func (p *Params) IsEpsSparse(v int32, eps float64, d int) bool {
 // η_v ≥ ε·d(v).
 func (p *Params) IsEpsUneven(v int32, eps float64, d int) bool {
 	return p.Unevenness[v] >= eps*float64(d)
-}
-
-// HeavyColors returns, for node v, the colors c in Ψ(v) whose expected
-// number of picks among v's neighbors, H(c) = Σ_{u∈N(v), c∈Ψ(u)} 1/p(u),
-// is at least threshold, together with Σ_{heavy c} H(c). This is the
-// C^heavy_v machinery of the Vstart definition (Section 5.2).
-func HeavyColors(in *d1lc.Instance, v int32, threshold float64) (heavy []int32, sumH float64) {
-	load := map[int32]float64{}
-	for _, u := range in.G.Neighbors(v) {
-		pu := len(in.Palettes[u])
-		if pu == 0 {
-			continue
-		}
-		w := 1 / float64(pu)
-		for _, c := range in.Palettes[u] {
-			load[c] += w
-		}
-	}
-	for _, c := range in.Palettes[v] {
-		if h := load[c]; h >= threshold {
-			heavy = append(heavy, c)
-			sumH += h
-		}
-	}
-	return heavy, sumH
 }

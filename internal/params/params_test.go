@@ -13,7 +13,7 @@ func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestCliqueSparsityZero(t *testing.T) {
 	// In K_n every neighborhood is a clique: ζ_v = 0.
 	in := d1lc.TrivialPalettes(graph.Complete(8))
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	for v := 0; v < 8; v++ {
 		if p.Sparsity[v] != 0 || p.NonEdges[v] != 0 {
 			t.Fatalf("node %d: ζ=%f nonEdges=%d", v, p.Sparsity[v], p.NonEdges[v])
@@ -28,7 +28,7 @@ func TestStarSparsityMaximal(t *testing.T) {
 	// Center of K_{1,d}: all C(d,2) pairs are non-edges → ζ = (d−1)/2.
 	g := graph.Star(6) // center degree 5
 	in := d1lc.TrivialPalettes(g)
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	if !almostEq(p.Sparsity[0], 2.0) { // (5-1)/2
 		t.Fatalf("center sparsity %f want 2", p.Sparsity[0])
 	}
@@ -42,7 +42,7 @@ func TestUnevennessCaterpillar(t *testing.T) {
 	// Leaf attached to spine node of degree D: η_leaf = (D−1)/(D+1).
 	g := graph.Star(5) // leaves degree 1, center degree 4
 	in := d1lc.TrivialPalettes(g)
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	want := float64(4-1) / float64(4+1)
 	if !almostEq(p.Unevenness[1], want) {
 		t.Fatalf("leaf unevenness %f want %f", p.Unevenness[1], want)
@@ -73,7 +73,7 @@ func TestDisparity(t *testing.T) {
 func TestDiscrepancyIdenticalPalettes(t *testing.T) {
 	// Same palette everywhere ⇒ all disparities 0 ⇒ discrepancy 0.
 	in := d1lc.DeltaPlus1Palettes(graph.Complete(5))
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	for v := 0; v < 5; v++ {
 		if !almostEq(p.Discrepancy[v], 0) {
 			t.Fatalf("discrepancy %f", p.Discrepancy[v])
@@ -85,7 +85,7 @@ func TestDiscrepancyDisjointPalettes(t *testing.T) {
 	// Disjoint palettes ⇒ each disparity 1 ⇒ discrepancy = degree.
 	g := graph.Cycle(6)
 	in := d1lc.ShiftedPalettes(g, 6, 100) // widely separated blocks
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	for v := int32(0); v < 6; v++ {
 		if !almostEq(p.Discrepancy[v], 2) {
 			t.Fatalf("node %d discrepancy %f want 2", v, p.Discrepancy[v])
@@ -96,7 +96,7 @@ func TestDiscrepancyDisjointPalettes(t *testing.T) {
 func TestSlackabilityComposition(t *testing.T) {
 	g := graph.Gnp(50, 0.15, 3)
 	in := d1lc.RandomPalettes(g, 1, 60, 4)
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	for v := 0; v < 50; v++ {
 		if !almostEq(p.Slackab[v], p.Discrepancy[v]+p.Sparsity[v]) {
 			t.Fatal("σ̄ decomposition wrong")
@@ -113,7 +113,7 @@ func TestSlackabilityComposition(t *testing.T) {
 func TestEpsClassifiers(t *testing.T) {
 	g := graph.Star(10)
 	in := d1lc.TrivialPalettes(g)
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	// Center: ζ = (9−1)/2 = 4 = (4/9)·d ⇒ ε-sparse for ε ≤ 4/9.
 	if !p.IsEpsSparse(0, 0.4, 9) {
 		t.Fatal("center should be 0.4-sparse")
@@ -130,32 +130,10 @@ func TestEpsClassifiers(t *testing.T) {
 	}
 }
 
-func TestHeavyColors(t *testing.T) {
-	// Star center: each leaf has palette {0,1}, p(u)=2 ⇒ H(0)=H(1)=d/2.
-	g := graph.Star(7) // 6 leaves
-	pal := make([][]int32, 7)
-	pal[0] = []int32{0, 1, 2, 3, 4, 5, 6}
-	for v := 1; v < 7; v++ {
-		pal[v] = []int32{0, 1}
-	}
-	in := &d1lc.Instance{G: g, Palettes: pal}
-	heavy, sum := HeavyColors(in, 0, 2.5)
-	if len(heavy) != 2 || heavy[0] != 0 || heavy[1] != 1 {
-		t.Fatalf("heavy=%v", heavy)
-	}
-	if !almostEq(sum, 6) { // 3 + 3
-		t.Fatalf("sumH=%f", sum)
-	}
-	heavy, _ = HeavyColors(in, 0, 3.5)
-	if len(heavy) != 0 {
-		t.Fatalf("threshold 3.5 should exclude all, got %v", heavy)
-	}
-}
-
 func TestSparsityMatchesDirectCount(t *testing.T) {
 	g := graph.Gnp(40, 0.25, 9)
 	in := d1lc.TrivialPalettes(g)
-	p := Compute(in)
+	p := ComputePar(nil, in)
 	for v := int32(0); v < 40; v++ {
 		d := g.Degree(v)
 		if d == 0 {
@@ -174,6 +152,6 @@ func BenchmarkCompute(b *testing.B) {
 	in := d1lc.RandomPalettes(g, 2, 200, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Compute(in)
+		_ = ComputePar(nil, in)
 	}
 }

@@ -32,10 +32,7 @@ func NewDivisor(d uint64) Divisor {
 	return Divisor{d: d, mHi: hi, mLo: lo}
 }
 
-// D returns the divisor.
-func (dv Divisor) D() uint64 { return dv.d }
-
-// Mod returns h % dv.D().
+// Mod returns h % d.
 func (dv Divisor) Mod(h uint64) uint64 {
 	if dv.d == 1 {
 		return 0

@@ -19,9 +19,6 @@ func TestDivisorMatchesHardwareMod(t *testing.T) {
 	}
 	for _, d := range divisors {
 		dv := NewDivisor(d)
-		if dv.D() != d {
-			t.Fatalf("D() = %d, want %d", dv.D(), d)
-		}
 		for _, h := range hs {
 			if got, want := dv.Mod(h), h%d; got != want {
 				t.Fatalf("Divisor(%d).Mod(%d) = %d, want %d", d, h, got, want)

@@ -83,15 +83,6 @@ func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability num/den. den must be positive and
-// num in [0, den].
-func (s *Stream) Bool(num, den int) bool {
-	if den <= 0 || num < 0 || num > den {
-		panic("rng: Bool probability out of range")
-	}
-	return s.Intn(den) < num
-}
-
 // Perm fills p with a uniform random permutation of [0, len(p)) using
 // Fisher-Yates.
 func (s *Stream) Perm(p []int32) {

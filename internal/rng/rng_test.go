@@ -186,18 +186,6 @@ func TestFreshBitsLength(t *testing.T) {
 	}
 }
 
-func TestBoolProbabilityEdges(t *testing.T) {
-	s := New(8)
-	for i := 0; i < 100; i++ {
-		if s.Bool(0, 10) {
-			t.Fatal("Bool(0,10) returned true")
-		}
-		if !s.Bool(10, 10) {
-			t.Fatal("Bool(10,10) returned false")
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	var sink uint64
@@ -271,15 +259,6 @@ func TestNewBitsValidation(t *testing.T) {
 		}
 	}()
 	NewBits([]uint64{0}, 65)
-}
-
-func TestBoolPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).Bool(5, 4)
 }
 
 func TestNewBitsViewMatchesRepackedBits(t *testing.T) {

@@ -13,6 +13,9 @@ import (
 	"parcolor"
 )
 
+// CanceledTotal reports how many requests ended by client disconnect.
+func (s *Server) CanceledTotal() int64 { return s.canceled.Load() }
+
 // TestClientDisconnectCancelsSolve pins the request-path cancellation
 // contract: a client dropping the connection mid-solve must cancel the
 // underlying Solver.Solve promptly (riding the solver's fast-abort

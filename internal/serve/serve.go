@@ -164,9 +164,6 @@ func (s *Server) Inflight() int { return int(s.adm.running.Load()) }
 // QueueDepth reports how many admitted requests are waiting for a slot.
 func (s *Server) QueueDepth() int { return int(s.adm.queued.Load()) }
 
-// CanceledTotal reports how many requests ended by client disconnect.
-func (s *Server) CanceledTotal() int64 { return s.canceled.Load() }
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

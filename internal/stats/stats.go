@@ -88,15 +88,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Markdown returns a GitHub-flavored markdown table, for docs that want
-// native tables rather than the fixed-width Render form.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat(" --- |", len(t.Columns)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}

@@ -51,16 +51,6 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestMarkdown(t *testing.T) {
-	out := sample().Markdown()
-	if !strings.HasPrefix(out, "| n | s | maxStored | ratio |") {
-		t.Fatalf("markdown header: %q", out)
-	}
-	if !strings.Contains(out, "| --- | --- | --- | --- |") {
-		t.Fatal("missing separator row")
-	}
-}
-
 func TestEmptyTable(t *testing.T) {
 	tb := New("E0", "empty", "", "a")
 	out := tb.Render()
