@@ -76,12 +76,16 @@ HOST_FINGERPRINT = $(shell $(GO) env GOOS)-$(shell $(GO) env GOARCH)-$(shell hos
 FORCE:
 
 # bench regenerates the seed-selection benchmark suite (the scoring
-# engines vs their naive oracles in deframe, mis and lowdeg, plus
-# condexp.Select on a synthetic objective) as a machine-readable test2json
-# stream — with the recording host's fingerprint as the first line — so
-# the perf trajectory is diffable across PRs and baselines are keyed per
-# machine. Every row runs five times: some rows spread past the 10% gate
-# between runs of unchanged code, so the gate compares medians.
+# engines vs the naive oracles their tests keep in deframe, mis and
+# lowdeg, plus condexp.Select vs the classical scorer-driven methods on a
+# synthetic objective) as a machine-readable test2json stream — with the
+# recording host's fingerprint as the first line — so the perf trajectory
+# is diffable across PRs and baselines are keyed per machine. The
+# engines' naive/* rows select through condexp.Select, so their bitwise
+# rows spend 2^d scorer calls, not the classical 2^(d+1)−2; only
+# condexp's own naive rows run the classical methods. Every row runs five
+# times: some rows spread past the 10% gate between runs of unchanged
+# code, so the gate compares medians.
 bench: BENCH_seed_selection.json
 BENCH_seed_selection.json .bench_scratch/BENCH_seed_selection.json: FORCE
 	@mkdir -p $(@D)

@@ -12,9 +12,7 @@ import (
 	"testing"
 
 	"parcolor"
-	"parcolor/internal/deframe"
 	"parcolor/internal/experiments"
-	"parcolor/internal/hknt"
 )
 
 func benchCfg(b *testing.B) experiments.Config {
@@ -95,40 +93,6 @@ func solveBench(b *testing.B, alg parcolor.Algorithm, graphName string, n int) {
 		if _, err := solve(in, parcolor.WithAlgorithm(alg), parcolor.WithSeed(uint64(i)), parcolor.WithSeedBits(5)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSolveDeframe ablates the Lemma 10 scoring engine end-to-end on
-// a full derandomized run (every schedule step goes through seed
-// selection): the incremental scoring engine (default) against
-// the naive monolithic per-seed rescoring path, for both seed-selection
-// strategies. Results are identical across the axis; only cost differs.
-func BenchmarkSolveDeframe(b *testing.B) {
-	in := parcolor.TrivialPalettes(parcolor.GenerateGraph("gnp-sparse", 300, 1))
-	for _, cfg := range []struct {
-		name          string
-		naive, bitwse bool
-	}{
-		{"table/flat", false, false},
-		{"table/bitwise", false, true},
-		{"naive/flat", true, false},
-		{"naive/bitwise", true, true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			o := deframe.Options{
-				SeedBits:     5,
-				NaiveScoring: cfg.naive,
-				Bitwise:      cfg.bitwse,
-				Tunables:     hknt.Tunables{LowDeg: 4},
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := deframe.Run(context.Background(), in, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -27,7 +27,7 @@ func ExampleBestSeen() {
 		})
 	}
 	// (score, seed)-lexicographic minimum: seed 1 beats the equal-score
-	// seed 2, matching SelectSeed's smallest-seed tie-break.
+	// seed 2, matching SelectTotals' smallest-seed tie-break.
 	fmt.Println(best.Matches(1), best.Matches(2), cached)
 	// Output:
 	// true false proposal-of-seed-1

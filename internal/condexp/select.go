@@ -10,9 +10,7 @@ import (
 // realization of Lemma 10's distributed selection. Every seed is scored
 // exactly once into a totals vector, and both selection strategies — full
 // enumeration and the bit-by-bit method of conditional expectations — read
-// that vector with no further scorer invocations. The naive Scorer-driven
-// entry points in condexp.go remain the oracle this path is
-// differentially tested against.
+// that vector with no further scorer invocations.
 
 // totalsPool recycles the per-selection totals vector (one int64 per
 // seed) across steps and solves: its length recurs selection after
@@ -61,7 +59,7 @@ func Select(r *par.Runner, seedBits int, bitwise bool, score Scorer) (Result, er
 }
 
 // SelectTotals returns the minimum-total seed (smallest seed on ties) over
-// non-empty per-seed totals: the Result SelectSeed computes when
+// non-empty per-seed totals: the Result full enumeration computes when
 // totals[s] is seed s's score. Evals counts one evaluation per seed.
 func SelectTotals(totals []int64) Result {
 	arg, sum := 0, int64(0)
@@ -77,10 +75,10 @@ func SelectTotals(totals []int64) Result {
 // SelectTotalsBitwise runs the bit-by-bit method of conditional
 // expectations over per-seed totals (len(totals) must be 2^seedBits):
 // each level's branch sums are subset sums of the totals, so no seed is
-// evaluated twice — the naive bitwise path's 2^(d+1)−2 scorer calls
-// become the 2^d evaluations the totals already paid for. The Result
-// (seed, score, sum, certificate) is identical to SelectSeedBitwise over
-// the same objective.
+// evaluated twice — the classical method's 2^(d+1)−2 scorer calls, which
+// re-score the surviving seeds at every level, become the 2^d evaluations
+// the totals already paid for. The Result (seed, score, sum, certificate)
+// is identical to the classical method's over the same objective.
 func SelectTotalsBitwise(totals []int64, seedBits int) Result {
 	if seedBits <= 0 || seedBits > 30 || 1<<seedBits != len(totals) {
 		panic("condexp: seedBits does not match the totals' seed space")
@@ -140,26 +138,3 @@ func (b *BestSeen) Offer(seed uint64, score int64, keep func()) {
 // Matches reports whether seed holds the minimum slot — true for the flat
 // winner by construction; bitwise selection may pick another seed.
 func (b *BestSeen) Matches(seed uint64) bool { return b.have && b.seed == seed }
-
-// SelectNaive is Select's scorer-driven oracle over the same seed space
-// and strategy. Once r is cancelled the remaining evaluations are skipped
-// (their scores are discarded with the selection) and the context's error
-// is returned.
-func SelectNaive(r *par.Runner, seedBits int, bitwise bool, score Scorer) (Result, error) {
-	scorer := func(seed uint64) int64 {
-		if r.Err() != nil {
-			return 0
-		}
-		return score(seed)
-	}
-	var res Result
-	if bitwise {
-		res = SelectSeedBitwise(r, seedBits, scorer)
-	} else {
-		res = SelectSeed(r, 1<<seedBits, scorer)
-	}
-	if err := r.Err(); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}

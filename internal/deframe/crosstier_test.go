@@ -1,7 +1,7 @@
 package deframe
 
 // Cross-tier validation of Section 5.1's simulation argument: Lemma 10's
-// seed selection computed with shared-memory parallelism (DerandomizeStep)
+// seed selection computed with shared-memory parallelism (derandomizeStep)
 // must match the faithful distributed protocols on the MPC cluster — both
 // the scalar-batched aggregation (mpc.DistributedSelectSeed) and the
 // row-sharded converge-cast (mpc.DistributedSelectSeedRows) — when each
@@ -56,7 +56,7 @@ func TestSeedSelectionMatchesClusterProtocol(t *testing.T) {
 	}
 
 	// Shared-memory path.
-	rep, err := DerandomizeStep(hknt.NewState(in), &step, chunkOf, numChunks, o)
+	rep, err := derandomizeStep(hknt.NewState(in), &step, chunkOf, numChunks, o, selectByEngine)
 	if err != nil {
 		t.Fatal(err)
 	}

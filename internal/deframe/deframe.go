@@ -8,7 +8,7 @@
 //     that deferring failed nodes only improves the remaining nodes (slack
 //     is monotone under deferral).
 //
-//   - Lemma 10 is DerandomizeStep: distribute one PRG output string into
+//   - Lemma 10 is derandomizeStep: distribute one PRG output string into
 //     per-node chunks via a coloring of G^{4τ} (Linial on the power graph,
 //     or identity chunking when the power graph exceeds the space budget),
 //     select the seed by the method of conditional expectations over the
@@ -24,10 +24,10 @@
 //     paper's "each machine scores its nodes for every seed, then a
 //     converge-cast sums per seed" structure, with the sum taken over all
 //     participants at once. The winning proposal is cached during the
-//     walk, never recomputed. The naive per-seed rescoring path is kept
-//     (Options.NaiveScoring) as the oracle: both paths are bit-identical
-//     in chosen seed, score and certificate, and differential tests
-//     enforce it.
+//     walk, never recomputed. The driver takes the seed selector as a
+//     parameter, and a solve always passes the engine; the tests pass a
+//     naive per-seed rescoring oracle (oracle_test.go) and check that both
+//     are bit-identical in chosen seed, score, certificate and coloring.
 //
 //   - Theorem 12 is Run: derandomize the schedule step by step, then
 //     recurse on the deferred set through D1LC self-reducibility
@@ -44,9 +44,7 @@ package deframe
 
 import (
 	"context"
-	"fmt"
 
-	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
@@ -79,15 +77,10 @@ type Options struct {
 	SeedBits int
 	// Bitwise switches seed selection from parallel full enumeration to
 	// the bit-by-bit method of conditional expectations (same guarantee,
-	// structured as the classical method; on the engine path the branch
-	// means are subset sums of the per-seed totals, so it costs the same
-	// 2^SeedBits evaluations as flat selection instead of ~2×).
+	// structured as the classical method; the branch means are subset
+	// sums of the per-seed totals, so it costs the same 2^SeedBits
+	// evaluations as flat selection instead of ~2×).
 	Bitwise bool
-	// NaiveScoring forces the monolithic per-seed rescoring path instead
-	// of the incremental scoring engine. Both produce identical results
-	// (seed, score, certificate, coloring); the naive path is the oracle
-	// for differential tests and ablation baselines.
-	NaiveScoring bool
 	// MaxChunkGraphEdges bounds the materialized power graph; beyond it
 	// the derandomizer falls back to identity chunking (one chunk per
 	// node), which preserves correctness and costs only PRG output length.
@@ -219,15 +212,11 @@ func buildPRG(o Options, numChunks, bitsPer int) prg.PRG {
 	}
 }
 
-// DerandomizeStep applies Lemma 10 to one normal procedure: score every
-// PRG seed by the step's objective (default: the number of SSP failures),
-// commit the best seed's proposal, and defer the failures. It returns the
-// per-step report.
-//
-// Seed scoring runs on the incremental scoring engine (engine.go) unless
-// Options.NaiveScoring forces the monolithic per-seed path. Both are
-// bit-identical in everything but cost, which Evals reports.
-func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks int, o Options) (StepReport, error) {
+// derandomizeStep applies Lemma 10 to one normal procedure: score every
+// PRG seed by the step's objective (the number of SSP failures, or −wins
+// without an SSP) through sel, commit the selected seed's proposal, and
+// defer the failures. It returns the per-step report.
+func derandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks int, o Options, sel seedSelector) (StepReport, error) {
 	parts := step.Participants(st)
 	rep := StepReport{Name: step.Name, Participants: len(parts), SeedSpace: 1 << o.SeedBits, Chunks: numChunks}
 	if len(parts) == 0 {
@@ -236,15 +225,7 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 	sp := trace.Begin(o.Trace, "deframe", step.Name, st.Meter.Rounds, len(parts))
 	gen := buildPRG(o, numChunks, step.Bits)
 	rep.PRGName = gen.Name()
-	var res condexp.Result
-	var prop hknt.Proposal
-	var err error
-	if o.NaiveScoring {
-		res, prop, err = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
-	} else {
-		eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
-		res, prop, err = eng.selectSeedTable(o)
-	}
+	res, prop, err := sel(st, step, parts, gen, chunkOf, numChunks, o)
 	if err != nil {
 		sp.End(0, 0, 0)
 		return rep, err
@@ -266,32 +247,6 @@ func DerandomizeStep(st *hknt.State, step *hknt.Step, chunkOf []int32, numChunks
 	return rep, nil
 }
 
-// derandomizeStepNaive is the monolithic scorer: one full proposal plus
-// full-graph score per evaluated seed, and a final re-proposal of the
-// winner. It is the oracle the engine is differentially tested against. A
-// cancelled runner surfaces the context error.
-func derandomizeStepNaive(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
-	res, err := condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, naiveScorer(st, step, parts, gen, chunkOf, numChunks))
-	if err != nil {
-		return condexp.Result{}, hknt.Proposal{}, err
-	}
-	src, _ := prg.NewChunkedSource(gen, res.Seed, chunkOf, numChunks, step.Bits)
-	return res, step.Propose(st, parts, src, nil), nil
-}
-
-// naiveScorer is the oracle's objective: a fresh eager expansion, a
-// scratch-free Propose and DefaultScore per seed.
-func naiveScorer(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) condexp.Scorer {
-	return func(seed uint64) int64 {
-		src, err := prg.NewChunkedSource(gen, seed, chunkOf, numChunks, step.Bits)
-		if err != nil {
-			// Generator too short is a construction bug; make it loud.
-			panic(fmt.Sprintf("deframe: %v", err))
-		}
-		return step.DefaultScore(st, parts, step.Propose(st, parts, src, nil))
-	}
-}
-
 // Run executes Theorem 12 for a D1LC instance: build the HKNT schedule,
 // derandomize every step via Lemma 10, recurse on everything left
 // uncolored (deferred nodes, put-aside leftovers, low-degree nodes)
@@ -307,10 +262,12 @@ func naiveScorer(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, ch
 func Run(ctx context.Context, in *d1lc.Instance, o Options) (*d1lc.Coloring, *Report, error) {
 	o = o.withDefaults(in.G.MaxDegree())
 	o.Par = o.Par.WithContext(ctx)
-	return run(in, o, maxDepth)
+	return run(in, o, maxDepth, selectByEngine)
 }
 
-func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, error) {
+// run is Run's recursion over levels, with o already defaulted; sel
+// selects every step's seed.
+func run(in *d1lc.Instance, o Options, depth int, sel seedSelector) (*d1lc.Coloring, *Report, error) {
 	rep := &Report{Depth: depth}
 	st := hknt.NewState(in)
 	defer st.Release() // runs after the returned st.Col is captured
@@ -342,7 +299,7 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 			return nil, rep, err
 		}
 		step := &build.Schedule.Steps[i]
-		sr, err := DerandomizeStep(st, step, chunkOf, numChunks, o)
+		sr, err := derandomizeStep(st, step, chunkOf, numChunks, o, sel)
 		if err != nil {
 			return nil, rep, err
 		}
@@ -379,7 +336,7 @@ func run(in *d1lc.Instance, o Options, depth int) (*d1lc.Coloring, *Report, erro
 	// checked out until the recursive solve and Apply both finish.
 	ar := d1lc.NewReduceArena()
 	residual, origOf := ar.ReduceUncolored(o.Par, in, st.Col)
-	subCol, subRep, err := run(residual, o, depth-1)
+	subCol, subRep, err := run(residual, o, depth-1, sel)
 	if err != nil {
 		ar.Release()
 		return nil, rep, err

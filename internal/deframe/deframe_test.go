@@ -140,7 +140,7 @@ func TestDerandomizeStepDefersFailures(t *testing.T) {
 		},
 	}
 	chunkOf, num, _ := chunkAssignment(nil, in.G, 4, 1_000_000)
-	rep, err := DerandomizeStep(st, &step, chunkOf, num, Options{}.withDefaults(11))
+	rep, err := derandomizeStep(st, &step, chunkOf, num, Options{}.withDefaults(11), selectByEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSeedSelectionBeatsMeanEmpirically(t *testing.T) {
 		},
 	}
 	chunkOf, num, _ := chunkAssignment(nil, in.G, 4, 1_000_000)
-	rep, err := DerandomizeStep(st, &step, chunkOf, num, Options{SeedBits: 8}.withDefaults(15))
+	rep, err := derandomizeStep(st, &step, chunkOf, num, Options{SeedBits: 8}.withDefaults(15), selectByEngine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,11 @@ import (
 )
 
 // This file is the incremental seed-scoring engine for Lemma 10: the
-// shared-memory realization of the derandomization hot path. Where the
-// naive path re-runs a monolithic full-graph scorer per seed — allocating
-// a fresh PRG expansion, ChunkedSource and Proposal each time, and
-// re-proposing the winning seed after selection — the engine
+// shared-memory realization of the derandomization hot path, and the
+// seed selector every solve runs. Where a naive scorer re-runs a
+// monolithic full-graph proposal per seed — allocating a fresh PRG
+// expansion, ChunkedSource and Proposal each time, and re-proposing the
+// winning seed after selection — the engine
 //
 //   - scores each seed exactly once through condexp.Select, reusing
 //     per-worker scratch (a reseedable prg.LazySource and an
@@ -27,8 +28,8 @@ import (
 //     rows), and the Scratch's per-worker cursors compute a chunk's bits
 //     when a draw reaches them — of whichever node reads, participant or
 //     not,
-//   - scores the proposal with hknt.Step.ScoreChunk over all
-//     participants, the very objective the naive DefaultScore sums, and
+//   - scores the proposal with hknt.Step.Score over all participants,
+//     and
 //   - caches the best-scoring proposal seen during the walk (colors, win
 //     mask and marks cloned together), so the flat winner's proposal is
 //     committed without being recomputed; a bitwise winner other than the
@@ -37,10 +38,27 @@ import (
 // The walk runs on the step's par.Runner: the owning solve's worker
 // budget bounds it, and its context cancels it between seeds.
 //
-// The naive path remains available via Options.NaiveScoring as the
-// oracle for differential tests: it proposes with a nil hknt.Scratch
-// (fresh n-sized buffers, masks from a pass over all n) and expands the
-// generator's whole output per seed (prg.NewChunkedSource).
+// The tests' oracle (oracle_test.go) is the naive scorer: it proposes
+// with a nil hknt.Scratch (fresh n-sized buffers, masks from a pass over
+// all n) and expands the generator's whole output per seed
+// (prg.NewChunkedSource).
+
+// seedSelector selects one step's seed over the generator's seed space
+// and returns the selected seed's result and proposal. A cancelled runner
+// surfaces the context error. selectByEngine is the one a solve runs.
+type seedSelector func(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error)
+
+// selectByEngine is the seedSelector of every solve: score every seed
+// once on the step's runner, select (flat or bitwise), and return the
+// selected seed's result plus its proposal.
+func selectByEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
+	e := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
+	if err != nil {
+		return condexp.Result{}, hknt.Proposal{}, err
+	}
+	return res, e.proposalFor(res.Seed), nil
+}
 
 // stepEngine scores one step's seed space incrementally.
 type stepEngine struct {
@@ -75,7 +93,7 @@ func (e *stepEngine) propose(ss *seedScratch, seed uint64) hknt.Proposal {
 func (e *stepEngine) score(seed uint64) int64 {
 	ss := e.getScratch()
 	prop := e.propose(ss, seed)
-	score := e.step.ScoreChunk(e.st, e.parts, prop, 0, len(e.parts))
+	score := e.step.Score(e.st, e.parts, prop)
 	e.offerBest(seed, score, prop)
 	seedScratches.Put(ss)
 	return score
@@ -102,18 +120,6 @@ func (e *stepEngine) proposalFor(seed uint64) hknt.Proposal {
 	prop := hknt.CloneProposal(e.propose(ss, seed), hknt.Proposal{})
 	seedScratches.Put(ss)
 	return prop
-}
-
-// selectSeedTable runs the engine path for one step: score every seed
-// once on the step's runner, select (flat or bitwise), and return the
-// selected seed's result plus its proposal. A cancelled runner aborts the
-// walk and surfaces the context error.
-func (e *stepEngine) selectSeedTable(o Options) (condexp.Result, hknt.Proposal, error) {
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
-	if err != nil {
-		return condexp.Result{}, hknt.Proposal{}, err
-	}
-	return res, e.proposalFor(res.Seed), nil
 }
 
 // seedScratches pools the workers' seed-evaluation scratch across seeds,

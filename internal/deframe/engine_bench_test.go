@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
@@ -12,14 +11,14 @@ import (
 
 // benchSelection builds a real pipeline-shaped scoring problem — a
 // GenerateSlack step over a G(n,p) instance with Linial power-graph
-// chunking — and measures one full seed selection (no state mutation), the
-// exact hot path DerandomizeStep runs per schedule step, at a small (n =
-// 300) and a large (n = 3000) participant count.
-func benchSelection(b *testing.B, n int, bitwise, naive bool) {
+// chunking — and measures one full seed selection by sel (no state
+// mutation), the exact hot path derandomizeStep runs per schedule step,
+// at a small (n = 300) and a large (n = 3000) participant count.
+func benchSelection(b *testing.B, n int, bitwise bool, sel seedSelector) {
 	in := d1lc.TrivialPalettes(graph.Gnp(n, 12.0/float64(n), 1))
 	st := hknt.NewState(in)
 	build := hknt.BuildColorMiddle(st, hknt.Tunables{LowDeg: 4})
-	o := Options{SeedBits: 5, Bitwise: bitwise, NaiveScoring: naive}.withDefaults(in.G.MaxDegree())
+	o := Options{SeedBits: 5, Bitwise: bitwise}.withDefaults(in.G.MaxDegree())
 	chunkOf, numChunks, _ := chunkAssignment(nil, in.G, chunkRadius, o.MaxChunkGraphEdges)
 	var step *hknt.Step
 	var parts []int32
@@ -37,24 +36,22 @@ func benchSelection(b *testing.B, n int, bitwise, naive bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res condexp.Result
-		if naive {
-			res, _, _ = derandomizeStepNaive(st, step, parts, gen, chunkOf, numChunks, o)
-		} else {
-			eng := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
-			res, _, _ = eng.selectSeedTable(o)
-		}
+		res, _, _ := sel(st, step, parts, gen, chunkOf, numChunks, o)
 		if res.NumSeeds != 1<<o.SeedBits {
 			b.Fatal("bad selection")
 		}
 	}
 }
 
+// BenchmarkSeedSelection measures the engine against the naive oracle
+// (which selects through the same condexp.Select, so its bitwise row
+// spends 2^d scorer calls, like the engine's), plus the engine over a
+// fixed participant set in growing instances.
 func BenchmarkSeedSelection(b *testing.B) {
-	b.Run("naive/flat", func(b *testing.B) { benchSelection(b, 300, false, true) })
-	b.Run("naive/bitwise", func(b *testing.B) { benchSelection(b, 300, true, true) })
-	b.Run("table/flat", func(b *testing.B) { benchSelection(b, 300, false, false) })
-	b.Run("table/bitwise", func(b *testing.B) { benchSelection(b, 300, true, false) })
+	b.Run("naive/flat", func(b *testing.B) { benchSelection(b, 300, false, selectNaive) })
+	b.Run("naive/bitwise", func(b *testing.B) { benchSelection(b, 300, true, selectNaive) })
+	b.Run("table/flat", func(b *testing.B) { benchSelection(b, 300, false, selectByEngine) })
+	b.Run("table/bitwise", func(b *testing.B) { benchSelection(b, 300, true, selectByEngine) })
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("table/fixed512/n=%d", n), func(b *testing.B) { benchFixedParticipants(b, n) })
 	}
@@ -127,8 +124,7 @@ func benchFixedParticipants(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := newStepEngine(f.st, &f.step, f.parts, gen, f.chunkOf, f.numChunks)
-		res, _, err := eng.selectSeedTable(o)
+		res, _, err := selectByEngine(f.st, &f.step, f.parts, gen, f.chunkOf, f.numChunks, o)
 		if err != nil || res.NumSeeds != 1<<o.SeedBits {
 			b.Fatal("bad selection")
 		}
@@ -138,7 +134,41 @@ func benchFixedParticipants(b *testing.B, n int) {
 // BenchmarkSeedSelectionLarge is the n=3000 point of the participant
 // sweep.
 func BenchmarkSeedSelectionLarge(b *testing.B) {
-	b.Run("naive/flat", func(b *testing.B) { benchSelection(b, 3000, false, true) })
-	b.Run("table/flat", func(b *testing.B) { benchSelection(b, 3000, false, false) })
-	b.Run("table/bitwise", func(b *testing.B) { benchSelection(b, 3000, true, false) })
+	b.Run("naive/flat", func(b *testing.B) { benchSelection(b, 3000, false, selectNaive) })
+	b.Run("table/flat", func(b *testing.B) { benchSelection(b, 3000, false, selectByEngine) })
+	b.Run("table/bitwise", func(b *testing.B) { benchSelection(b, 3000, true, selectByEngine) })
+}
+
+// BenchmarkSolveDeframe ablates the seed selector end-to-end on a full
+// derandomized run (every schedule step goes through seed selection): the
+// engine against the naive oracle, for both seed-selection strategies.
+// Results are identical across the axis; only cost differs.
+func BenchmarkSolveDeframe(b *testing.B) {
+	g, err := graph.Named("gnp-sparse", 300, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := d1lc.TrivialPalettes(g)
+	for _, cfg := range []struct {
+		name    string
+		sel     seedSelector
+		bitwise bool
+	}{
+		{"table/flat", selectByEngine, false},
+		{"table/bitwise", selectByEngine, true},
+		{"naive/flat", selectNaive, false},
+		{"naive/bitwise", selectNaive, true},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			o := Options{SeedBits: 5, Bitwise: cfg.bitwise, Tunables: hknt.Tunables{LowDeg: 4}}
+			o = o.withDefaults(in.G.MaxDegree())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := run(in, o, maxDepth, cfg.sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
@@ -43,10 +44,8 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 					o := smallOpts()
 					o.Bitwise = bitwise
 					o.PRG = prgKind
-					oNaive := o
-					oNaive.NaiveScoring = true
 					colT, repT, errT := Run(context.Background(), tc.in, o)
-					colN, repN, errN := Run(context.Background(), tc.in, oNaive)
+					colN, repN, errN := runNaive(tc.in, o)
 					if errT != nil || errN != nil {
 						t.Fatalf("errs: table=%v naive=%v", errT, errN)
 					}
@@ -105,35 +104,26 @@ func TestTableScoringDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestBitwiseEvalReduction verifies the acceptance bound on the live
-// pipeline: with d seed bits the naive bitwise path spends 2^(d+1)−2
-// scorer invocations per step while the engine path spends 2^d.
+// pipeline: with d seed bits the engine path spends at most 2^d + d
+// scorer invocations per step, where the classical bitwise method spends
+// 2^(d+1)−2 (condexp's TestTableBitwiseEvalBudget pins that count).
 func TestBitwiseEvalReduction(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Gnp(120, 0.06, 8))
 	o := smallOpts()
 	o.Bitwise = true
-	oNaive := o
-	oNaive.NaiveScoring = true
 	_, repT, err := Run(context.Background(), in, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repN, err := Run(context.Background(), in, oNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
 	d := o.SeedBits
-	stepsT, stepsN := collectSteps(repT), collectSteps(repN)
 	checked := 0
-	for i := range stepsT {
-		if stepsT[i].Participants == 0 {
+	for _, s := range collectSteps(repT) {
+		if s.Participants == 0 {
 			continue
 		}
 		checked++
-		if got, budget := stepsT[i].Evals, (1<<d)+d; got > budget {
-			t.Fatalf("step %s: table evals %d exceed budget %d", stepsT[i].Name, got, budget)
-		}
-		if got, want := stepsN[i].Evals, 1<<(d+1)-2; got != want {
-			t.Fatalf("step %s: naive bitwise evals %d, want %d", stepsN[i].Name, got, want)
+		if got, budget := s.Evals, (1<<d)+d; got > budget {
+			t.Fatalf("step %s: table evals %d exceed budget %d", s.Name, got, budget)
 		}
 	}
 	if checked == 0 {
@@ -162,10 +152,11 @@ func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
 	parts := step.Participants(st)
 	gen := buildPRG(o, num, step.Bits)
 	eng := newStepEngine(st, &step, parts, gen, chunkOf, num)
-	res, prop, err := eng.selectSeedTable(o)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, eng.score)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prop := eng.proposalFor(res.Seed)
 	if !eng.best.Matches(res.Seed) {
 		t.Fatalf("flat winner %d not cached", res.Seed)
 	}
@@ -211,20 +202,17 @@ func TestTableScoringMatchesNaiveSharedChunks(t *testing.T) {
 					o := smallOpts()
 					o.PRG, o.Bitwise, o.Par = prgKind, bitwise, par.NewRunner(workers)
 					o = o.withDefaults(tc.in.G.MaxDegree())
-					oNaive := o
-					oNaive.NaiveScoring = true
 					stT, stN := hknt.NewState(tc.in), hknt.NewState(tc.in)
 					stT.Par, stN.Par = o.Par, o.Par
 					stepsT := hknt.BuildColorMiddle(stT, o.Tunables).Schedule.Steps
 					stepsN := hknt.BuildColorMiddle(stN, o.Tunables).Schedule.Steps
 					ran := 0
 					for i := range stepsT {
-						a, errT := DerandomizeStep(stT, &stepsT[i], chunkOf, 3, o)
-						b, errN := DerandomizeStep(stN, &stepsN[i], chunkOf, 3, oNaive)
+						a, errT := derandomizeStep(stT, &stepsT[i], chunkOf, 3, o, selectByEngine)
+						b, errN := derandomizeStep(stN, &stepsN[i], chunkOf, 3, o, selectNaive)
 						if errT != nil || errN != nil {
 							t.Fatalf("%s: errs: table=%v naive=%v", name, errT, errN)
 						}
-						a.Evals, b.Evals = 0, 0 // the naive bitwise walk spends more
 						if a != b {
 							t.Fatalf("%s: step %d (%s) diverges:\ntable %+v\nnaive %+v", name, i, a.Name, a, b)
 						}

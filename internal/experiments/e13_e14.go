@@ -32,8 +32,8 @@ func e13SolutionQuality(cfg Config) *stats.Table {
 		in := d1lc.DeltaPlus1Palettes(g)
 		_, degen := graph.DegeneracyOrder(g)
 
-		colDegen, _ := greedy.Color(in, greedy.ByDegeneracy, 0)
-		colID, _ := greedy.Color(in, greedy.ByID, 0)
+		colDegen, _ := greedy.Color(in, greedy.ByDegeneracy)
+		colID, _ := greedy.Color(in, greedy.ByID)
 		det, _, errDet := deframe.Run(context.Background(), in, deframe.Options{SeedBits: cfg.SeedBits})
 		rnd, _, _, errRnd := hknt.RandomizedColor(nil, in, cfg.Seed, hknt.Tunables{})
 		low, _, errLow := lowdeg.IterativeDerandomized(context.Background(), in, lowdeg.Options{SeedBits: 8})

@@ -1,16 +1,14 @@
 // Package greedy provides the sequential baselines the experiment tables
-// compare against: greedy list coloring under several vertex orders. For a
+// compare against: greedy list coloring in index or degeneracy order. For a
 // valid D1LC instance greedy always succeeds, so these double as
 // correctness oracles.
 package greedy
 
 import (
 	"fmt"
-	"sort"
 
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
-	"parcolor/internal/rng"
 )
 
 // Order names a vertex ordering.
@@ -20,11 +18,6 @@ type Order int
 const (
 	// ByID colors nodes in index order.
 	ByID Order = iota
-	// ByDegreeDesc colors highest-degree nodes first (classical
-	// Welsh–Powell heuristic).
-	ByDegreeDesc
-	// ByRandom colors in a seeded random order.
-	ByRandom
 	// ByDegeneracy colors in reverse degeneracy order, guaranteeing at
 	// most degeneracy+1 distinct colors — the classical quality baseline.
 	ByDegeneracy
@@ -34,10 +27,6 @@ func (o Order) String() string {
 	switch o {
 	case ByID:
 		return "id"
-	case ByDegreeDesc:
-		return "degree-desc"
-	case ByRandom:
-		return "random"
 	case ByDegeneracy:
 		return "degeneracy"
 	}
@@ -46,20 +35,13 @@ func (o Order) String() string {
 
 // Color greedily colors the instance in the given order, assigning each
 // node its first free palette color.
-func Color(in *d1lc.Instance, order Order, seed uint64) (*d1lc.Coloring, error) {
+func Color(in *d1lc.Instance, order Order) (*d1lc.Coloring, error) {
 	n := in.G.N()
 	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	switch order {
-	case ByDegreeDesc:
-		sort.SliceStable(perm, func(i, j int) bool {
-			return in.G.Degree(perm[i]) > in.G.Degree(perm[j])
-		})
-	case ByRandom:
-		rng.New(rng.Hash2(seed, 0x6EE)).Shuffle(perm)
-	case ByDegeneracy:
+	if order == ByDegeneracy {
 		order, _ := graph.DegeneracyOrder(in.G)
 		for i, v := range order {
 			perm[len(order)-1-i] = v

@@ -10,8 +10,8 @@ import (
 
 func TestAllOrdersProper(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Mixed(200, 1))
-	for _, o := range []Order{ByID, ByDegreeDesc, ByRandom, ByDegeneracy} {
-		col, err := Color(in, o, 7)
+	for _, o := range []Order{ByID, ByDegeneracy} {
+		col, err := Color(in, o)
 		if err != nil {
 			t.Fatalf("%v: %v", o, err)
 		}
@@ -21,33 +21,11 @@ func TestAllOrdersProper(t *testing.T) {
 	}
 }
 
-func TestDegreeDescUsesFewColorsOnStar(t *testing.T) {
-	in := d1lc.DeltaPlus1Palettes(graph.Star(20))
-	col, err := Color(in, ByDegreeDesc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := DistinctColors(col); n != 2 {
-		t.Fatalf("star should 2-color, used %d", n)
-	}
-}
-
-func TestRandomOrderSeeded(t *testing.T) {
-	in := d1lc.TrivialPalettes(graph.Gnp(100, 0.1, 3))
-	a, _ := Color(in, ByRandom, 5)
-	b, _ := Color(in, ByRandom, 5)
-	for v := range a.Colors {
-		if a.Colors[v] != b.Colors[v] {
-			t.Fatal("same seed differs")
-		}
-	}
-}
-
 func TestPropertyAlwaysProper(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 2
 		in := d1lc.RandomPalettes(graph.Gnp(n, 0.3, seed), 1, 3*n, seed)
-		col, err := Color(in, ByRandom, seed)
+		col, err := Color(in, ByID)
 		if err != nil {
 			return false
 		}
@@ -71,7 +49,7 @@ func TestDegeneracyOrderColorBound(t *testing.T) {
 	// (Δ+1)-palette instance.
 	g := graph.PowerLaw(300, 3, 4)
 	in := d1lc.DeltaPlus1Palettes(g)
-	col, err := Color(in, ByDegeneracy, 0)
+	col, err := Color(in, ByDegeneracy)
 	if err != nil {
 		t.Fatal(err)
 	}

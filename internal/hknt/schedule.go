@@ -12,7 +12,7 @@ import (
 // Definition 5, in trial form: Propose is the randomized procedure (pure)
 // and SSP the strong success property evaluated against the proposal. The
 // method of conditional expectations minimizes the number of SSP
-// failures, exactly the estimator of Lemma 10 (see DefaultScore).
+// failures, exactly the estimator of Lemma 10 (see Score).
 type Step struct {
 	Name string
 	// Tau is the LOCAL round count of the procedure.
@@ -37,15 +37,12 @@ type Step struct {
 	SSP func(st *State, parts []int32, prop Proposal, v int32) bool
 }
 
-// ScoreChunk evaluates the objective restricted to parts[lo:hi]: the
-// number of SSP failures, or −#wins when SSP is nil. Summing ScoreChunk
-// over a partition of the participants reproduces DefaultScore exactly
-// (integer arithmetic, no rounding); deframe's engine scores a seed as
-// ScoreChunk over all participants at once.
-func (s *Step) ScoreChunk(st *State, parts []int32, prop Proposal, lo, hi int) int64 {
+// Score evaluates the seed-selection objective for a step's proposal:
+// the number of participants whose SSP fails, or −#wins when SSP is nil.
+func (s *Step) Score(st *State, parts []int32, prop Proposal) int64 {
 	if s.SSP != nil {
 		var fails int64
-		for _, v := range parts[lo:hi] {
+		for _, v := range parts {
 			if !s.SSP(st, parts, prop, v) {
 				fails++
 			}
@@ -53,21 +50,12 @@ func (s *Step) ScoreChunk(st *State, parts []int32, prop Proposal, lo, hi int) i
 		return fails
 	}
 	var wins int64
-	for _, v := range parts[lo:hi] {
+	for _, v := range parts {
 		if prop.Color[v] != d1lc.Uncolored {
 			wins++
 		}
 	}
 	return -wins
-}
-
-// DefaultScore evaluates the seed-selection objective for a step: the
-// number of SSP failures, or −#wins when SSP is nil. It reduces over
-// participant chunks in parallel.
-func (s *Step) DefaultScore(st *State, parts []int32, prop Proposal) int64 {
-	return st.Par.ReduceChunked(len(parts), func(lo, hi int) int64 {
-		return s.ScoreChunk(st, parts, prop, lo, hi)
-	})
 }
 
 // Failures lists participants whose SSP fails under the proposal.

@@ -11,9 +11,10 @@ import (
 )
 
 // This file is the seed-selection engine for the iterative trial rounds:
-// the lowdeg instantiation of condexp.Select. Where the naive oracle
-// re-proposes per seed with fresh n-sized candidate and proposal arrays
-// (and re-proposes the winner after selection), the engine
+// the lowdeg instantiation of condexp.Select, and the trial selector
+// every run uses. Where a naive scorer re-proposes per seed with fresh
+// n-sized candidate and proposal arrays (and re-proposes the winner after
+// selection), the engine
 //
 //   - compacts the round into dense participant-index space once — the
 //     live-live edge list, remaining palettes and palette-size
@@ -31,9 +32,28 @@ import (
 //     mask, only when a seed takes the best-seen slot), so the flat
 //     winner's proposal is committed without recomputation.
 //
-// The naive path remains available via Options.NaiveScoring as the oracle
-// for differential tests; both paths are bit-identical in selected seed,
-// score, certificate, and final coloring.
+// The tests' oracle (oracle_test.go) is the naive scorer; the engine is
+// bit-identical to it in selected seed, score, certificate, and final
+// coloring.
+
+// trialSelector selects one trial round's seed and returns the selected
+// seed's result and proposal. A selected score of 0 means no seed colors
+// anything: the round takes the greedy fallback, so the selector builds
+// no proposal. A cancelled runner surfaces the context error.
+// selectByEngine is the one IterativeDerandomized runs.
+type trialSelector func(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, hknt.Proposal, error)
+
+// selectByEngine is the trialSelector of every run: score every seed once
+// on the round's runner, select (flat or bitwise), and return the
+// selected seed's result plus its proposal.
+func selectByEngine(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, hknt.Proposal, error) {
+	e := newTrialEngine(st, parts, round)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
+	if err != nil || res.Score == 0 {
+		return res, hknt.Proposal{}, err
+	}
+	return res, e.proposalFor(res.Seed), nil
+}
 
 // trialEngine scores one trial round's seed space incrementally.
 type trialEngine struct {
@@ -108,8 +128,8 @@ func newTrialEngine(st *hknt.State, parts []int32, round uint64) *trialEngine {
 // score is the condexp.Scorer: run one trial for the seed with pooled
 // scratch and return its −wins. The candidate draw and conflict
 // resolution match proposeRound exactly — an empty palette yields
-// Uncolored, and only live neighbors can collide — so the score is the
-// naive scorer's −countWins.
+// Uncolored, and only live neighbors can collide — so the score is minus
+// the number of winners proposeRound would find.
 func (e *trialEngine) score(seed uint64) int64 {
 	ss := getScratch(len(e.parts))
 	cand, parts := ss.cand, e.parts
@@ -174,14 +194,6 @@ func (e *trialEngine) proposalFor(seed uint64) hknt.Proposal {
 		return p
 	}
 	return proposeRound(e.st, e.parts, seed, e.round)
-}
-
-// selectSeedTable runs the engine path for one round: score every seed
-// once and select (flat or bitwise). The caller fetches the winning
-// proposal via proposalFor only when the round makes progress —
-// zero-progress rounds take the greedy fallback.
-func (e *trialEngine) selectSeedTable(o Options) (condexp.Result, error) {
-	return condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
 }
 
 // scratches pools the workers' trial scratch across seeds, rounds and

@@ -33,17 +33,10 @@ import (
 type Options struct {
 	// SeedBits is the per-round seed space (default 10 → 1024 seeds).
 	SeedBits int
-	// MaxRounds caps trial rounds before greedy takeover (default 8·log₂n+16).
-	MaxRounds int
 	// Bitwise switches seed selection from flat enumeration to the
-	// bit-by-bit method of conditional expectations (same guarantee; on the
-	// engine path the branch means are subset sums of the per-seed totals).
+	// bit-by-bit method of conditional expectations (same guarantee; the
+	// branch means are subset sums of the per-seed totals).
 	Bitwise bool
-	// NaiveScoring forces the monolithic per-seed rescoring oracle instead
-	// of the incremental scoring engine (engine.go). Both produce
-	// identical results (seed, score, certificate, coloring); the naive
-	// path exists for differential tests and ablation baselines.
-	NaiveScoring bool
 	// Par scopes the round's parallel loops and seed walks to an explicit
 	// worker budget; IterativeDerandomized derives a context-carrying copy
 	// from its ctx argument. nil means the process default.
@@ -60,29 +53,31 @@ type Stats struct {
 }
 
 // IterativeDerandomized colors the instance deterministically by
-// conditional-expectation-selected trial rounds. Seed scoring runs on the
-// incremental scoring engine (engine.go) unless
-// Options.NaiveScoring forces the per-seed oracle. Always returns a
-// complete proper coloring (or an error only for invalid instances and
-// cancellation).
+// conditional-expectation-selected trial rounds, scored on the
+// incremental scoring engine (engine.go). It runs at most
+// 8·⌊log₂(n+2)⌋+16 trial rounds, then colors whatever is left greedily,
+// so it always returns a complete proper coloring (or an error only for
+// invalid instances and cancellation).
 //
 // ctx cancels the run between rounds and inside every seed walk; on
 // cancellation IterativeDerandomized returns ctx's error and no coloring.
 // Parallelism is scoped by o.Par (nil = process default).
 func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*d1lc.Coloring, Stats, error) {
-	n := in.G.N()
+	return iterate(ctx, in, o, 8*log2(in.G.N()+2)+16, selectByEngine)
+}
+
+// iterate is IterativeDerandomized with at most maxRounds trial rounds,
+// each round's seed selected by sel.
+func iterate(ctx context.Context, in *d1lc.Instance, o Options, maxRounds int, sel trialSelector) (*d1lc.Coloring, Stats, error) {
 	if o.SeedBits == 0 {
 		o.SeedBits = 10
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 8*log2(n+2) + 16
 	}
 	o.Par = o.Par.WithContext(ctx)
 	st := hknt.NewState(in)
 	defer st.Release() // runs after the returned st.Col is captured
 	st.Par = o.Par
 	var stats Stats
-	for r := 0; r < o.MaxRounds; r++ {
+	for r := 0; r < maxRounds; r++ {
 		if err := o.Par.Err(); err != nil {
 			return nil, stats, err
 		}
@@ -91,57 +86,34 @@ func IterativeDerandomized(ctx context.Context, in *d1lc.Instance, o Options) (*
 			break
 		}
 		sp := trace.Begin(o.Trace, "lowdeg", "trial-round", r, len(parts))
-		var sel condexp.Result
-		var eng *trialEngine
-		var err error
-		if o.NaiveScoring {
-			sel, err = selectSeedNaive(st, parts, uint64(r), o)
-		} else {
-			eng = newTrialEngine(st, parts, uint64(r))
-			sel, err = eng.selectSeedTable(o)
-		}
+		cert, prop, err := sel(st, parts, uint64(r), o)
 		if err != nil {
 			sp.End(0, 0, 0)
 			return nil, stats, err
 		}
-		stats.Certificates = append(stats.Certificates, sel)
+		stats.Certificates = append(stats.Certificates, cert)
 		stats.Rounds++
-		if sel.Score == 0 {
+		if cert.Score == 0 {
 			// No seed colors anything (tiny family on adversarial state):
 			// force progress by greedily coloring the lowest live node.
 			v := parts[0]
 			c, err := firstFree(st, v)
 			if err != nil {
-				sp.End(sel.Evals, 0, 0)
+				sp.End(cert.Evals, 0, 0)
 				return nil, stats, err
 			}
 			st.SetColor(v, c)
 			stats.GreedyFallback++
-			sp.End(sel.Evals, 1, 0)
+			sp.End(cert.Evals, 1, 0)
 			continue
 		}
-		var prop hknt.Proposal
-		if eng != nil {
-			prop = eng.proposalFor(sel.Seed)
-		} else {
-			prop = proposeRound(st, parts, sel.Seed, uint64(r))
-		}
 		colored := st.Apply(prop)
-		sp.End(sel.Evals, colored, 0)
+		sp.End(cert.Evals, colored, 0)
 	}
 	if err := hknt.FinishGreedy(st); err != nil {
 		return nil, stats, err
 	}
 	return st.Col, stats, nil
-}
-
-// selectSeedNaive is the monolithic oracle: one full proposal plus score
-// per evaluated seed. It is the path the engine is differentially tested
-// against. A cancelled runner surfaces the context error.
-func selectSeedNaive(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, error) {
-	return condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
-		return -int64(countWins(st, parts, seed, round))
-	})
 }
 
 // proposeRound computes the trial proposal for a (seed, round) pair and
@@ -154,9 +126,10 @@ func proposeRound(st *hknt.State, parts []int32, seed, round uint64) hknt.Propos
 
 // proposeRoundColors computes the colors array only: node v's candidate
 // is Rem[v][h(seed, v, round) mod |Rem[v]|]; winners are the candidates
-// no neighbor duplicated. The win mask is left empty — the naive scoring
-// oracle counts wins by scanning the sentinels and never commits these
-// proposals, so it skips the mask pass it would pay once per seed.
+// no neighbor duplicated. The win mask is left empty: proposeRound
+// finishes it for the one proposal a round commits, and the tests' naive
+// oracle (countWins) counts wins by scanning the sentinels, so it skips
+// the mask pass it would pay once per seed.
 func proposeRoundColors(st *hknt.State, parts []int32, seed, round uint64) hknt.Proposal {
 	n := st.In.G.N()
 	cand := make([]int32, n)
@@ -186,18 +159,6 @@ func proposeRoundColors(st *hknt.State, parts []int32, seed, round uint64) hknt.
 		prop.Color[v] = c
 	})
 	return prop
-}
-
-// countWins scores a seed by the number of nodes its proposal colors.
-func countWins(st *hknt.State, parts []int32, seed, round uint64) int {
-	prop := proposeRoundColors(st, parts, seed, round)
-	wins := 0
-	for _, v := range parts {
-		if prop.Color[v] != d1lc.Uncolored {
-			wins++
-		}
-	}
-	return wins
 }
 
 func firstFree(st *hknt.State, v int32) (int32, error) {

@@ -75,7 +75,7 @@ func mustStats(t *testing.T, in *d1lc.Instance) Stats {
 func TestIterativeTinySeedSpaceStillTerminates(t *testing.T) {
 	// SeedBits=1 gives a 2-seed family: fallbacks must keep it correct.
 	in := d1lc.TrivialPalettes(graph.Complete(15))
-	col, stats, err := IterativeDerandomized(context.Background(), in, Options{SeedBits: 1, MaxRounds: 400})
+	col, stats, err := iterate(context.Background(), in, Options{SeedBits: 1}, 400, selectByEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,9 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 	for name, in := range cases {
 		for _, bitwise := range []bool{false, true} {
 			for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS default
-				o := Options{SeedBits: 6, Bitwise: bitwise}
-				oNaive := o
-				oNaive.NaiveScoring = true
-				o.Par = par.NewRunner(workers)
-				oNaive.Par = par.NewRunner(workers)
+				o := Options{SeedBits: 6, Bitwise: bitwise, Par: par.NewRunner(workers)}
 				colT, statsT, errT := IterativeDerandomized(context.Background(), in, o)
-				colN, statsN, errN := IterativeDerandomized(context.Background(), in, oNaive)
+				colN, statsN, errN := iterateNaive(in, o)
 				if errT != nil || errN != nil {
 					t.Fatalf("%s: errs: table=%v naive=%v", name, errT, errN)
 				}
@@ -144,7 +140,10 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTableEvalReduction pins the bitwise eval saving on the live solver.
+// TestTableEvalReduction pins the bitwise eval saving on the live solver:
+// the engine path spends 2^d evaluations per round, where the classical
+// bitwise method spends 2^(d+1)−2 (condexp's TestTableBitwiseEvalBudget
+// pins that count).
 func TestTableEvalReduction(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Gnp(100, 0.05, 9))
 	const d = 5
@@ -152,16 +151,9 @@ func TestTableEvalReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, statsN, err := IterativeDerandomized(context.Background(), in, Options{SeedBits: d, Bitwise: true, NaiveScoring: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range statsT.Certificates {
 		if got, want := statsT.Certificates[i].Evals, 1<<d; got != want {
 			t.Fatalf("round %d: table evals %d, want %d", i, got, want)
-		}
-		if got, want := statsN.Certificates[i].Evals, 1<<(d+1)-2; got != want {
-			t.Fatalf("round %d: naive bitwise evals %d, want %d", i, got, want)
 		}
 	}
 }
@@ -195,24 +187,27 @@ func BenchmarkIterativeDerandomized(b *testing.B) {
 // BenchmarkSeedSelectionLowdeg ablates the scoring engine on a full
 // iterative solve at n=300 (every trial round goes through seed
 // selection): the engine path (pooled participant-reset
-// scratch + cached winning proposal) against the naive per-seed oracle,
-// for both selection strategies. Results are identical across the axis;
+// scratch + cached winning proposal) against the naive per-seed oracle
+// (selecting through the same condexp.Select), for both selection
+// strategies. Results are identical across the axis;
 // only cost differs.
 func BenchmarkSeedSelectionLowdeg(b *testing.B) {
 	in := d1lc.TrivialPalettes(graph.RandomRegular(300, 6, 1))
+	maxRounds := 8*log2(in.G.N()+2) + 16
 	for _, cfg := range []struct {
-		name           string
-		naive, bitwise bool
+		name    string
+		sel     trialSelector
+		bitwise bool
 	}{
-		{"naive/flat", true, false},
-		{"naive/bitwise", true, true},
-		{"table/flat", false, false},
-		{"table/bitwise", false, true},
+		{"naive/flat", selectNaive, false},
+		{"naive/bitwise", selectNaive, true},
+		{"table/flat", selectByEngine, false},
+		{"table/bitwise", selectByEngine, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := IterativeDerandomized(context.Background(), in, Options{SeedBits: 8, Bitwise: cfg.bitwise, NaiveScoring: cfg.naive}); err != nil {
+				if _, _, err := iterate(context.Background(), in, Options{SeedBits: 8, Bitwise: cfg.bitwise}, maxRounds, cfg.sel); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,9 +217,9 @@ func BenchmarkSeedSelectionLowdeg(b *testing.B) {
 
 func TestFirstFreeFallbackPath(t *testing.T) {
 	// A 1-seed space on K_n guarantees some zero-progress rounds that
-	// exercise the firstFree fallback; with MaxRounds ≥ n it must finish.
+	// exercise the firstFree fallback; with a round cap ≥ n it must finish.
 	in := d1lc.TrivialPalettes(graph.Complete(10))
-	col, stats, err := IterativeDerandomized(context.Background(), in, Options{SeedBits: 1, MaxRounds: 64})
+	col, stats, err := iterate(context.Background(), in, Options{SeedBits: 1}, 64, selectByEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +232,10 @@ func TestFirstFreeFallbackPath(t *testing.T) {
 }
 
 func TestIterativeMaxRoundsExhaustionStillProper(t *testing.T) {
-	// Even with MaxRounds=1 the final FinishGreedy guarantees a complete
-	// proper coloring.
+	// Even with a one-round cap the final FinishGreedy guarantees a
+	// complete proper coloring.
 	in := d1lc.TrivialPalettes(graph.Gnp(80, 0.1, 2))
-	col, _, err := IterativeDerandomized(context.Background(), in, Options{SeedBits: 4, MaxRounds: 1})
+	col, _, err := iterate(context.Background(), in, Options{SeedBits: 4}, 1, selectByEngine)
 	if err != nil {
 		t.Fatal(err)
 	}

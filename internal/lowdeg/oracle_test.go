@@ -1,6 +1,7 @@
 package lowdeg
 
 import (
+	"context"
 	"testing"
 
 	"parcolor/internal/condexp"
@@ -10,10 +11,41 @@ import (
 	"parcolor/internal/par"
 )
 
+// countWins scores a seed by the number of nodes its proposal colors.
+func countWins(st *hknt.State, parts []int32, seed, round uint64) int {
+	prop := proposeRoundColors(st, parts, seed, round)
+	wins := 0
+	for _, v := range parts {
+		if prop.Color[v] != d1lc.Uncolored {
+			wins++
+		}
+	}
+	return wins
+}
+
+// selectNaive is the trialSelector the engine is tested against: Select
+// over −countWins, one fresh proposal per seed, and a fresh re-proposal
+// of the selected seed through proposeRound.
+func selectNaive(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, hknt.Proposal, error) {
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
+		return -int64(countWins(st, parts, seed, round))
+	})
+	if err != nil || res.Score == 0 {
+		return res, hknt.Proposal{}, err
+	}
+	return res, proposeRound(st, parts, res.Seed, round), nil
+}
+
+// iterateNaive is IterativeDerandomized with every round's seed selected
+// by the naive oracle.
+func iterateNaive(in *d1lc.Instance, o Options) (*d1lc.Coloring, Stats, error) {
+	return iterate(context.Background(), in, o, 8*log2(in.G.N()+2)+16, selectNaive)
+}
+
 // TestTrialEngineSeedMajorMatchesChunkMajorOracle pins the trial round
 // engine to the naive oracle seed by seed: for every seed, the engine's
-// −wins equals the naive −countWins, and both selection strategies equal
-// condexp.SelectNaive over that scorer — across workers 1, 4 and the
+// −wins equals the naive −countWins, and both selection strategies and
+// the selected proposal equal selectNaive's — across workers 1, 4 and the
 // process default (run under -race in CI), over several rounds so the
 // live set and palettes shrink between selections. The name is kept from
 // the chunk-major table comparison this check replaced.
@@ -37,29 +69,34 @@ func TestTrialEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 		for _, w := range []int{1, 4, 0} {
 			for _, bitwise := range []bool{false, true} {
 				o := Options{SeedBits: seedBits, Bitwise: bitwise, Par: par.NewRunner(w)}
-				got, err := newTrialEngine(st, parts, round).selectSeedTable(o)
+				got, a, err := selectByEngine(st, parts, round, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := condexp.SelectNaive(o.Par, seedBits, bitwise, naive)
+				want, b, err := selectNaive(st, parts, round, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Seed != want.Seed || got.Score != want.Score || got.SumScores != want.SumScores {
+				if got != want {
 					t.Fatalf("round=%d w=%d bitwise=%v: engine %+v, naive %+v", round, w, bitwise, got, want)
+				}
+				for v := range a.Color {
+					if a.Color[v] != b.Color[v] || a.Win.Test(v) != b.Win.Test(v) {
+						t.Fatalf("round=%d w=%d bitwise=%v: proposals differ at node %d", round, w, bitwise, v)
+					}
 				}
 			}
 		}
 
 		// Advance the state with the selected proposal so later rounds
 		// exercise shrunken live sets and thinner palettes.
-		sel, err := eng.selectSeedTable(Options{SeedBits: seedBits})
+		sel, prop, err := selectByEngine(st, parts, round, Options{SeedBits: seedBits})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sel.Score == 0 {
 			break
 		}
-		st.Apply(eng.proposalFor(sel.Seed))
+		st.Apply(prop)
 	}
 }

@@ -12,10 +12,11 @@ import (
 )
 
 // This file is the seed-selection engine for the derandomized Luby
-// rounds: the mis instantiation of condexp.Select. Where the naive oracle
-// re-runs a monolithic full-graph scorer per seed — expanding the PRG over
-// every node's chunk and allocating fresh priority/join arrays and a
-// ChunkedSource each time — the engine
+// rounds: the mis instantiation of condexp.Select, and the round selector
+// every run uses. Where a naive scorer re-runs a monolithic full-graph
+// simulation per seed — expanding the PRG over every node's chunk and
+// allocating fresh priority/join arrays and a ChunkedSource each time —
+// the engine
 //
 //   - scores each seed exactly once, reusing per-worker scratch (a
 //     reseedable prg.LazySource, its reader cursor, a priority buffer and
@@ -34,9 +35,28 @@ import (
 //     a bitwise winner other than the best seen is re-simulated once on
 //     pooled scratch.
 //
-// The naive path remains available via Options.NaiveScoring as the oracle
-// for differential tests; both paths are bit-identical in selected seed,
-// score, certificate, and resulting MIS.
+// The tests' oracle (oracle_test.go) is the naive scorer; the engine is
+// bit-identical to it in selected seed, score, certificate, and resulting
+// MIS.
+
+// roundSelector selects one Luby round's seed over the generator's seed
+// space and returns the selected seed's result and join set. chunkOf maps
+// each of the graph's nodes to its PRG chunk (one chunk per node id). A
+// cancelled runner surfaces the context error. selectByEngine is the one
+// Derandomized runs.
+type roundSelector func(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error)
+
+// selectByEngine is the roundSelector of every run: score every seed once
+// on the round's runner, select (flat or bitwise), and return the
+// selected seed's result plus its join mask.
+func selectByEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error) {
+	e := newRoundEngine(g, state, parts, gen, chunkOf, g.N())
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
+	if err != nil {
+		return condexp.Result{}, nil, err
+	}
+	return res, e.joinFor(res.Seed), nil
+}
 
 // engineIDs issues the unique ids misScratch.owner tags pooled scratch
 // with (a counter, not a pointer, so pooled entries never retain a
@@ -103,9 +123,8 @@ func (e *roundEngine) score(seed uint64) int64 {
 }
 
 // stillUndecided reports whether undecided node v stays undecided under
-// the join mask: it neither joins nor has a joining neighbor — the
-// complement of simulateDecided's per-node predicate. Decided neighbors'
-// bits are permanently zero, so the scan needs no state check.
+// the join mask: it neither joins nor has a joining neighbor. Decided
+// neighbors' bits are permanently zero, so the scan needs no state check.
 func stillUndecided(g *graph.Graph, join bitset.Mask, v int32) bool {
 	if join.Test(int(v)) {
 		return false
@@ -140,18 +159,6 @@ func (e *roundEngine) joinFor(seed uint64) bitset.Mask {
 	join := append(bitset.Mask(nil), ss.join...)
 	scratches.Put(ss)
 	return join
-}
-
-// selectSeedTable runs the engine path for one round: score every seed
-// once on the round's runner, select (flat or bitwise), and return the
-// selected seed's result plus its join mask. A cancelled runner aborts
-// the walk and surfaces the context error.
-func (e *roundEngine) selectSeedTable(o Options) (condexp.Result, bitset.Mask, error) {
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
-	if err != nil {
-		return condexp.Result{}, nil, err
-	}
-	return res, e.joinFor(res.Seed), nil
 }
 
 // scratches pools the workers' evaluation scratch across seeds, rounds and

@@ -98,9 +98,9 @@ const priorityBits = 32
 
 // priority packs node v's drawn bits (high word) with its id (low word) as
 // the tiebreak — exact for every int32 id, so adjacent equal draws can
-// never produce two local maxima. Both the naive lubyRound and the table
-// engine's fill must use exactly this expression for the two scoring paths
-// to stay bit-identical.
+// never produce two local maxima. Both lubyRound (Randomized and the
+// tests' oracle) and the engine's simulation must use exactly this
+// expression for the oracle and the engine to stay bit-identical.
 func priority(v int32, b *rng.Bits) uint64 {
 	return b.Take(priorityBits)<<32 | uint64(uint32(v))
 }
@@ -203,14 +203,9 @@ func Randomized(g *graph.Graph, seed uint64, maxRounds int) Result {
 type Options struct {
 	SeedBits int // PRG seed length (default Θ(log Δ) capped at 10)
 	// Bitwise switches seed selection from flat enumeration to the
-	// bit-by-bit method of conditional expectations (same guarantee; on the
-	// engine path the branch means are subset sums of the per-seed totals).
+	// bit-by-bit method of conditional expectations (same guarantee; the
+	// branch means are subset sums of the per-seed totals).
 	Bitwise bool
-	// NaiveScoring forces the monolithic per-seed rescoring oracle instead
-	// of the incremental scoring engine (engine.go). Both produce
-	// identical results (seed, score, certificate, MIS); the naive path
-	// exists for differential tests and ablation baselines.
-	NaiveScoring bool
 	// Par scopes the round's parallel loops and seed walks to an explicit
 	// worker budget; Derandomized derives a context-carrying copy from its
 	// ctx argument. nil means the process default.
@@ -223,8 +218,7 @@ type Options struct {
 // one Lemma 10 invocation — chunk the PRG output by node (identity
 // chunking suffices for MIS since the success property is radius-1),
 // select the seed minimizing the number of still-undecided nodes, commit.
-// Seed scoring runs on the incremental scoring engine (engine.go) unless
-// Options.NaiveScoring forces the per-seed oracle.
+// Seed scoring runs on the incremental scoring engine (engine.go).
 // The result is deterministic, independent with certainty, and maximal
 // with Skipped nodes (if any) excluded — mirroring that failed nodes defer
 // without breaking WSP for the rest. A final sequential sweep decides any
@@ -233,6 +227,11 @@ type Options struct {
 // ctx cancels the run between rounds and inside every seed walk; on
 // cancellation Derandomized returns ctx's error and a zero Result.
 func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error) {
+	return derandomized(ctx, g, o, selectByEngine)
+}
+
+// derandomized is Derandomized with every round's seed selected by sel.
+func derandomized(ctx context.Context, g *graph.Graph, o Options, sel roundSelector) (Result, error) {
 	n := g.N()
 	if o.SeedBits == 0 {
 		o.SeedBits = prg.SeedBitsForDelta(g.MaxDegree(), 10)
@@ -255,30 +254,15 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 		}
 		sp := trace.Begin(o.Trace, "mis", "luby-round", r, len(parts))
 		gen := prg.NewKWise(4, o.SeedBits, n*priorityBits)
-		var sel condexp.Result
-		var decided int
-		var err error
-		if o.NaiveScoring {
-			sel, err = selectSeedNaive(g, state, gen, chunkOf, len(parts), o)
-			if err == nil {
-				src, _ := prg.NewChunkedSource(gen, sel.Seed, chunkOf, n, priorityBits)
-				decided = applyJoin(g, state, lubyRound(o.Par, g, state, src.BitsFor))
-			}
-		} else {
-			eng := newRoundEngine(g, state, parts, gen, chunkOf, n)
-			var join bitset.Mask
-			sel, join, err = eng.selectSeedTable(o)
-			if err == nil {
-				decided = applyJoinMask(g, state, join)
-			}
-		}
+		cert, join, err := sel(g, state, parts, gen, chunkOf, o)
 		if err != nil {
 			sp.End(0, 0, 0)
 			return Result{}, err
 		}
-		res.SeedReports = append(res.SeedReports, sel)
+		decided := applyJoinMask(g, state, join)
+		res.SeedReports = append(res.SeedReports, cert)
 		res.Rounds++
-		sp.End(sel.Evals, decided, 0)
+		sp.End(cert.Evals, decided, 0)
 	}
 	// Any undecided leftovers (possible only if maxRounds hit) are decided
 	// greedily, preserving independence and reaching maximality.
@@ -302,30 +286,6 @@ func Derandomized(ctx context.Context, g *graph.Graph, o Options) (Result, error
 	return res, nil
 }
 
-// selectSeedNaive is the monolithic oracle: one full PRG expansion plus
-// full-graph Luby simulation per evaluated seed (the winner is
-// re-simulated by the caller). It is the path the engine is
-// differentially tested against. A cancelled runner surfaces the context
-// error.
-func selectSeedNaive(g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []int32, undecided int, o Options) (condexp.Result, error) {
-	return condexp.SelectNaive(o.Par, o.SeedBits, o.Bitwise, naiveScorer(o.Par, g, state, gen, chunkOf, undecided))
-}
-
-// naiveScorer is the oracle's objective — the pessimistic estimator,
-// nodes still undecided after the round — with a fresh eager expansion
-// and full-graph simulation per seed.
-func naiveScorer(r *par.Runner, g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []int32, undecided int) condexp.Scorer {
-	n := g.N()
-	return func(seed uint64) int64 {
-		src, err := prg.NewChunkedSource(gen, seed, chunkOf, n, priorityBits)
-		if err != nil {
-			panic(err)
-		}
-		join := lubyRound(r, g, state, src.BitsFor)
-		return int64(undecided) - int64(simulateDecided(r, g, state, join))
-	}
-}
-
 // undecidedNodes lists the current round's participants in ascending node
 // order.
 func undecidedNodes(state []NodeState) []int32 {
@@ -336,26 +296,6 @@ func undecidedNodes(state []NodeState) []int32 {
 		}
 	}
 	return out
-}
-
-// simulateDecided counts how many currently-undecided nodes would become
-// decided if join were applied, without mutating state.
-func simulateDecided(r *par.Runner, g *graph.Graph, state []NodeState, join []bool) int {
-	return int(r.ReduceInt(g.N(), func(i int) int64 {
-		v := int32(i)
-		if state[v] != Undecided {
-			return 0
-		}
-		if join[v] {
-			return 1
-		}
-		for _, u := range g.Neighbors(v) {
-			if join[u] {
-				return 1
-			}
-		}
-		return 0
-	}))
 }
 
 func countUndecided(state []NodeState) int {

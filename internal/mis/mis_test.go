@@ -171,13 +171,12 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 	for name, g := range graphs {
 		for _, bitwise := range []bool{false, true} {
 			for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS default
-				o := Options{SeedBits: 6, Bitwise: bitwise}
-				oNaive := o
-				oNaive.NaiveScoring = true
-				o.Par = par.NewRunner(workers)
-				oNaive.Par = par.NewRunner(workers)
+				o := Options{SeedBits: 6, Bitwise: bitwise, Par: par.NewRunner(workers)}
 				tab := mustDerand(t, g, o)
-				naive := mustDerand(t, g, oNaive)
+				naive, err := derandomizedNaive(g, o)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(tab.SeedReports) != len(naive.SeedReports) {
 					t.Fatalf("%s/bitwise=%v/w=%d: round counts diverge: %d vs %d",
 						name, bitwise, workers, len(tab.SeedReports), len(naive.SeedReports))
@@ -202,19 +201,16 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 }
 
 // TestTableEvalReduction pins the bitwise eval saving on the live solver:
-// the naive bitwise oracle spends 2^(d+1)−2 scorer calls per round, the
-// engine path 2^d evaluations.
+// the engine path spends 2^d evaluations per round, where the classical
+// bitwise method spends 2^(d+1)−2 (condexp's TestTableBitwiseEvalBudget
+// pins that count).
 func TestTableEvalReduction(t *testing.T) {
 	g := graph.Gnp(100, 0.06, 2)
 	const d = 5
 	tab := mustDerand(t, g, Options{SeedBits: d, Bitwise: true})
-	naive := mustDerand(t, g, Options{SeedBits: d, Bitwise: true, NaiveScoring: true})
 	for i := range tab.SeedReports {
 		if got, want := tab.SeedReports[i].Evals, 1<<d; got != want {
 			t.Fatalf("round %d: table evals %d, want %d", i, got, want)
-		}
-		if got, want := naive.SeedReports[i].Evals, 1<<(d+1)-2; got != want {
-			t.Fatalf("round %d: naive bitwise evals %d, want %d", i, got, want)
 		}
 	}
 }
@@ -256,23 +252,25 @@ func BenchmarkDerandomizedMIS(b *testing.B) {
 // derandomized solve at n=300 (every Luby round goes through seed
 // selection): the engine path (lazy chunk views of the live
 // nodes + pooled scratch + cached winning join) against the naive per-seed
-// oracle, for both selection strategies. Results are identical across the
+// oracle (selecting through the same condexp.Select), for both selection
+// strategies. Results are identical across the
 // axis; only cost differs.
 func BenchmarkSeedSelectionMIS(b *testing.B) {
 	g := graph.Gnp(300, 0.04, 1)
 	for _, cfg := range []struct {
-		name           string
-		naive, bitwise bool
+		name    string
+		sel     roundSelector
+		bitwise bool
 	}{
-		{"naive/flat", true, false},
-		{"naive/bitwise", true, true},
-		{"table/flat", false, false},
-		{"table/bitwise", false, true},
+		{"naive/flat", selectNaive, false},
+		{"naive/bitwise", selectNaive, true},
+		{"table/flat", selectByEngine, false},
+		{"table/bitwise", selectByEngine, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _ = Derandomized(context.Background(), g, Options{SeedBits: 8, Bitwise: cfg.bitwise, NaiveScoring: cfg.naive})
+				_, _ = derandomized(context.Background(), g, Options{SeedBits: 8, Bitwise: cfg.bitwise}, cfg.sel)
 			}
 		})
 	}

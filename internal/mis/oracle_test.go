@@ -1,19 +1,78 @@
 package mis
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/graph"
 	"parcolor/internal/par"
 	"parcolor/internal/prg"
 )
 
+// naiveScorer is the oracle's objective — the pessimistic estimator,
+// nodes still undecided after the round — with a fresh eager expansion
+// and full-graph simulation per seed.
+func naiveScorer(r *par.Runner, g *graph.Graph, state []NodeState, gen prg.PRG, chunkOf []int32, undecided int) condexp.Scorer {
+	n := g.N()
+	return func(seed uint64) int64 {
+		src, err := prg.NewChunkedSource(gen, seed, chunkOf, n, priorityBits)
+		if err != nil {
+			panic(err)
+		}
+		join := lubyRound(r, g, state, src.BitsFor)
+		return int64(undecided) - int64(simulateDecided(r, g, state, join))
+	}
+}
+
+// simulateDecided counts how many currently-undecided nodes would become
+// decided if join were applied, without mutating state.
+func simulateDecided(r *par.Runner, g *graph.Graph, state []NodeState, join []bool) int {
+	return int(r.ReduceInt(g.N(), func(i int) int64 {
+		v := int32(i)
+		if state[v] != Undecided {
+			return 0
+		}
+		if join[v] {
+			return 1
+		}
+		for _, u := range g.Neighbors(v) {
+			if join[u] {
+				return 1
+			}
+		}
+		return 0
+	}))
+}
+
+// selectNaive is the roundSelector the engine is tested against: Select
+// over naiveScorer, then one eager re-simulation of the selected seed,
+// its join set copied into a mask.
+func selectNaive(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error) {
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, naiveScorer(o.Par, g, state, gen, chunkOf, len(parts)))
+	if err != nil {
+		return condexp.Result{}, nil, err
+	}
+	n := g.N()
+	src, _ := prg.NewChunkedSource(gen, res.Seed, chunkOf, n, priorityBits)
+	join := lubyRound(o.Par, g, state, src.BitsFor)
+	mask := bitset.New(n)
+	mask.Fill(n, func(v int) bool { return join[v] })
+	return res, mask, nil
+}
+
+// derandomizedNaive is Derandomized with every round's seed selected by
+// the naive oracle.
+func derandomizedNaive(g *graph.Graph, o Options) (Result, error) {
+	return derandomized(context.Background(), g, o, selectNaive)
+}
+
 // TestRoundEngineSeedMajorMatchesChunkMajorOracle pins the Luby round
 // engine to the naive oracle seed by seed: for every seed, the engine's
 // undecided count equals naiveScorer's, and both selection strategies
-// equal condexp.SelectNaive over that scorer — across workers 1, 4 and
+// equal selectNaive's, join set included — across workers 1, 4 and
 // the process default (run under -race in CI), on a fresh round and on a
 // partially-decided state. The name is kept from the chunk-major table
 // comparison this check replaced.
@@ -58,16 +117,21 @@ func TestRoundEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 			for _, w := range []int{1, 4, 0} {
 				for _, bitwise := range []bool{false, true} {
 					o := Options{SeedBits: seedBits, Bitwise: bitwise, Par: par.NewRunner(w)}
-					got, _, err := newRoundEngine(g, tc.state, parts, gen, chunkOf, n).selectSeedTable(o)
+					got, gotJoin, err := selectByEngine(g, tc.state, parts, gen, chunkOf, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := condexp.SelectNaive(o.Par, seedBits, bitwise, naive)
+					want, wantJoin, err := selectNaive(g, tc.state, parts, gen, chunkOf, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Seed != want.Seed || got.Score != want.Score || got.SumScores != want.SumScores {
+					if got != want {
 						t.Fatalf("w=%d bitwise=%v: engine %+v, naive %+v", w, bitwise, got, want)
+					}
+					for v := 0; v < n; v++ {
+						if gotJoin.Test(v) != wantJoin.Test(v) {
+							t.Fatalf("w=%d bitwise=%v: join sets differ at node %d", w, bitwise, v)
+						}
 					}
 				}
 			}
@@ -108,24 +172,19 @@ func TestTableScoringMatchesNaiveSharedChunks(t *testing.T) {
 					if round == 4*log2(n+2)+8 {
 						t.Fatalf("%s: no convergence", name)
 					}
-					selT, join, err := newRoundEngine(g, stT, parts, gen, chunkOf, n).selectSeedTable(o)
+					selT, joinT, err := selectByEngine(g, stT, parts, gen, chunkOf, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					selN, err := selectSeedNaive(g, stN, gen, chunkOf, len(parts), o)
+					selN, joinN, err := selectNaive(g, stN, parts, gen, chunkOf, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if selT.Seed != selN.Seed || selT.Score != selN.Score ||
-						selT.SumScores != selN.SumScores || selT.MeanUpper() != selN.MeanUpper() {
+					if selT != selN {
 						t.Fatalf("%s round %d diverges:\ntable %+v\nnaive %+v", name, round, selT, selN)
 					}
-					applyJoinMask(g, stT, join)
-					src, err := prg.NewChunkedSource(gen, selN.Seed, chunkOf, n, priorityBits)
-					if err != nil {
-						t.Fatal(err)
-					}
-					applyJoin(g, stN, lubyRound(o.Par, g, stN, src.BitsFor))
+					applyJoinMask(g, stT, joinT)
+					applyJoinMask(g, stN, joinN)
 					for v := range stT {
 						if stT[v] != stN[v] {
 							t.Fatalf("%s round %d: states diverge at node %d", name, round, v)

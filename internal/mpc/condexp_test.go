@@ -7,6 +7,18 @@ import (
 	"parcolor/internal/rng"
 )
 
+// sharedTotals sums every machine's score per seed: the totals vector the
+// shared-memory selection reads.
+func sharedTotals(machines, seeds int, scoreOf SeedScorer) []int64 {
+	totals := make([]int64, seeds)
+	for s := range totals {
+		for mid := 0; mid < machines; mid++ {
+			totals[s] += scoreOf(mid, uint64(s))
+		}
+	}
+	return totals
+}
+
 func TestDistributedSelectSeedMatchesShared(t *testing.T) {
 	// Each machine hosts synthetic "nodes" whose failure indicator depends
 	// on (machine, seed); the distributed argmin must equal the
@@ -23,13 +35,7 @@ func TestDistributedSelectSeedMatchesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := condexp.SelectSeed(nil, seeds, func(s uint64) int64 {
-		var sum int64
-		for mid := 0; mid < machines; mid++ {
-			sum += scoreOf(mid, s)
-		}
-		return sum
-	})
+	ref := condexp.SelectTotals(sharedTotals(machines, seeds, scoreOf))
 	if best != ref.Seed || bestScore != ref.Score {
 		t.Fatalf("distributed (%d,%d) vs shared (%d,%d)", best, bestScore, ref.Seed, ref.Score)
 	}
@@ -126,13 +132,7 @@ func TestDistributedSelectSeedRowsMatchesScalar(t *testing.T) {
 			t.Fatalf("m=%d s=%d: certificate violated", tc.machines, tc.space)
 		}
 		// The shared-memory table path is the common reference.
-		ref := condexp.SelectSeed(nil, tc.seeds, func(s uint64) int64 {
-			var sum int64
-			for mid := 0; mid < tc.machines; mid++ {
-				sum += scoreOf(mid, s)
-			}
-			return sum
-		})
+		ref := condexp.SelectTotals(sharedTotals(tc.machines, tc.seeds, scoreOf))
 		if res.Seed != ref.Seed || res.Score != ref.Score || res.SumScores != ref.SumScores {
 			t.Fatalf("m=%d s=%d: rows result %+v differs from shared %+v",
 				tc.machines, tc.space, res, ref)

@@ -264,48 +264,3 @@ func (r *Runner) ReduceInt(n int, body func(i int) int64) int64 {
 		return acc
 	})
 }
-
-// ReduceMin returns the minimum of body(i) over [0, n) together with the
-// smallest index attaining it. It is the deterministic argmin used by the
-// method of conditional expectations (ties break toward the smaller index,
-// independent of worker count). n must be positive.
-func (r *Runner) ReduceMin(n int, body func(i int) int64) (min int64, argmin int) {
-	if n <= 0 {
-		panic("par.ReduceMin: n must be positive")
-	}
-	w := r.Workers(n)
-	mins := make([]int64, w)
-	args := make([]int, w)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		lo := k * n / w
-		hi := (k + 1) * n / w
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			if lo >= hi {
-				args[k] = -1
-				return
-			}
-			bestV := body(lo)
-			bestI := lo
-			for i := lo + 1; i < hi; i++ {
-				if v := body(i); v < bestV {
-					bestV, bestI = v, i
-				}
-			}
-			mins[k], args[k] = bestV, bestI
-		}(k, lo, hi)
-	}
-	wg.Wait()
-	argmin = -1
-	for k := 0; k < w; k++ {
-		if args[k] < 0 {
-			continue
-		}
-		if argmin == -1 || mins[k] < min {
-			min, argmin = mins[k], args[k]
-		}
-	}
-	return min, argmin
-}

@@ -53,51 +53,16 @@ func TestReduceIntMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestReduceMinFindsSmallestIndexTie(t *testing.T) {
-	vals := []int64{5, 3, 9, 3, 3, 8}
-	min, arg := NewRunner(0).ReduceMin(len(vals), func(i int) int64 { return vals[i] })
-	if min != 3 || arg != 1 {
-		t.Fatalf("got (%d,%d), want (3,1)", min, arg)
-	}
-}
-
-func TestReduceMinProperty(t *testing.T) {
-	f := func(vals []int32) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		min, arg := NewRunner(0).ReduceMin(len(vals), func(i int) int64 { return int64(vals[i]) })
-		// arg must attain min, and nothing earlier may be <= min-1 or equal.
-		if int64(vals[arg]) != min {
-			return false
-		}
-		for i, v := range vals {
-			if int64(v) < min {
-				return false
-			}
-			if int64(v) == min && i < arg {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	vals := make([]int64, 999)
 	for i := range vals {
 		vals[i] = int64((i*2654435761 + 17) % 1000)
 	}
 	ref := NewRunner(0).ReduceInt(len(vals), func(i int) int64 { return vals[i] })
-	refMin, refArg := NewRunner(0).ReduceMin(len(vals), func(i int) int64 { return vals[i] })
 	for _, w := range []int{1, 2, 3, 5, 8} {
 		r := NewRunner(w)
 		sum := r.ReduceInt(len(vals), func(i int) int64 { return vals[i] })
-		min, arg := r.ReduceMin(len(vals), func(i int) int64 { return vals[i] })
-		if sum != ref || min != refMin || arg != refArg {
+		if sum != ref {
 			t.Fatalf("workers=%d: results differ", w)
 		}
 	}

@@ -95,14 +95,6 @@ func (s *Stream) Perm(p []int32) {
 	}
 }
 
-// Shuffle permutes xs uniformly at random in place.
-func (s *Stream) Shuffle(xs []int32) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
 // Bits is a counted bit source: a finite string of pseudorandom (or
 // pseudorandom-generator-produced) bits consumed left to right. Definition 5
 // procedures receive their per-node randomness as a Bits value so the same

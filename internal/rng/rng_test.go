@@ -95,24 +95,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	xs := []int32{5, 5, 1, 9, 2, 2, 2}
-	cp := append([]int32(nil), xs...)
-	New(3).Shuffle(cp)
-	count := map[int32]int{}
-	for _, v := range xs {
-		count[v]++
-	}
-	for _, v := range cp {
-		count[v]--
-	}
-	for k, c := range count {
-		if c != 0 {
-			t.Fatalf("value %d count off by %d", k, c)
-		}
-	}
-}
-
 func TestBitsTakeRoundTrip(t *testing.T) {
 	// 0b1011 packed LSB-first in word 0: bits consumed in order 1,1,0,1.
 	b := NewBits([]uint64{0b1011}, 4)

@@ -55,19 +55,17 @@ type scoped struct {
 	node  ast.Node
 }
 
-// TestProductionFunctionsReachable fails on every package-level function
-// under internal/ that shipped code cannot reach, so code that only tests
-// run lives in _test.go files next to those tests. It parses every
-// non-test file of the module, bench/ included, and resolves identifiers
-// syntactically: pkg.Name through the file's imports, a bare name to the
-// file's own package. Roots are every function of a shipped package,
-// every main and init, every method body and every package-level var,
-// const and type declaration. Methods are not checked themselves, because
-// interface dispatch hides their callers.
-func TestProductionFunctionsReachable(t *testing.T) {
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path → non-test files
-	pkgName := map[string]string{}
+// module is the module's non-test source: every non-test .go file,
+// bench/ included, by import path.
+type module struct {
+	fset    *token.FileSet
+	files   map[string][]*ast.File // import path → non-test files
+	pkgName map[string]string      // import path → package name
+}
+
+// parseModule parses every non-test file of the module.
+func parseModule(t *testing.T) *module {
+	m := &module{fset: token.NewFileSet(), files: map[string][]*ast.File{}, pkgName: map[string]string{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -81,35 +79,58 @@ func TestProductionFunctionsReachable(t *testing.T) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
+		f, err := parser.ParseFile(m.fset, p, nil, 0)
 		if err != nil {
 			return err
 		}
 		imp := path.Join("parcolor", filepath.ToSlash(filepath.Dir(p)))
-		files[imp] = append(files[imp], f)
-		pkgName[imp] = f.Name.Name
+		m.files[imp] = append(m.files[imp], f)
+		m.pkgName[imp] = f.Name.Name
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// imports maps the local names of the module packages f imports to
+// their import paths.
+func (m *module) imports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, is := range f.Imports {
+		ip, _ := strconv.Unquote(is.Path.Value)
+		name, ok := m.pkgName[ip]
+		if !ok {
+			continue // not a module package
+		}
+		if is.Name != nil {
+			name = is.Name.Name
+		}
+		imports[name] = ip
+	}
+	return imports
+}
+
+// TestProductionFunctionsReachable fails on every package-level function
+// under internal/ that shipped code cannot reach, so code that only tests
+// run lives in _test.go files next to those tests. It parses every
+// non-test file of the module, bench/ included, and resolves identifiers
+// syntactically: pkg.Name through the file's imports, a bare name to the
+// file's own package. Roots are every function of a shipped package,
+// every main and init, every method body and every package-level var,
+// const and type declaration. Methods are not checked here, because
+// interface dispatch hides their callers; TestProductionMethodsCalled
+// checks them by name.
+func TestProductionFunctionsReachable(t *testing.T) {
+	m := parseModule(t)
+	fset, files := m.fset, m.files
 
 	funcs := map[string]scoped{} // "import/path.Name" → package-level function
 	var roots []scoped           // method, main and init bodies; var, const and type declarations
 	for pkg, pfiles := range files {
 		for _, f := range pfiles {
-			sc := &fileScope{pkg: pkg, imports: map[string]string{}}
-			for _, is := range f.Imports {
-				ip, _ := strconv.Unquote(is.Path.Value)
-				name, ok := pkgName[ip]
-				if !ok {
-					continue // not a module package
-				}
-				if is.Name != nil {
-					name = is.Name.Name
-				}
-				sc.imports[name] = ip
-			}
+			sc := &fileScope{pkg: pkg, imports: m.imports(f)}
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -196,5 +217,79 @@ func TestProductionFunctionsReachable(t *testing.T) {
 	slices.Sort(dead)
 	for _, d := range dead {
 		t.Errorf("%s is reachable only from tests: move it into a _test.go file next to its callers, or delete it", d)
+	}
+}
+
+// TestProductionMethodsCalled fails on every method declared under
+// internal/ whose name no non-test file of the module, bench/ included,
+// uses as a selector x.Name: a method that only tests call, or that
+// nothing calls, which the linker drops from every binary in silence.
+// Methods of the types the root package re-exports by alias (Graph,
+// Instance, Coloring, ...) are library API and exempt. The check goes
+// by name alone, so it cannot see a dead method whose name a live
+// selector elsewhere shares: a method named Shuffle stays hidden as long
+// as any file calls some other Shuffle, such as math/rand's.
+func TestProductionMethodsCalled(t *testing.T) {
+	m := parseModule(t)
+	used := map[string]bool{}    // every selector name of the module
+	aliased := map[string]bool{} // "import/path.Type" the root package aliases
+	for pkg, pfiles := range m.files {
+		for _, f := range pfiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if x, ok := n.(*ast.SelectorExpr); ok {
+					used[x.Sel.Name] = true
+				}
+				return true
+			})
+			if pkg != "parcolor" {
+				continue
+			}
+			imports := m.imports(f)
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						ts := spec.(*ast.TypeSpec)
+						if x, ok := ts.Type.(*ast.SelectorExpr); ok && ts.Assign.IsValid() {
+							if id, ok := x.X.(*ast.Ident); ok {
+								aliased[imports[id.Name]+"."+x.Sel.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	var dead []string
+	for pkg, pfiles := range m.files {
+		if !strings.HasPrefix(pkg, "parcolor/internal/") {
+			continue
+		}
+		for _, f := range pfiles {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || used[fd.Name.Name] {
+					continue
+				}
+				recv := fd.Recv.List[0].Type
+				if x, ok := recv.(*ast.StarExpr); ok {
+					recv = x.X
+				}
+				switch x := recv.(type) {
+				case *ast.IndexExpr:
+					recv = x.X
+				case *ast.IndexListExpr:
+					recv = x.X
+				}
+				typ := pkg + "." + recv.(*ast.Ident).Name
+				if !aliased[typ] {
+					dead = append(dead, typ+"."+fd.Name.Name+" ("+m.fset.Position(fd.Pos()).String()+")")
+				}
+			}
+		}
+	}
+	slices.Sort(dead)
+	for _, d := range dead {
+		t.Errorf("method %s is called by no non-test file: move it into a _test.go file next to its callers, or delete it", d)
 	}
 }

@@ -93,8 +93,8 @@ func WithWorkers(n int) Option {
 	return func(s *Solver) error { s.cfg.workers = n; return nil }
 }
 
-// WithSeed sets the seed for the Randomized and GreedySequential
-// algorithms (ignored by the deterministic ones).
+// WithSeed sets the seed of the randomized algorithms: Randomized,
+// JonesPlassmann and LubyColoring (ignored by the others).
 func WithSeed(seed uint64) Option {
 	return func(s *Solver) error { s.cfg.seed = seed; return nil }
 }
@@ -314,7 +314,7 @@ func (s *Solver) solveRandomized(ctx context.Context, in *Instance) (*Result, er
 }
 
 func (s *Solver) solveGreedy(in *Instance) (*Result, error) {
-	col, err := greedy.Color(in, greedy.ByID, s.cfg.seed)
+	col, err := greedy.Color(in, greedy.ByID)
 	if err != nil {
 		return nil, err
 	}
