@@ -3,6 +3,7 @@ package hknt
 import (
 	"parcolor/internal/bitset"
 	"parcolor/internal/d1lc"
+	"parcolor/internal/graph"
 	"parcolor/internal/par"
 	"parcolor/internal/rng"
 )
@@ -182,20 +183,43 @@ func (sc *Scratch) setWins(r *par.Runner, prop Proposal, nodes []int32) {
 	}
 }
 
-// setMarks sets mark's bit for every node satisfying pred: on a Scratch
-// among the nodes this Propose wrote, on the nil path among all n.
-func (sc *Scratch) setMarks(r *par.Runner, mark bitset.Mask, n int, nodes []int32, pred func(v int32) bool) {
+// setMarks derives prop's put-aside mask from the sample S: v is marked
+// when v is in S and no neighbour is. On a Scratch only the nodes this
+// Propose wrote are tested, on the nil path all n.
+func (sc *Scratch) setMarks(r *par.Runner, mark bitset.Mask, g *graph.Graph, inS []bool, nodes []int32) {
 	if sc == nil {
+		n := len(inS)
+		// A mask too small to split fills with Fill, whose predicate stays
+		// on the stack; FillPar's escapes to the heap (see
+		// bitset.FillSplits).
+		if !bitset.FillSplits(n) {
+			mark.Fill(n, func(i int) bool { return aloneInS(g, inS, int32(i)) })
+			return
+		}
 		// Word-parallel: each worker owns word-aligned node ranges, so the
 		// shared mask words are never written by two goroutines.
-		mark.FillPar(r, n, func(i int) bool { return pred(int32(i)) })
+		mark.FillPar(r, n, func(i int) bool { return aloneInS(g, inS, int32(i)) })
 		return
 	}
 	for _, v := range nodes {
-		if pred(v) {
+		if aloneInS(g, inS, v) {
 			mark.Set(int(v))
 		}
 	}
+}
+
+// aloneInS reports whether v is in S and none of its neighbours is: the
+// put-aside condition of Algorithm 9.
+func aloneInS(g *graph.Graph, inS []bool, v int32) bool {
+	if !inS[v] {
+		return false
+	}
+	for _, u := range g.Neighbors(v) {
+		if inS[u] {
+			return false
+		}
+	}
+	return true
 }
 
 // forWritten runs body on every node a clique trial may have written: the

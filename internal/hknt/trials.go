@@ -299,17 +299,7 @@ func PutAsidePropose(st *State, cliques []CliqueInfo, probFor func(c *CliqueInfo
 	})
 	prop := sc.proposal(n)
 	prop.Mark = sc.markBuf(n)
-	sc.setMarks(st.Par, prop.Mark, n, nodes, func(v int32) bool {
-		if !inS[v] {
-			return false
-		}
-		for _, u := range st.In.G.Neighbors(v) {
-			if inS[u] {
-				return false
-			}
-		}
-		return true
-	})
+	sc.setMarks(st.Par, prop.Mark, st.In.G, inS, nodes)
 	return prop
 }
 
