@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -53,8 +54,11 @@ func main() {
 		log.Fatalf("colord: %v", err)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("colord: %v", err)
+	}
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -73,9 +77,10 @@ func main() {
 		}
 	}()
 
+	// The bound address, so a port-0 listen (-addr 127.0.0.1:0) can be found.
 	fmt.Fprintf(os.Stderr, "colord: listening on %s (timeout %s, cache %dMiB)\n",
-		*addr, *timeout, *cacheBytes>>20)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		ln.Addr(), *timeout, *cacheBytes>>20)
+	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("colord: %v", err)
 	}
 	<-done

@@ -86,17 +86,13 @@ type ACD struct {
 	Params   *params.Params
 }
 
-// Compute builds the decomposition for an instance on the default
-// runner.
-func Compute(in *d1lc.Instance, opts Options) *ACD { return ComputePar(nil, in, opts) }
-
-// ComputePar is Compute with the parallel friend-edge pass — the
-// decomposition's dominant cost, quadratic in degree — scoped to r's
-// worker budget and cancellation. When r is cancelled mid-pass the
-// remaining nodes are skipped and the returned decomposition is
-// incomplete; callers that thread a cancellable runner must check
-// r.Err() before using the result (the solve drivers do, and discard
-// it).
+// ComputePar builds the decomposition for an instance, with the parallel
+// friend-edge pass — the decomposition's dominant cost, quadratic in
+// degree — scoped to r's worker budget and cancellation (nil = the
+// default runner). When r is cancelled mid-pass the remaining nodes are
+// skipped and the returned decomposition is incomplete; callers that
+// thread a cancellable runner must check r.Err() before using the result
+// (the solve drivers do, and discard it).
 func ComputePar(r *par.Runner, in *d1lc.Instance, opts Options) *ACD {
 	opts = opts.withDefaults()
 	g := in.G

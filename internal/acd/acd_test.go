@@ -10,7 +10,7 @@ import (
 func TestPlantedCliquesRecovered(t *testing.T) {
 	g := graph.CliquesPlusMatching(4, 12, 1)
 	in := d1lc.TrivialPalettes(g)
-	a := Compute(in, Options{})
+	a := ComputePar(nil, in, Options{})
 	if len(a.Cliques) != 4 {
 		t.Fatalf("recovered %d cliques, want 4", len(a.Cliques))
 	}
@@ -34,7 +34,7 @@ func TestPlantedCliquesRecovered(t *testing.T) {
 func TestNoisyCliqueStillDense(t *testing.T) {
 	g := graph.NoisyClique(30, 0, 0.05, 2)
 	in := d1lc.TrivialPalettes(g)
-	a := Compute(in, Options{})
+	a := ComputePar(nil, in, Options{})
 	st := a.Summarize()
 	if st.NumDense < 25 {
 		t.Fatalf("only %d of 30 noisy-clique nodes classified dense", st.NumDense)
@@ -47,7 +47,7 @@ func TestNoisyCliqueStillDense(t *testing.T) {
 func TestSparseRandomGraphHasNoCliques(t *testing.T) {
 	g := graph.Gnp(300, 0.02, 3)
 	in := d1lc.TrivialPalettes(g)
-	a := Compute(in, Options{})
+	a := ComputePar(nil, in, Options{})
 	st := a.Summarize()
 	if st.NumDense > 10 {
 		t.Fatalf("sparse G(n,p) produced %d dense nodes", st.NumDense)
@@ -64,7 +64,7 @@ func TestCaterpillarLegsUneven(t *testing.T) {
 	// must be classified uneven.
 	g := graph.Caterpillar(12, 6)
 	in := d1lc.TrivialPalettes(g)
-	a := Compute(in, Options{})
+	a := ComputePar(nil, in, Options{})
 	legStart := int32(12)
 	uneven := 0
 	for v := legStart; v < int32(g.N()); v++ {
@@ -80,7 +80,7 @@ func TestCaterpillarLegsUneven(t *testing.T) {
 func TestMixedGraphAllClassesPresent(t *testing.T) {
 	g := graph.Mixed(240, 7)
 	in := d1lc.TrivialPalettes(g)
-	a := Compute(in, Options{})
+	a := ComputePar(nil, in, Options{})
 	st := a.Summarize()
 	if st.NumSparse == 0 || st.NumUneven == 0 || st.NumDense == 0 {
 		t.Fatalf("mixed graph missing a class: %+v", st)
@@ -89,7 +89,7 @@ func TestMixedGraphAllClassesPresent(t *testing.T) {
 
 func TestCliqueOfConsistency(t *testing.T) {
 	g := graph.CliquesPlusMatching(3, 8, 5)
-	a := Compute(d1lc.TrivialPalettes(g), Options{})
+	a := ComputePar(nil, d1lc.TrivialPalettes(g), Options{})
 	for v := int32(0); v < int32(g.N()); v++ {
 		if a.Class[v] == Dense {
 			ci := a.CliqueOf[v]
@@ -115,7 +115,7 @@ func TestCliqueDiameterTwo(t *testing.T) {
 	// Definition 3 (iv) implies diameter ≤ 2 (proof of Lemma 19); check it
 	// holds on a workload with fringe noise.
 	g := graph.NoisyClique(24, 12, 0.08, 9)
-	a := Compute(d1lc.TrivialPalettes(g), Options{})
+	a := ComputePar(nil, d1lc.TrivialPalettes(g), Options{})
 	for _, members := range a.Cliques {
 		inClique := map[int32]bool{}
 		for _, v := range members {
@@ -158,8 +158,8 @@ func TestOptionsDefaults(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g := graph.Mixed(200, 11)
 	in := d1lc.TrivialPalettes(g)
-	a := Compute(in, Options{})
-	b := Compute(in, Options{})
+	a := ComputePar(nil, in, Options{})
+	b := ComputePar(nil, in, Options{})
 	for v := range a.Class {
 		if a.Class[v] != b.Class[v] || a.CliqueOf[v] != b.CliqueOf[v] {
 			t.Fatalf("nondeterministic at node %d", v)
@@ -172,6 +172,6 @@ func BenchmarkCompute(b *testing.B) {
 	in := d1lc.TrivialPalettes(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Compute(in, Options{})
+		_ = ComputePar(nil, in, Options{})
 	}
 }

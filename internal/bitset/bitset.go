@@ -2,9 +2,8 @@
 // every seed-selection engine: per-seed candidate/loser/win/live state
 // packed 64 nodes to a machine word, so the hot loops of the Lemma 10
 // derandomizers turn from branch-bound scans into memory-bound word
-// operations — win counts become popcounts (Count), conflict
-// elimination becomes and-not (AndNot), and commit walks only the set
-// bits (ForEach).
+// operations — win and loser counts become popcounts (Count), and
+// commit walks only the set bits (ForEach).
 //
 // A Mask is a plain []uint64 in LSB-first bit order: bit i lives at
 // word i>>6, position i&63 — the same layout rng.Bits uses for PRG
@@ -81,25 +80,6 @@ func (m Mask) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Copy overwrites m with src (lengths must match).
-func (m Mask) Copy(src Mask) {
-	if len(m) != len(src) {
-		panic("bitset: Copy length mismatch")
-	}
-	copy(m, src)
-}
-
-// AndNot clears every bit of m that is set in b: the elimination step
-// (candidates &^ losers = winners), 64 participants per operation.
-func (m Mask) AndNot(b Mask) {
-	if len(m) != len(b) {
-		panic("bitset: AndNot length mismatch")
-	}
-	for i := range m {
-		m[i] &^= b[i]
-	}
 }
 
 // ForEach calls fn for every set bit in ascending order, skipping zero

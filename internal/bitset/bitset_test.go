@@ -75,24 +75,6 @@ func TestMaskOpsMatchReference(t *testing.T) {
 	}
 }
 
-func TestAndNotAndCopy(t *testing.T) {
-	for _, n := range raggedSizes {
-		rng := rand.New(rand.NewSource(int64(n) + 13))
-		a, ra := randomPair(n, rng)
-		b, rb := randomPair(n, rng)
-		c := New(n)
-		c.Copy(a)
-		c.AndNot(b)
-		rc := make(reference, n)
-		for i := 0; i < n; i++ {
-			rc[i] = ra[i] && !rb[i]
-		}
-		checkAgainst(t, c, rc, "andnot")
-		checkAgainst(t, a, ra, "andnot-src-a")
-		checkAgainst(t, b, rb, "andnot-src-b")
-	}
-}
-
 func TestForEachAscendingAndComplete(t *testing.T) {
 	for _, n := range raggedSizes {
 		rng := rand.New(rand.NewSource(int64(n) + 19))
@@ -188,21 +170,13 @@ func TestGrowPreservesCapacityContract(t *testing.T) {
 }
 
 // TestMaskWordOpsMatchReference checks the word-loop mask operations
-// (Count, AndNot, and FillPar from a sentinel compare) against the naive
-// oracle on random masks.
+// (Count, and FillPar from a sentinel compare) against the naive oracle
+// on random masks.
 func TestMaskWordOpsMatchReference(t *testing.T) {
 	for _, n := range raggedSizes {
 		rng := rand.New(rand.NewSource(int64(n) + 77))
 		m, r := randomPair(n, rng)
 		checkAgainst(t, m, r, "random")
-		b, rb := randomPair(n, rng)
-		m.AndNot(b)
-		for i := 0; i < n; i++ {
-			want := r[i] && !rb[i]
-			if m.Test(i) != want {
-				t.Fatalf("n=%d: AndNot bit %d = %v, want %v", n, i, m.Test(i), want)
-			}
-		}
 		xs := make([]int32, n)
 		for i := range xs {
 			if rng.Intn(2) == 0 {

@@ -7,9 +7,9 @@ import (
 	"parcolor/internal/par"
 )
 
-// TestBuildCancelled checks that a cancelled runner aborts the selection
+// TestSelectCancelled checks that a cancelled runner aborts the selection
 // with the context's error.
-func TestBuildCancelled(t *testing.T) {
+func TestSelectCancelled(t *testing.T) {
 	score := randomObjective(3, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -24,10 +24,10 @@ func TestBuildCancelled(t *testing.T) {
 	}
 }
 
-// TestBuildCancelledMidway cancels from inside the scorer and checks the
+// TestSelectCancelledMidway cancels from inside the scorer and checks the
 // walk stops early: well under the full seed space gets scored after the
 // cancellation point.
-func TestBuildCancelledMidway(t *testing.T) {
+func TestSelectCancelledMidway(t *testing.T) {
 	const seedBits = 12
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0 // single worker, no race
@@ -47,11 +47,11 @@ func TestBuildCancelledMidway(t *testing.T) {
 	}
 }
 
-// TestTableCacheReusesStorageAndStaysExact checks that selections over
+// TestSelectReusesPooledTotalsAndStaysExact checks that selections over
 // pooled totals — the same seed space again, then a smaller one whose
 // vector is a prefix of a larger pooled one — equal the naive oracle, and
 // that the pool actually recycles the totals vector.
-func TestTableCacheReusesStorageAndStaysExact(t *testing.T) {
+func TestSelectReusesPooledTotalsAndStaysExact(t *testing.T) {
 	for _, tc := range []struct {
 		seedBits int
 		salt     uint64
@@ -79,12 +79,12 @@ func TestTableCacheReusesStorageAndStaysExact(t *testing.T) {
 	}
 }
 
-// TestWarmTableBuildAllocationFree: once the pool is warm, a
+// TestWarmSelectAllocationFree: once the pool is warm, a
 // single-worker Select — scoring every seed and selecting, flat or
 // bitwise — performs zero allocations. Single worker because a wider
 // runner's goroutine fan-out allocates by construction; skipped under
 // -race, where sync.Pool sheds entries at random.
-func TestWarmTableBuildAllocationFree(t *testing.T) {
+func TestWarmSelectAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
 	}

@@ -15,8 +15,10 @@
 // bit-by-bit method, which fixes the seed one bit at a time by comparing
 // exact conditional branch means) then select over that vector; the
 // bitwise method's branch means are subset sums of totals already paid
-// for. BestSeen lets an engine keep the flat winner's proposal while
-// Select walks the seed space.
+// for. Select keeps only scores: an engine that commits the selected
+// seed's outcome (a proposal, a join set) derives it once more from
+// Result.Seed after Select returns, and because the scorer is
+// deterministic that is the outcome the walk scored.
 //
 // Every seed selection of a solve runs through Select:
 //

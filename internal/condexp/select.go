@@ -106,35 +106,3 @@ func SelectTotalsBitwise(totals []int64, seedBits int) Result {
 	// chosen branch's sum is exactly totals[prefix].
 	return Result{Seed: prefix, Score: chosen, SumScores: totalSum, NumSeeds: len(totals), Evals: len(totals)}
 }
-
-// BestSeen tracks the (score, seed)-lexicographic minimum offered while
-// Select scores the seed space: exactly the seed flat selection returns,
-// because the comparison mirrors SelectTotals' smallest-seed tie-break.
-// The engines use it to materialize the flat winner's proposal while
-// walking the seed space, so committing it needs no recomputation. Safe
-// for concurrent Offer calls; the ordering makes the winner deterministic
-// under any evaluation order.
-type BestSeen struct {
-	mu    sync.Mutex
-	have  bool
-	seed  uint64
-	score int64
-}
-
-// Offer proposes (seed, score). If it takes the minimum slot, keep runs
-// while the lock pins the slot — the caller materializes the winner there
-// (cloning out of per-worker scratch). keep runs O(log numSeeds) expected
-// times over a random-order walk.
-func (b *BestSeen) Offer(seed uint64, score int64, keep func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.have && (b.score < score || (b.score == score && b.seed < seed)) {
-		return
-	}
-	b.have, b.seed, b.score = true, seed, score
-	keep()
-}
-
-// Matches reports whether seed holds the minimum slot — true for the flat
-// winner by construction; bitwise selection may pick another seed.
-func (b *BestSeen) Matches(seed uint64) bool { return b.have && b.seed == seed }

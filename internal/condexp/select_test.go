@@ -104,31 +104,6 @@ func TestTableDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestBestSeenTracksFlatWinner(t *testing.T) {
-	// Under any offer order, the kept seed must be the flat selection's
-	// winner: minimum score, smallest seed on ties.
-	scores := []int64{5, 3, 9, 3, 7, 3, 11, 4}
-	orders := [][]int{
-		{0, 1, 2, 3, 4, 5, 6, 7},
-		{7, 6, 5, 4, 3, 2, 1, 0},
-		{5, 3, 1, 0, 2, 4, 6, 7},
-	}
-	for _, order := range orders {
-		var b BestSeen
-		var kept uint64
-		for _, s := range order {
-			seed := uint64(s)
-			b.Offer(seed, scores[s], func() { kept = seed })
-		}
-		if !b.Matches(1) || kept != 1 {
-			t.Fatalf("order %v: kept seed %d, want 1 (smallest argmin)", order, kept)
-		}
-		if b.Matches(3) || b.Matches(0) {
-			t.Fatalf("order %v: Matches accepts a non-winner", order)
-		}
-	}
-}
-
 func TestTableBitwisePanicsOnMismatchedBits(t *testing.T) {
 	defer func() {
 		if recover() == nil {

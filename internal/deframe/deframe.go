@@ -23,11 +23,12 @@
 //     and bitwise selection read that vector (condexp.Select) — the
 //     paper's "each machine scores its nodes for every seed, then a
 //     converge-cast sums per seed" structure, with the sum taken over all
-//     participants at once. The winning proposal is cached during the
-//     walk, never recomputed. The driver takes the seed selector as a
-//     parameter, and a solve always passes the engine; the tests pass a
-//     naive per-seed rescoring oracle (oracle_test.go) and check that both
-//     are bit-identical in chosen seed, score, certificate and coloring.
+//     participants at once. The selected seed is then proposed once
+//     more, and that proposal is committed. The driver takes the seed
+//     selector as a parameter, and a solve always passes the engine; the
+//     tests pass a naive per-seed rescoring oracle (oracle_test.go) and
+//     check that both are bit-identical in chosen seed, score,
+//     certificate and coloring.
 //
 //   - Theorem 12 is Run: derandomize the schedule step by step, then
 //     recurse on the deferred set through D1LC self-reducibility

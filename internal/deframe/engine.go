@@ -13,8 +13,7 @@ import (
 // shared-memory realization of the derandomization hot path, and the
 // seed selector every solve runs. Where a naive scorer re-runs a
 // monolithic full-graph proposal per seed — allocating a fresh PRG
-// expansion, ChunkedSource and Proposal each time, and re-proposing the
-// winning seed after selection — the engine
+// expansion, ChunkedSource and Proposal each time — the engine
 //
 //   - scores each seed exactly once through condexp.Select, reusing
 //     per-worker scratch (a reseedable prg.LazySource and an
@@ -30,10 +29,10 @@ import (
 //     not,
 //   - scores the proposal with hknt.Step.Score over all participants,
 //     and
-//   - caches the best-scoring proposal seen during the walk (colors, win
-//     mask and marks cloned together), so the flat winner's proposal is
-//     committed without being recomputed; a bitwise winner other than the
-//     best seen is re-proposed once, through the same lazy source.
+//   - after selection, re-proposes the selected seed once on pooled
+//     scratch and clones that proposal out of it: Propose is pure in
+//     (state, seed), so the committed proposal is the one the walk scored,
+//     at the cost of one more seed out of the 2^d.
 //
 // The walk runs on the step's par.Runner: the owning solve's worker
 // budget bounds it, and its context cancels it between seeds.
@@ -68,9 +67,6 @@ type stepEngine struct {
 	gen       prg.PRG
 	chunkOf   []int32
 	numChunks int
-
-	best     condexp.BestSeen
-	bestProp hknt.Proposal
 }
 
 func newStepEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) *stepEngine {
@@ -88,36 +84,19 @@ func (e *stepEngine) propose(ss *seedScratch, seed uint64) hknt.Proposal {
 }
 
 // score is the condexp.Scorer: propose once for the seed with pooled
-// scratch, score the proposal over every participant, and offer it to the
-// best-seen cache.
+// scratch and score the proposal over every participant.
 func (e *stepEngine) score(seed uint64) int64 {
 	ss := e.getScratch()
-	prop := e.propose(ss, seed)
-	score := e.step.Score(e.st, e.parts, prop)
-	e.offerBest(seed, score, prop)
+	score := e.step.Score(e.st, e.parts, e.propose(ss, seed))
 	seedScratches.Put(ss)
 	return score
 }
 
-// offerBest offers the proposal to the best-seen cache (the flat
-// selection's winner), cloning it out of the worker's scratch when it
-// takes the slot.
-func (e *stepEngine) offerBest(seed uint64, score int64, prop hknt.Proposal) {
-	e.best.Offer(seed, score, func() {
-		e.bestProp = hknt.CloneProposal(prop, e.bestProp)
-	})
-}
-
-// proposalFor returns the chosen seed's proposal: the cached clone when the
-// seed matches (always, for flat selection), otherwise one fresh
-// re-proposal through a pooled lazy source (bitwise selection may pick a
-// non-argmin seed), cloned out of the scratch.
+// proposalFor re-proposes the selected seed on pooled scratch and returns
+// a clone detached from it.
 func (e *stepEngine) proposalFor(seed uint64) hknt.Proposal {
-	if e.best.Matches(seed) {
-		return e.bestProp
-	}
 	ss := e.getScratch()
-	prop := hknt.CloneProposal(e.propose(ss, seed), hknt.Proposal{})
+	prop := hknt.CloneProposal(e.propose(ss, seed))
 	seedScratches.Put(ss)
 	return prop
 }

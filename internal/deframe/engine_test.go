@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"testing"
 
-	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
 	"parcolor/internal/par"
-	"parcolor/internal/prg"
 )
 
 // collectSteps flattens a report's steps across recursion levels.
@@ -128,49 +126,6 @@ func TestBitwiseEvalReduction(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no populated steps to check")
-	}
-}
-
-// TestEngineProposalCacheHitsOnFlat checks the flat path commits the cached
-// proposal: the engine's best-seen clone must equal a fresh re-proposal of
-// the selected seed.
-func TestEngineProposalCacheHitsOnFlat(t *testing.T) {
-	in := d1lc.TrivialPalettes(graph.Complete(14))
-	st := hknt.NewState(in)
-	step := hknt.Step{
-		Name:         "trc",
-		Tau:          2,
-		Bits:         hknt.TryRandomColorBits(14),
-		Participants: func(st *hknt.State) []int32 { return st.LiveNodes(nil) },
-		Propose:      hknt.TryRandomColorPropose,
-		SSP: func(st *hknt.State, parts []int32, prop hknt.Proposal, v int32) bool {
-			return prop.Color[v] != d1lc.Uncolored
-		},
-	}
-	o := Options{SeedBits: 6}.withDefaults(13)
-	chunkOf, num, _ := chunkAssignment(nil, in.G, 4, 1_000_000)
-	parts := step.Participants(st)
-	gen := buildPRG(o, num, step.Bits)
-	eng := newStepEngine(st, &step, parts, gen, chunkOf, num)
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, eng.score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prop := eng.proposalFor(res.Seed)
-	if !eng.best.Matches(res.Seed) {
-		t.Fatalf("flat winner %d not cached", res.Seed)
-	}
-	// Compare the cached proposal against an independent re-proposal
-	// through the naive source.
-	src, err := prg.NewChunkedSource(gen, res.Seed, chunkOf, num, step.Bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := step.Propose(st, parts, src, nil)
-	for v := range want.Color {
-		if prop.Color[v] != want.Color[v] {
-			t.Fatalf("cached proposal differs at node %d", v)
-		}
 	}
 }
 

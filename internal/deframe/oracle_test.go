@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"parcolor/internal/bitset"
 	"parcolor/internal/condexp"
 	"parcolor/internal/d1lc"
 	"parcolor/internal/graph"
@@ -45,36 +46,59 @@ func runNaive(in *d1lc.Instance, o Options) (*d1lc.Coloring, *Report, error) {
 // TestStepEngineSeedMajorMatchesChunkMajorOracle pins the step engine to
 // the naive oracle seed by seed: for every seed, the engine's pooled,
 // lazily expanded score equals naiveScorer's fresh eager one, and both
-// selection strategies equal selectNaive's — across workers 1, 4 and the
-// process default (run under -race in CI), on both objectives (−wins,
-// SSP == nil, and SSP failures). The name is kept from the chunk-major
+// selection strategies equal selectNaive's in result and in the committed
+// proposal (colors, win mask and put-aside marks) — across workers 1, 4
+// and the process default (run under -race in CI), on both objectives
+// (−wins, SSP == nil, and SSP failures) and on a schedule step that
+// marks nodes (dense/putaside). The name is kept from the chunk-major
 // table comparison this check replaced.
 func TestStepEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
-	in := d1lc.TrivialPalettes(graph.Mixed(110, 5))
-	n := in.G.N()
+	mixed := d1lc.TrivialPalettes(graph.Mixed(110, 5))
+	n := mixed.G.N()
 	ssp := func(st *hknt.State, parts []int32, prop hknt.Proposal, v int32) bool {
 		return prop.Color[v] != d1lc.Uncolored
 	}
-	for _, tc := range []struct {
-		name string
-		ssp  func(*hknt.State, []int32, hknt.Proposal, int32) bool
-	}{
-		{"win-mask", nil}, // SSP == nil: −wins
-		{"ssp", ssp},      // SSP failures
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st := hknt.NewState(in)
-			step := hknt.Step{
+	trc := func(ssp func(*hknt.State, []int32, hknt.Proposal, int32) bool) func(*hknt.State) hknt.Step {
+		return func(*hknt.State) hknt.Step {
+			return hknt.Step{
 				Name:         "trc",
 				Tau:          2,
 				Bits:         hknt.TryRandomColorBits(n),
 				Participants: func(st *hknt.State) []int32 { return st.LiveNodes(nil) },
 				Propose:      hknt.TryRandomColorPropose,
-				SSP:          tc.ssp,
+				SSP:          ssp,
 			}
-			o := Options{SeedBits: 6}.withDefaults(in.G.MaxDegree())
-			chunkOf, num, _ := chunkAssignment(nil, in.G, 4, 1_000_000)
+		}
+	}
+	// putAside is the dense/putaside step of the instance's schedule.
+	putAside := func(st *hknt.State) hknt.Step {
+		for _, step := range hknt.BuildColorMiddle(st, hknt.Tunables{LowDeg: 4}).Schedule.Steps {
+			if step.Name == "dense/putaside" {
+				return step
+			}
+		}
+		t.Fatal("schedule has no dense/putaside step")
+		return hknt.Step{}
+	}
+	for _, tc := range []struct {
+		name  string
+		in    *d1lc.Instance
+		step  func(*hknt.State) hknt.Step
+		marks bool // some committed proposal must carry put-aside marks
+	}{
+		{"win-mask", mixed, trc(nil), false}, // SSP == nil: −wins
+		{"ssp", mixed, trc(ssp), false},      // SSP failures
+		{"putaside", d1lc.TrivialPalettes(graph.CliquesPlusMatching(3, 20, 2)), putAside, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := hknt.NewState(tc.in)
+			step := tc.step(st)
+			o := Options{SeedBits: 6}.withDefaults(tc.in.G.MaxDegree())
+			chunkOf, num, _ := chunkAssignment(nil, tc.in.G, 4, 1_000_000)
 			parts := step.Participants(st)
+			if len(parts) == 0 {
+				t.Fatalf("step %s has no participants", step.Name)
+			}
 			gen := buildPRG(o, num, step.Bits)
 			naive := naiveScorer(st, &step, parts, gen, chunkOf, num)
 
@@ -84,22 +108,45 @@ func TestStepEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 					t.Fatalf("seed %d: engine score %d, naive %d", seed, got, want)
 				}
 			}
+			marked := false
 			for _, w := range []int{1, 4, 0} {
 				for _, bitwise := range []bool{false, true} {
 					o.Par, o.Bitwise = par.NewRunner(w), bitwise
-					got, _, err := selectByEngine(st, &step, parts, gen, chunkOf, num, o)
+					got, a, err := selectByEngine(st, &step, parts, gen, chunkOf, num, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, _, err := selectNaive(st, &step, parts, gen, chunkOf, num, o)
+					want, b, err := selectNaive(st, &step, parts, gen, chunkOf, num, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got != want {
 						t.Fatalf("w=%d bitwise=%v: engine %+v, naive %+v", w, bitwise, got, want)
 					}
+					if v, ok := proposalsDiffer(a, b); ok {
+						t.Fatalf("w=%d bitwise=%v: proposals differ at node %d", w, bitwise, v)
+					}
+					marked = marked || a.Mark.Count() > 0
 				}
+			}
+			if tc.marks && !marked {
+				t.Fatal("no selected proposal marks a node")
 			}
 		})
 	}
+}
+
+// proposalsDiffer returns the first node whose color, win bit or put-aside
+// mark differs between a and b; a nil Mark reads as no marks.
+func proposalsDiffer(a, b hknt.Proposal) (int, bool) {
+	if len(a.Color) != len(b.Color) {
+		return 0, true
+	}
+	marked := func(m bitset.Mask, v int) bool { return m != nil && m.Test(v) }
+	for v := range a.Color {
+		if a.Color[v] != b.Color[v] || a.Win.Test(v) != b.Win.Test(v) || marked(a.Mark, v) != marked(b.Mark, v) {
+			return v, true
+		}
+	}
+	return 0, false
 }

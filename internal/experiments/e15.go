@@ -32,7 +32,7 @@ func e15ACDAblation(cfg Config) *stats.Table {
 		epss = []float64{0.10, 0.20, 0.30}
 	}
 	for _, eps := range epss {
-		a := acd.Compute(in, acd.Options{EpsFriend: eps})
+		a := acd.ComputePar(nil, in, acd.Options{EpsFriend: eps})
 		st := a.Summarize()
 		viol := len(a.Verify(g))
 		t.Add(eps, st.NumSparse, st.NumUneven, st.NumDense, st.NumCliques, st.LargestClique, viol)

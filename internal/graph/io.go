@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 )
 
 // This file reads the edge-list exchange format of cmd/d1lc -input (the
@@ -14,6 +13,12 @@ import (
 //	u v        (one line per edge, 0-based node ids)
 //
 // Lines starting with '#' are comments and are skipped.
+
+// maxEdgeListNodes bounds the node count a header may declare: 16× the
+// largest instance any shipped workload builds (gnp-1m). The builder
+// sizes its arrays by the header before it reads an edge, so this keeps
+// a hostile 13-byte header from asking for gigabytes.
+const maxEdgeListNodes = 1 << 24
 
 // ReadEdgeList parses the exchange format. Duplicate edges and self-loops
 // are dropped (Builder semantics); the declared m is validated against the
@@ -27,8 +32,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative header %d %d", n, m)
 	}
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: header declares %d nodes, more than int32 node ids address", n)
+	if n > maxEdgeListNodes {
+		return nil, fmt.Errorf("graph: header declares %d nodes, more than the limit of %d", n, maxEdgeListNodes)
 	}
 	b := NewBuilder(n)
 	read := 0

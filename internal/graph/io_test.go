@@ -94,6 +94,8 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"wrong-count":  "3 5\n0 1\n",
 		"negative":     "-3 1\n",
 		"n-over-int32": "3000000000 0\n",
+		"n-2e9":        "2000000000 0\n",
+		"n-over-limit": "16777217 0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {

@@ -305,17 +305,15 @@ func (sc *Scratch) mapsBuf(w int) []map[int32]bool {
 	return sc.maps[:w]
 }
 
-// CloneProposal copies p into dst's buffers, detaching it from any
-// Scratch lifetime. dst's slices (colors, win and mark masks) are reused
-// when large enough; the returned proposal owns the storage and should be
-// passed back as dst on the next clone.
-func CloneProposal(p Proposal, dst Proposal) Proposal {
+// CloneProposal copies p into fresh storage, detaching it from any
+// Scratch lifetime.
+func CloneProposal(p Proposal) Proposal {
 	out := Proposal{
-		Color: append(dst.Color[:0], p.Color...),
-		Win:   append(dst.Win[:0], p.Win...),
+		Color: append([]int32(nil), p.Color...),
+		Win:   append(bitset.Mask(nil), p.Win...),
 	}
 	if p.Mark != nil {
-		out.Mark = append(dst.Mark[:0], p.Mark...)
+		out.Mark = append(bitset.Mask(nil), p.Mark...)
 	}
 	return out
 }

@@ -193,7 +193,7 @@ func TestPutAsideMarksIndependentSet(t *testing.T) {
 	g := graph.CliquesPlusMatching(3, 10, 6)
 	in := d1lc.TrivialPalettes(g)
 	st := NewState(in)
-	a := acd.Compute(in, acd.Options{})
+	a := acd.ComputePar(nil, in, acd.Options{})
 	infos := ComputeCliqueInfos(nil, g, a, 1e9) // everything low-slack
 	prop := PutAsidePropose(st, infos, func(*CliqueInfo) (int, int) { return 1, 3 }, FreshSource{Root: 8, Bits: 64}, nil)
 	if prop.Mark == nil {
@@ -218,7 +218,7 @@ func TestPutAsideOnlyLowSlackCliques(t *testing.T) {
 	g := graph.CliquesPlusMatching(2, 8, 1)
 	in := d1lc.TrivialPalettes(g)
 	st := NewState(in)
-	a := acd.Compute(in, acd.Options{})
+	a := acd.ComputePar(nil, in, acd.Options{})
 	infos := ComputeCliqueInfos(nil, g, a, 1e9)
 	for i := range infos {
 		infos[i].LowSlack = i == 0 // only clique 0

@@ -13,8 +13,7 @@ import (
 // This file is the seed-selection engine for the iterative trial rounds:
 // the lowdeg instantiation of condexp.Select, and the trial selector
 // every run uses. Where a naive scorer re-proposes per seed with fresh
-// n-sized candidate and proposal arrays (and re-proposes the winner after
-// selection), the engine
+// n-sized candidate and proposal arrays, the engine
 //
 //   - compacts the round into dense participant-index space once — the
 //     live-live edge list, remaining palettes and palette-size
@@ -27,10 +26,9 @@ import (
 //     seed-invariant candidate count minus the losers' popcount (64
 //     participants per word), and the per-seed reset is a word clear
 //     instead of a byte-per-participant sweep, and
-//   - caches the best-scoring seed's winner set during the walk (pairs
-//     materialized by an and-not of the candidate mask against the loser
-//     mask, only when a seed takes the best-seen slot), so the flat
-//     winner's proposal is committed without recomputation.
+//   - after selection, reruns the trial for the selected seed once on
+//     pooled scratch and writes its winners into the proposal: the trial
+//     is pure in (state, seed), so they are the winners the walk scored.
 //
 // The tests' oracle (oracle_test.go) is the naive scorer; the engine is
 // bit-identical to it in selected seed, score, certificate, and final
@@ -66,7 +64,7 @@ type trialEngine struct {
 	// non-live neighbor's candidate is always Uncolored — so conflict
 	// resolution is one symmetric elimination pass over these edges: half
 	// the memory traffic of scanning both endpoints' adjacency, with the
-	// same winner set (proposeRound's duplicate test is symmetric). One
+	// same winner set (the oracle's duplicate test is symmetric). One
 	// O(Σdeg) build per round amortized across every seed.
 	edges []int32
 	// palOff/palFlat is the participants' remaining palettes flattened to
@@ -78,19 +76,10 @@ type trialEngine struct {
 	// size, so the per-(seed, participant) candidate reduction needs no
 	// hardware division.
 	divs []rng.Divisor
-	// candMask marks participants with a non-empty palette, and candCnt
-	// counts them. Every such participant draws a candidate on every seed
-	// — the mask and the count are seed-invariant — so a seed's wins are
-	// candCnt minus the popcount of its loser bits, and the best seed's
-	// winner set is one and-not: candMask &^ losers.
-	candMask bitset.Mask
-	candCnt  int64
-
-	best condexp.BestSeen
-	// bestWins holds the winner proposal of the best seed as (node, color)
-	// pairs: materialized only when a seed takes the best-seen slot, so
-	// per-seed scoring never writes a proposal at all.
-	bestWins []int32
+	// candCnt counts the participants with a non-empty palette. Every such
+	// participant draws a candidate on every seed, so a seed's wins are
+	// candCnt minus the popcount of its loser bits.
+	candCnt int64
 }
 
 func newTrialEngine(st *hknt.State, parts []int32, round uint64) *trialEngine {
@@ -117,21 +106,18 @@ func newTrialEngine(st *hknt.State, parts []int32, round uint64) *trialEngine {
 		e.palFlat = append(e.palFlat, st.Rem[v]...)
 		if d := len(st.Rem[v]); d > 0 {
 			e.divs[i] = rng.NewDivisor(uint64(d))
+			e.candCnt++
 		}
 	}
-	e.candMask = bitset.New(np)
-	e.candMask.Fill(np, func(i int) bool { return e.palOff[i] < e.palOff[i+1] })
-	e.candCnt = int64(e.candMask.Count())
 	return e
 }
 
-// score is the condexp.Scorer: run one trial for the seed with pooled
-// scratch and return its −wins. The candidate draw and conflict
-// resolution match proposeRound exactly — an empty palette yields
-// Uncolored, and only live neighbors can collide — so the score is minus
-// the number of winners proposeRound would find.
-func (e *trialEngine) score(seed uint64) int64 {
-	ss := getScratch(len(e.parts))
+// trial runs one trial for the seed on the worker's scratch: ss.cand
+// gets every participant's candidate and ss.loser the candidates a
+// neighbor collision eliminates. The draw and the conflict rule match the
+// oracle's proposeRound exactly — an empty palette yields Uncolored, and
+// only live neighbors can collide.
+func (e *trialEngine) trial(ss *trialScratch, seed uint64) {
 	cand, parts := ss.cand, e.parts
 	// Pass 1: draw candidates into dense participant-index space.
 	for i := range parts {
@@ -144,9 +130,9 @@ func (e *trialEngine) score(seed uint64) int64 {
 		cand[i] = e.palFlat[plo+int32(e.divs[i].Mod(h))]
 	}
 	// Pass 2: symmetric elimination over the live edge list — a collision
-	// eliminates both endpoints, exactly proposeRound's duplicate rule.
-	// Loser state is one bit per participant; setting an already-set bit
-	// is idempotent, so no distinct-transition bookkeeping is needed.
+	// eliminates both endpoints. Loser state is one bit per participant;
+	// setting an already-set bit is idempotent, so no distinct-transition
+	// bookkeeping is needed.
 	loser := ss.loser
 	loser.Reset()
 	edges := e.edges
@@ -157,43 +143,32 @@ func (e *trialEngine) score(seed uint64) int64 {
 			loser.Set(int(b))
 		}
 	}
-	// −wins: the seed-invariant candidate count minus the losers'
-	// popcount, 64 participants per word.
-	score := -(e.candCnt - int64(loser.Count()))
-	e.offerBest(seed, score, cand, ss)
+}
+
+// score is the condexp.Scorer: run one trial for the seed with pooled
+// scratch and return its −wins, the seed-invariant candidate count minus
+// the losers' popcount (64 participants per word).
+func (e *trialEngine) score(seed uint64) int64 {
+	ss := getScratch(len(e.parts))
+	e.trial(ss, seed)
+	score := -(e.candCnt - int64(ss.loser.Count()))
 	scratches.Put(ss)
 	return score
 }
 
-// offerBest offers the seed to the best-seen cache (the flat selection's
-// winner), materializing its winner pairs when it takes the slot: winners
-// = candidates &^ losers by one word-wide and-not, then a set-bit walk
-// collects the (node, color) pairs.
-func (e *trialEngine) offerBest(seed uint64, score int64, cand []int32, ss *trialScratch) {
-	e.best.Offer(seed, score, func() {
-		win := ss.winners
-		win.Copy(e.candMask)
-		win.AndNot(ss.loser)
-		e.bestWins = e.bestWins[:0]
-		win.ForEach(func(i int) {
-			e.bestWins = append(e.bestWins, e.parts[i], cand[i])
-		})
-	})
-}
-
-// proposalFor returns the chosen seed's proposal: rebuilt from the cached
-// winner pairs when the seed matches (always, for flat selection),
-// otherwise one fresh re-proposal (bitwise selection may pick a non-argmin
-// seed).
+// proposalFor reruns the trial for the selected seed on pooled scratch
+// and returns its proposal: every candidate that lost no collision wins.
 func (e *trialEngine) proposalFor(seed uint64) hknt.Proposal {
-	if e.best.Matches(seed) {
-		p := hknt.NewProposal(e.st.In.G.N())
-		for i := 0; i < len(e.bestWins); i += 2 {
-			p.SetWin(e.bestWins[i], e.bestWins[i+1])
+	ss := getScratch(len(e.parts))
+	e.trial(ss, seed)
+	p := hknt.NewProposal(e.st.In.G.N())
+	for i, c := range ss.cand {
+		if c != d1lc.Uncolored && !ss.loser.Test(i) {
+			p.SetWin(e.parts[i], c)
 		}
-		return p
 	}
-	return proposeRound(e.st, e.parts, seed, e.round)
+	scratches.Put(ss)
+	return p
 }
 
 // scratches pools the workers' trial scratch across seeds, rounds and
@@ -201,14 +176,12 @@ func (e *trialEngine) proposalFor(seed uint64) hknt.Proposal {
 var scratches = sync.Pool{New: func() any { return new(trialScratch) }}
 
 // trialScratch is one worker's reusable evaluation state: cand[i] is
-// participant i's candidate this seed (rewritten in full for every seed),
-// loser marks candidates eliminated by a neighbor collision (cleared per
-// seed) and winners is the and-not scratch the best-seen materialization
-// carves winners into.
+// participant i's candidate this seed (rewritten in full for every seed)
+// and loser marks candidates eliminated by a neighbor collision (cleared
+// per seed).
 type trialScratch struct {
-	cand    []int32
-	loser   bitset.Mask
-	winners bitset.Mask
+	cand  []int32
+	loser bitset.Mask
 }
 
 // getScratch checks a worker scratch out of the pool and resizes it to np
@@ -222,6 +195,5 @@ func getScratch(np int) *trialScratch {
 		ss.cand = ss.cand[:np]
 	}
 	ss.loser = ss.loser.Grow(np)
-	ss.winners = ss.winners.Grow(np)
 	return ss
 }

@@ -25,7 +25,6 @@ import (
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
 	"parcolor/internal/par"
-	"parcolor/internal/rng"
 	"parcolor/internal/trace"
 )
 
@@ -114,51 +113,6 @@ func iterate(ctx context.Context, in *d1lc.Instance, o Options, maxRounds int, s
 		return nil, stats, err
 	}
 	return st.Col, stats, nil
-}
-
-// proposeRound computes the trial proposal for a (seed, round) pair and
-// finishes its win mask, ready to commit.
-func proposeRound(st *hknt.State, parts []int32, seed, round uint64) hknt.Proposal {
-	prop := proposeRoundColors(st, parts, seed, round)
-	prop.RecomputeWin(st.Par)
-	return prop
-}
-
-// proposeRoundColors computes the colors array only: node v's candidate
-// is Rem[v][h(seed, v, round) mod |Rem[v]|]; winners are the candidates
-// no neighbor duplicated. The win mask is left empty: proposeRound
-// finishes it for the one proposal a round commits, and the tests' naive
-// oracle (countWins) counts wins by scanning the sentinels, so it skips
-// the mask pass it would pay once per seed.
-func proposeRoundColors(st *hknt.State, parts []int32, seed, round uint64) hknt.Proposal {
-	n := st.In.G.N()
-	cand := make([]int32, n)
-	for i := range cand {
-		cand[i] = d1lc.Uncolored
-	}
-	st.Par.For(len(parts), func(i int) {
-		v := parts[i]
-		if len(st.Rem[v]) == 0 {
-			return
-		}
-		h := rng.Hash3(seed, uint64(v), round)
-		cand[v] = st.Rem[v][h%uint64(len(st.Rem[v]))]
-	})
-	prop := hknt.NewProposal(n)
-	st.Par.For(len(parts), func(i int) {
-		v := parts[i]
-		c := cand[v]
-		if c == d1lc.Uncolored {
-			return
-		}
-		for _, u := range st.In.G.Neighbors(v) {
-			if cand[u] == c {
-				return
-			}
-		}
-		prop.Color[v] = c
-	})
-	return prop
 }
 
 func firstFree(st *hknt.State, v int32) (int32, error) {

@@ -186,11 +186,10 @@ func BenchmarkIterativeDerandomized(b *testing.B) {
 
 // BenchmarkSeedSelectionLowdeg ablates the scoring engine on a full
 // iterative solve at n=300 (every trial round goes through seed
-// selection): the engine path (pooled participant-reset
-// scratch + cached winning proposal) against the naive per-seed oracle
-// (selecting through the same condexp.Select), for both selection
-// strategies. Results are identical across the axis;
-// only cost differs.
+// selection): the engine path (pooled participant-reset scratch, and
+// one rerun of the selected seed's trial) against the naive per-seed
+// oracle (selecting through the same condexp.Select), for both selection
+// strategies. Results are identical across the axis; only cost differs.
 func BenchmarkSeedSelectionLowdeg(b *testing.B) {
 	in := d1lc.TrivialPalettes(graph.RandomRegular(300, 6, 1))
 	maxRounds := 8*log2(in.G.N()+2) + 16

@@ -9,11 +9,48 @@ import (
 	"parcolor/internal/graph"
 	"parcolor/internal/hknt"
 	"parcolor/internal/par"
+	"parcolor/internal/rng"
 )
+
+// proposeRound is the naive trial proposal for a (seed, round) pair,
+// built in fresh n-sized arrays: node v's candidate is
+// Rem[v][h(seed, v, round) mod |Rem[v]|], and the winners are the
+// candidates no neighbor duplicated.
+func proposeRound(st *hknt.State, parts []int32, seed, round uint64) hknt.Proposal {
+	n := st.In.G.N()
+	cand := make([]int32, n)
+	for i := range cand {
+		cand[i] = d1lc.Uncolored
+	}
+	st.Par.For(len(parts), func(i int) {
+		v := parts[i]
+		if len(st.Rem[v]) == 0 {
+			return
+		}
+		h := rng.Hash3(seed, uint64(v), round)
+		cand[v] = st.Rem[v][h%uint64(len(st.Rem[v]))]
+	})
+	prop := hknt.NewProposal(n)
+	st.Par.For(len(parts), func(i int) {
+		v := parts[i]
+		c := cand[v]
+		if c == d1lc.Uncolored {
+			return
+		}
+		for _, u := range st.In.G.Neighbors(v) {
+			if cand[u] == c {
+				return
+			}
+		}
+		prop.Color[v] = c
+	})
+	prop.RecomputeWin(st.Par)
+	return prop
+}
 
 // countWins scores a seed by the number of nodes its proposal colors.
 func countWins(st *hknt.State, parts []int32, seed, round uint64) int {
-	prop := proposeRoundColors(st, parts, seed, round)
+	prop := proposeRound(st, parts, seed, round)
 	wins := 0
 	for _, v := range parts {
 		if prop.Color[v] != d1lc.Uncolored {

@@ -30,10 +30,9 @@ import (
 //     neighbor's bit is permanently zero, so the dominance scan reads one
 //     bit per neighbor) and scores a seed by counting the participants
 //     its join set leaves undecided, and
-//   - caches the best-scoring join mask seen during the walk, so the flat
-//     winner's join is committed from the mask without being recomputed;
-//     a bitwise winner other than the best seen is re-simulated once on
-//     pooled scratch.
+//   - after selection, re-simulates the selected seed once on pooled
+//     scratch and commits a copy of that join mask: the simulation is pure
+//     in (state, seed), so it is the join the walk scored.
 //
 // The tests' oracle (oracle_test.go) is the naive scorer; the engine is
 // bit-identical to it in selected seed, score, certificate, and resulting
@@ -72,9 +71,6 @@ type roundEngine struct {
 	gen       prg.PRG
 	chunkOf   []int32
 	numChunks int
-
-	best     condexp.BestSeen
-	bestJoin bitset.Mask
 }
 
 func newRoundEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) *roundEngine {
@@ -117,7 +113,6 @@ func (e *roundEngine) score(seed uint64) int64 {
 			undone++
 		}
 	}
-	e.offerBest(seed, undone, ss.join)
 	scratches.Put(ss)
 	return undone
 }
@@ -137,23 +132,9 @@ func stillUndecided(g *graph.Graph, join bitset.Mask, v int32) bool {
 	return true
 }
 
-// offerBest offers the join mask to the best-seen cache (the flat
-// selection's winner), cloning it out of the worker's scratch when it
-// takes the slot.
-func (e *roundEngine) offerBest(seed uint64, score int64, join bitset.Mask) {
-	e.best.Offer(seed, score, func() {
-		e.bestJoin = append(e.bestJoin[:0], join...)
-	})
-}
-
-// joinFor returns the chosen seed's join mask: the cached clone when the
-// seed matches (always, for flat selection), otherwise one fresh
-// re-simulation on pooled scratch (bitwise selection may pick a non-argmin
-// seed), cloned out of it.
+// joinFor re-simulates the selected seed on pooled scratch and returns a
+// copy of its join mask.
 func (e *roundEngine) joinFor(seed uint64) bitset.Mask {
-	if e.best.Matches(seed) {
-		return e.bestJoin
-	}
 	ss := e.getScratch()
 	e.simulate(ss, seed)
 	join := append(bitset.Mask(nil), ss.join...)

@@ -250,11 +250,11 @@ func BenchmarkDerandomizedMIS(b *testing.B) {
 
 // BenchmarkSeedSelectionMIS ablates the scoring engine on a full
 // derandomized solve at n=300 (every Luby round goes through seed
-// selection): the engine path (lazy chunk views of the live
-// nodes + pooled scratch + cached winning join) against the naive per-seed
-// oracle (selecting through the same condexp.Select), for both selection
-// strategies. Results are identical across the
-// axis; only cost differs.
+// selection): the engine path (lazy chunk views of the live nodes,
+// pooled scratch, and one re-simulation of the selected seed) against the
+// naive per-seed oracle (selecting through the same condexp.Select), for
+// both selection strategies. Results are identical across the axis; only
+// cost differs.
 func BenchmarkSeedSelectionMIS(b *testing.B) {
 	g := graph.Gnp(300, 0.04, 1)
 	for _, cfg := range []struct {

@@ -32,8 +32,8 @@ type SolveRequest struct {
 	// Algorithm is a parcolor.AlgorithmByName name (default
 	// "deterministic").
 	Algorithm string `json:"algorithm,omitempty"`
-	// Seed drives the randomized algorithms (randomized, greedy, jp,
-	// luby); ignored by the deterministic ones.
+	// Seed drives the randomized algorithms (randomized, jp, luby);
+	// ignored by the others.
 	Seed uint64 `json:"seed,omitempty"`
 	// SeedBits caps the derandomizer's PRG seed space (0 = auto).
 	SeedBits int `json:"seed_bits,omitempty"`
