@@ -6,6 +6,7 @@ import (
 
 	"parcolor/internal/condexp"
 	"parcolor/internal/hknt"
+	"parcolor/internal/par"
 	"parcolor/internal/prg"
 )
 
@@ -21,12 +22,15 @@ import (
 //     within a step, across steps and across runs,
 //   - keeps each seed's cost proportional to the step's participants,
 //     their arcs and the PRG bits Propose's draws read, never to n or to
-//     the step's declared bit budget: the hknt.Scratch resets only what
-//     the previous seed's Propose wrote, reseeding the lazy source draws
-//     only the generator's state (the KWise polynomial and its difference
-//     rows), and the Scratch's per-worker cursors compute a chunk's bits
-//     when a draw reaches them — of whichever node reads, participant or
-//     not,
+//     the step's declared bit budget. The participants' induced subgraph
+//     (hknt.PartGraph) is built once per step and bound to every
+//     checked-out Scratch, so the conflict passes of TryRandomColor,
+//     GenerateSlack and MultiTrial read only the arcs between two
+//     participants. The hknt.Scratch resets only what the previous seed's
+//     Propose wrote, reseeding the lazy source draws only the generator's
+//     state (the KWise polynomial and its difference rows), and the
+//     Scratch's cursors compute a chunk's bits when a draw reaches them —
+//     of whichever node reads, participant or not,
 //   - scores the proposal with hknt.Step.Score over all participants,
 //     and
 //   - after selection, re-proposes the selected seed once on pooled
@@ -34,8 +38,11 @@ import (
 //     (state, seed), so the committed proposal is the one the walk scored,
 //     at the cost of one more seed out of the 2^d.
 //
-// The walk runs on the step's par.Runner: the owning solve's worker
-// budget bounds it, and its context cancels it between seeds.
+// condexp.Select spreads the seeds over the owning solve's runner (its
+// worker budget bounds the walk, and its context cancels it between
+// seeds), and each seed runs on the one worker that scores it: Propose
+// and Score run on a shallow copy of the step's hknt.State whose Par is a
+// one-worker runner, so no seed fans out a second time.
 //
 // The tests' oracle (oracle_test.go) is the naive scorer: it proposes
 // with a nil hknt.Scratch (fresh n-sized buffers, masks from a pass over
@@ -48,8 +55,8 @@ import (
 type seedSelector func(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error)
 
 // selectByEngine is the seedSelector of every solve: score every seed
-// once on the step's runner, select (flat or bitwise), and return the
-// selected seed's result plus its proposal.
+// once, spread over the solve's runner, select (flat or bitwise), and
+// return the selected seed's result plus its proposal.
 func selectByEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
 	e := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
 	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
@@ -59,19 +66,26 @@ func selectByEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG,
 	return res, e.proposalFor(res.Seed), nil
 }
 
+// walkRunner runs one seed's Propose and Score: the seeds are already
+// spread over the solve's workers.
+var walkRunner = par.NewRunner(1)
+
 // stepEngine scores one step's seed space incrementally.
 type stepEngine struct {
-	st        *hknt.State
+	st        *hknt.State // the solve's State under walkRunner
 	step      *hknt.Step
 	parts     []int32
+	pg        *hknt.PartGraph // the subgraph parts induces
 	gen       prg.PRG
 	chunkOf   []int32
 	numChunks int
 }
 
 func newStepEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int) *stepEngine {
+	walk := *st
+	walk.Par = walkRunner
 	return &stepEngine{
-		st: st, step: step, parts: parts,
+		st: &walk, step: step, parts: parts, pg: hknt.NewPartGraph(st.In.G, parts),
 		gen: gen, chunkOf: chunkOf, numChunks: numChunks,
 	}
 }
@@ -88,7 +102,7 @@ func (e *stepEngine) propose(ss *seedScratch, seed uint64) hknt.Proposal {
 func (e *stepEngine) score(seed uint64) int64 {
 	ss := e.getScratch()
 	score := e.step.Score(e.st, e.parts, e.propose(ss, seed))
-	seedScratches.Put(ss)
+	putScratch(ss)
 	return score
 }
 
@@ -97,7 +111,7 @@ func (e *stepEngine) score(seed uint64) int64 {
 func (e *stepEngine) proposalFor(seed uint64) hknt.Proposal {
 	ss := e.getScratch()
 	prop := hknt.CloneProposal(e.propose(ss, seed))
-	seedScratches.Put(ss)
+	putScratch(ss)
 	return prop
 }
 
@@ -113,9 +127,9 @@ type seedScratch struct {
 	sc  *hknt.Scratch
 }
 
-// getScratch checks a seed-evaluation scratch out of the pool and
-// retargets it to the engine's generator, chunk layout and bit budget,
-// keeping its buffers.
+// getScratch checks a seed-evaluation scratch out of the pool, retargets
+// it to the engine's generator, chunk layout and bit budget, keeping its
+// buffers, and binds it to the step's participant graph.
 func (e *stepEngine) getScratch() *seedScratch {
 	ss := seedScratches.Get().(*seedScratch)
 	var err error
@@ -128,5 +142,13 @@ func (e *stepEngine) getScratch() *seedScratch {
 		// Generator too short is a construction bug; make it loud.
 		panic(fmt.Sprintf("deframe: %v", err))
 	}
+	ss.sc.Bind(e.pg)
 	return ss
+}
+
+// putScratch unbinds ss from its step's participant graph and returns it
+// to the pool, so the pool never keeps a finished step's graph alive.
+func putScratch(ss *seedScratch) {
+	ss.sc.Bind(nil)
+	seedScratches.Put(ss)
 }

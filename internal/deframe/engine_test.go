@@ -131,12 +131,12 @@ func TestBitwiseEvalReduction(t *testing.T) {
 
 // TestTableScoringMatchesNaiveSharedChunks runs every step of a schedule
 // under the fabricated chunk layout chunkOf[v] = v mod 3, so each live
-// chunk has many readers — each through its own lazy cursor, several at
-// once under the trials' inner fan-out — and the engine must still
-// agree with the naive oracle, which reads one eager expansion, on every
-// step's seed, score, certificate and outcome and on the final coloring:
-// across workers 1, 4 and the process default, both PRG families and
-// both selection strategies (run under -race in CI).
+// chunk has many readers — one seed's through its worker's lazy cursor,
+// and several seeds' at once on different workers — and the engine must
+// still agree with the naive oracle, which reads one eager expansion, on
+// every step's seed, score, certificate and outcome and on the final
+// coloring: across workers 1, 4 and the process default, both PRG
+// families and both selection strategies (run under -race in CI).
 func TestTableScoringMatchesNaiveSharedChunks(t *testing.T) {
 	for _, tc := range []struct {
 		name string

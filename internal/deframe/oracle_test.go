@@ -93,47 +93,102 @@ func TestStepEngineSeedMajorMatchesChunkMajorOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := hknt.NewState(tc.in)
 			step := tc.step(st)
-			o := Options{SeedBits: 6}.withDefaults(tc.in.G.MaxDegree())
-			chunkOf, num, _ := chunkAssignment(nil, tc.in.G, 4, 1_000_000)
-			parts := step.Participants(st)
-			if len(parts) == 0 {
-				t.Fatalf("step %s has no participants", step.Name)
-			}
-			gen := buildPRG(o, num, step.Bits)
-			naive := naiveScorer(st, &step, parts, gen, chunkOf, num)
-
-			eng := newStepEngine(st, &step, parts, gen, chunkOf, num)
-			for seed := uint64(0); seed < 1<<o.SeedBits; seed++ {
-				if got, want := eng.score(seed), naive(seed); got != want {
-					t.Fatalf("seed %d: engine score %d, naive %d", seed, got, want)
-				}
-			}
-			marked := false
-			for _, w := range []int{1, 4, 0} {
-				for _, bitwise := range []bool{false, true} {
-					o.Par, o.Bitwise = par.NewRunner(w), bitwise
-					got, a, err := selectByEngine(st, &step, parts, gen, chunkOf, num, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, b, err := selectNaive(st, &step, parts, gen, chunkOf, num, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("w=%d bitwise=%v: engine %+v, naive %+v", w, bitwise, got, want)
-					}
-					if v, ok := proposalsDiffer(a, b); ok {
-						t.Fatalf("w=%d bitwise=%v: proposals differ at node %d", w, bitwise, v)
-					}
-					marked = marked || a.Mark.Count() > 0
-				}
-			}
-			if tc.marks && !marked {
+			if marked := matchOracle(t, st, &step); tc.marks && !marked {
 				t.Fatal("no selected proposal marks a node")
 			}
 		})
 	}
+}
+
+// TestStepEngineScratchOnParticipantSubsetMatchesOracle runs the three
+// steps whose conflict passes the engine narrows to participant arcs
+// (TryRandomColor, GenerateSlack, MultiTrial) with the nodes of degree at
+// least LowDeg of a small Chung–Lu instance as participants: a strict
+// subset whose members have neighbours both inside and outside it. The
+// engine's bound Scratch must match the naive oracle's full scans seed by
+// seed and in the committed proposal, flat and bitwise, at workers 1, 4
+// and the process default.
+func TestStepEngineScratchOnParticipantSubsetMatchesOracle(t *testing.T) {
+	in := d1lc.TrivialPalettes(graph.ChungLu(300, 2.5, 8, 1))
+	g := in.G
+	lowDeg := hknt.Tunables{}.WithDefaults(g.N(), 0).LowDeg
+	hub := func(v int32) bool { return g.Degree(v) >= lowDeg }
+	maxPal := g.MaxDegree() + 1
+	const x = 3
+	for _, step := range []hknt.Step{
+		{Name: "trc", Tau: 2, Bits: hknt.TryRandomColorBits(maxPal), Propose: hknt.TryRandomColorPropose},
+		{Name: "genslack", Tau: 1, Bits: hknt.GenerateSlackBits(maxPal), Propose: hknt.GenerateSlackPropose},
+		{Name: "multitrial", Tau: 2, Bits: hknt.MultiTrialBits(x, maxPal),
+			Propose: func(st *hknt.State, parts []int32, src hknt.RandSource, sc *hknt.Scratch) hknt.Proposal {
+				return hknt.MultiTrialPropose(st, parts, x, src, sc)
+			}},
+	} {
+		t.Run(step.Name, func(t *testing.T) {
+			st := hknt.NewState(in)
+			step.Participants = func(st *hknt.State) []int32 { return st.LiveNodes(hub) }
+			inner, outer := 0, 0
+			for _, v := range step.Participants(st) {
+				for _, u := range g.Neighbors(v) {
+					if hub(u) {
+						inner++
+					} else {
+						outer++
+					}
+				}
+			}
+			if inner == 0 || outer == 0 {
+				t.Fatalf("participants have %d arcs among themselves and %d out, want both", inner, outer)
+			}
+			matchOracle(t, st, &step)
+		})
+	}
+}
+
+// matchOracle pins the step engine to the naive oracle on one step of st:
+// every seed's score, and each selection's result and committed proposal
+// (flat and bitwise, at workers 1, 4 and the process default, against the
+// naive selection at the process default). It reports whether any
+// committed proposal marks a node.
+func matchOracle(t *testing.T, st *hknt.State, step *hknt.Step) (marked bool) {
+	t.Helper()
+	g := st.In.G
+	o := Options{SeedBits: 6}.withDefaults(g.MaxDegree())
+	chunkOf, num, _ := chunkAssignment(nil, g, 4, 1_000_000)
+	parts := step.Participants(st)
+	if len(parts) == 0 {
+		t.Fatalf("step %s has no participants", step.Name)
+	}
+	gen := buildPRG(o, num, step.Bits)
+	naive := naiveScorer(st, step, parts, gen, chunkOf, num)
+
+	eng := newStepEngine(st, step, parts, gen, chunkOf, num)
+	for seed := uint64(0); seed < 1<<o.SeedBits; seed++ {
+		if got, want := eng.score(seed), naive(seed); got != want {
+			t.Fatalf("seed %d: engine score %d, naive %d", seed, got, want)
+		}
+	}
+	for _, bitwise := range []bool{false, true} {
+		o.Bitwise = bitwise
+		want, b, err := selectNaive(st, step, parts, gen, chunkOf, num, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4, 0} {
+			o.Par = par.NewRunner(w)
+			got, a, err := selectByEngine(st, step, parts, gen, chunkOf, num, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("w=%d bitwise=%v: engine %+v, naive %+v", w, bitwise, got, want)
+			}
+			if v, ok := proposalsDiffer(a, b); ok {
+				t.Fatalf("w=%d bitwise=%v: proposals differ at node %d", w, bitwise, v)
+			}
+			marked = marked || a.Mark.Count() > 0
+		}
+	}
+	return marked
 }
 
 // proposalsDiffer returns the first node whose color, win bit or put-aside

@@ -26,8 +26,11 @@ type Step struct {
 	// supplies reusable buffers (see Scratch); the returned Proposal then
 	// aliases them and is invalidated by the next Propose on the same sc.
 	// With a Scratch, one call costs time proportional to the nodes it
-	// writes, their arcs and the bits it reads, not to the instance size;
-	// a nil sc allocates fresh n-sized buffers and is the reference path.
+	// writes, their arcs and the bits it reads, not to the instance size,
+	// and a Scratch bound to the participants' PartGraph narrows the arcs
+	// of TryRandomColor, GenerateSlack and MultiTrial to the participant
+	// arcs; a nil sc allocates fresh n-sized buffers and is the reference
+	// path.
 	// Propose may read any node's bits, participant or not
 	// (SynchColorTrial's leaders draw for their inliers); a lazy source
 	// computes whichever chunk a read reaches.

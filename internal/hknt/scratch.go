@@ -16,14 +16,17 @@ import (
 // Per-seed cost contract: a Propose handed a Scratch does work
 // proportional to the nodes it may write (its participants, or the
 // inliers of its cliques), their arcs and the random bits it reads, never
-// to the instance size n. Every node-indexed buffer (candidates, proposal
-// colors, win and mark masks, MultiTrial's sample sets, PutAside's sample
-// flags) stays clean — Uncolored, nil, false or a zero bit — across its
-// whole capacity except at the nodes the previous Propose recorded as
-// written. The next Propose resets exactly those entries before it writes,
-// and derives its win and mark masks from its own written nodes instead of
-// a pass over all n. One Scratch may serve instances of any size, in any
-// order. Under a lazy PRG source (prg.LazySource) the bits a Propose reads
+// to the instance size n. Bound to its step's PartGraph (Bind), a
+// TryRandomColor, GenerateSlack or MultiTrial Propose reads only the
+// participant arcs among those arcs; the clique trials and the scoring
+// (PostStats) still read all of them. Every node-indexed buffer
+// (candidates, proposal colors, win and mark masks, MultiTrial's sample
+// sets, PutAside's sample flags) stays clean — Uncolored, nil, false or
+// a zero bit — across its whole capacity except at the nodes the
+// previous Propose recorded as written. The next Propose resets exactly
+// those entries before it writes, and derives its win and mark masks
+// from its own written nodes instead of a pass over all n. One Scratch
+// may serve instances of any size, in any order. Under a lazy PRG source (prg.LazySource) the bits a Propose reads
 // are also the only PRG bits computed for it: the Scratch's per-worker
 // cursors compute each chunk's bits as the draws reach them, so a seed
 // pays for the bits its draws read, not for the step's declared budget.
@@ -55,10 +58,34 @@ type Scratch struct {
 	arenas  [][]int32
 	palBufs [][]int32
 	curs    []*rng.Bits
+
+	// part is the bound participant graph, or nil.
+	part *PartGraph
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// Bind binds sc to a step's participant graph, or unbinds it (nil). A
+// bound TryRandomColor, GenerateSlack or MultiTrial Propose whose parts
+// is the very slice pg was built from scans only participant neighbours
+// in its conflict pass; handed any other slice, it scans every
+// neighbour. Unbind a Scratch before pooling it, so the pool keeps no
+// finished step's graph.
+func (sc *Scratch) Bind(pg *PartGraph) { sc.part = pg }
+
+// partGraph returns the bound participant graph when parts is the slice
+// it was built from (same first element and length), else nil: the full
+// neighbour scan. Nil on a nil Scratch.
+func (sc *Scratch) partGraph(parts []int32) *PartGraph {
+	if sc == nil || sc.part == nil || len(parts) == 0 {
+		return nil
+	}
+	if bound := sc.part.parts; len(bound) != len(parts) || &bound[0] != &parts[0] {
+		return nil
+	}
+	return sc.part
+}
 
 // claim resets every buffer entry the previous Propose on sc wrote and
 // records nodes as the ones this Propose may write. It must precede the

@@ -1,6 +1,7 @@
 package hknt
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,6 +125,8 @@ func reuseInstance(t *testing.T, n int, seed uint64) (*State, []CliqueInfo) {
 // proposal with the allocate-fresh one over all n nodes. A Scratch resets
 // only what its previous Propose wrote, so an entry left behind by an
 // earlier set or a larger instance would show up here as a difference.
+// Each phase binds the Scratch to its participants' PartGraph, as a seed
+// walk does, so the conflict passes scan participant arcs only.
 func TestScratchReuseAcrossSetsAndSizes(t *testing.T) {
 	st, cliques := reuseInstance(t, 1200, 5)
 	live := st.LiveNodes(nil)
@@ -148,6 +151,7 @@ func TestScratchReuseAcrossSetsAndSizes(t *testing.T) {
 	sc := NewScratch()
 	for i, ph := range phases {
 		st, parts, cl := ph.st, ph.parts, ph.cliques
+		sc.Bind(NewPartGraph(st.In.G, parts))
 		maxPal := maxPalette(st.In)
 		maxClique := 1
 		for _, c := range cl {
@@ -186,6 +190,123 @@ func TestScratchReuseAcrossSetsAndSizes(t *testing.T) {
 			return PutAsidePropose(st, cl, prob, FreshSource{Root: seed, Round: 5, Bits: PutAsideBits(maxClique)}, sc)
 		})
 	}
+}
+
+// TestScratchBoundGraphServesOnlyItsOwnList binds a Scratch to the
+// PartGraph of a strict subset of the live nodes and hands TryRandomColor,
+// GenerateSlack and MultiTrial that list and four others: a list of other
+// nodes of the same length, the bound list reversed, a prefix and a suffix
+// of it. Rows follow the bound list's order, so only that list may take
+// the participant-only scan; every proposal must equal the
+// allocate-fresh one.
+func TestScratchBoundGraphServesOnlyItsOwnList(t *testing.T) {
+	st, _ := reuseInstance(t, 1200, 5)
+	live := st.LiveNodes(nil)
+	var bound, other []int32
+	for i, v := range live {
+		if i%2 == 0 {
+			bound = append(bound, v)
+		} else {
+			other = append(other, v)
+		}
+	}
+	bound = bound[:len(other)]
+	reversed := slices.Clone(bound)
+	slices.Reverse(reversed)
+	maxPal := maxPalette(st.In)
+	sc := NewScratch()
+	sc.Bind(NewPartGraph(st.In.G, bound))
+	for i, tc := range []struct {
+		label string
+		parts []int32
+	}{
+		{"bound", bound},
+		{"other", other},
+		{"reversed", reversed},
+		{"prefix", bound[:len(bound)/2]},
+		{"suffix", bound[1:]},
+	} {
+		seed := uint64(i + 1)
+		for _, trial := range boundTrials(3, maxPal) {
+			src := FreshSource{Root: seed, Round: trial.round, Bits: trial.bits}
+			fresh := trial.propose(st, tc.parts, src, nil)
+			if fresh.Win.Count() == 0 {
+				t.Fatalf("%s/%s: empty proposal", tc.label, trial.name)
+			}
+			propEqual(t, trial.propose(st, tc.parts, src, sc), fresh, tc.label+"/"+trial.name)
+		}
+	}
+}
+
+// boundTrial is one of the trials whose conflict pass a bound Scratch
+// narrows to participant arcs, with its bit budget.
+type boundTrial struct {
+	name    string
+	round   uint64
+	bits    int
+	propose func(st *State, parts []int32, src RandSource, sc *Scratch) Proposal
+}
+
+// boundTrials lists TryRandomColor, GenerateSlack and MultiTrial(x).
+func boundTrials(x, maxPal int) []boundTrial {
+	return []boundTrial{
+		{"trc", 1, TryRandomColorBits(maxPal), TryRandomColorPropose},
+		{"genslack", 2, GenerateSlackBits(maxPal), GenerateSlackPropose},
+		{"multitrial", 3, MultiTrialBits(x, maxPal), func(st *State, parts []int32, src RandSource, sc *Scratch) Proposal {
+			return MultiTrialPropose(st, parts, x, src, sc)
+		}},
+	}
+}
+
+// FuzzScratchBoundMatchesUnbound holds the participant-only conflict scan
+// to the full one on arbitrary small instances. data[0] mod 49 is the
+// node count n ≤ 48 and the remaining bytes are edges, as pairs mod n
+// (the builder drops self-loops and duplicates). Node v participates when
+// bit v of parts is set; it is left live when bit v of live is set, and
+// otherwise colored with its first remaining color when bit v of colored
+// is set and it has one, else deferred. On a Scratch bound to the
+// participants' PartGraph, TryRandomColor, GenerateSlack and
+// MultiTrial(1 + seed mod 4) must equal the nil-Scratch proposal.
+func FuzzScratchBoundMatchesUnbound(f *testing.F) {
+	k6 := []byte{6, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 1, 3, 1, 4, 1, 5, 2, 3, 2, 4, 2, 5, 3, 4, 3, 5, 4, 5}
+	f.Add([]byte{}, uint64(0), uint64(0), uint64(0), uint64(1))            // n = 0
+	f.Add([]byte{1, 0, 0}, uint64(1), uint64(1), uint64(0), uint64(2))     // n = 1, a self-loop
+	f.Add(k6, uint64(0x3f), uint64(0x3f), uint64(0), uint64(3))            // K6, all participate
+	f.Add(k6, uint64(0x0b), uint64(0x3f), uint64(0), uint64(4))            // K6, a strict subset
+	f.Add(k6, uint64(0x3f), uint64(0x2d), uint64(0x12), uint64(5))         // K6, some colored or deferred
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0, 0, 4}, // C8 plus a chord
+		uint64(0x55), uint64(0xf7), uint64(0x08), uint64(6))
+	f.Fuzz(func(t *testing.T, data []byte, parts, live, colored, seed uint64) {
+		n := 0
+		if len(data) > 0 {
+			n, data = int(data[0])%49, data[1:]
+		}
+		b := graph.NewBuilder(n)
+		for i := 0; n > 0 && i+1 < len(data); i += 2 {
+			b.AddEdge(int32(int(data[i])%n), int32(int(data[i+1])%n))
+		}
+		g := b.Build()
+		st := NewState(d1lc.TrivialPalettes(g))
+		var ps []int32
+		for v := int32(0); v < int32(n); v++ {
+			switch {
+			case live>>v&1 == 1:
+			case colored>>v&1 == 1 && len(st.Rem[v]) > 0:
+				st.SetColor(v, st.Rem[v][0])
+			default:
+				st.Defer(v)
+			}
+			if parts>>v&1 == 1 {
+				ps = append(ps, v)
+			}
+		}
+		sc := NewScratch()
+		sc.Bind(NewPartGraph(g, ps))
+		for _, trial := range boundTrials(1+int(seed%4), g.MaxDegree()+1) {
+			src := FreshSource{Root: seed, Round: trial.round, Bits: trial.bits}
+			propEqual(t, trial.propose(st, ps, src, sc), trial.propose(st, ps, src, nil), trial.name)
+		}
+	})
 }
 
 // TestScratchConcurrentWorkers hammers per-worker Scratch reuse the way the

@@ -101,8 +101,10 @@ type State struct {
 	live bitset.Mask
 	// Par scopes the trials' parallel loops to the owning solve's worker
 	// budget. nil means the process default. Solvers set it right after
-	// NewState; one State serves one solve, so it is never shared across
-	// budgets.
+	// NewState; one State serves one solve. A seed walk proposes on a
+	// shallow copy of it whose Par is a one-worker runner: the copy shares
+	// every array, and the walk spreads its seeds, not a seed's loops,
+	// over the solve's workers.
 	Par *par.Runner
 	// Meter accounts LOCAL rounds consumed.
 	Meter Meter

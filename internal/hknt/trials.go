@@ -21,9 +21,11 @@ func TryRandomColorBits(maxPalette int) int { return rng.IntnBits(maxPalette) }
 
 // TryRandomColorPropose implements Algorithm 3 for the given participants:
 // each live participant picks a uniform color from its remaining palette
-// and wins iff no neighbor (participating or not — colored neighbors
-// cannot pick) picked the same color this trial. Symmetric ties eliminate
-// both sides, matching the ψ_v ∉ T rule. sc may be nil (allocate fresh).
+// and wins iff no neighbor picked the same color this trial. Only
+// participants pick, so on a Scratch bound to parts' PartGraph the
+// conflict pass reads only participant neighbours. Symmetric ties
+// eliminate both sides, matching the ψ_v ∉ T rule. sc may be nil
+// (allocate fresh).
 func TryRandomColorPropose(st *State, parts []int32, src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
 	sc.claim(parts)
@@ -40,13 +42,14 @@ func TryRandomColorPropose(st *State, parts []int32, src RandSource, sc *Scratch
 		}
 	})
 	prop := sc.proposal(n)
+	pg := sc.partGraph(parts)
 	st.Par.For(len(parts), func(i int) {
 		v := parts[i]
 		c := cand[v]
 		if c == d1lc.Uncolored {
 			return
 		}
-		for _, u := range st.In.G.Neighbors(v) {
+		for _, u := range pg.neighbors(st.In.G, i, v) {
 			if cand[u] == c {
 				return
 			}
@@ -64,7 +67,9 @@ func MultiTrialBits(x, maxPalette int) int { return x * rng.IntnBits(maxPalette)
 // x distinct colors from its remaining palette (all of them if the palette
 // is smaller) and wins the first sampled color that no neighbor sampled.
 // The conflict pass reuses one blocked-set per worker instead of allocating
-// a map per participant. sc may be nil (allocate fresh).
+// a map per participant, and on a Scratch bound to parts' PartGraph it
+// reads only participant neighbours (no other node samples). sc may be
+// nil (allocate fresh).
 func MultiTrialPropose(st *State, parts []int32, x int, src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
 	sc.claim(parts)
@@ -86,6 +91,7 @@ func MultiTrialPropose(st *State, parts []int32, x int, src RandSource, sc *Scra
 		arenas[wk] = arena
 	})
 	prop := sc.proposal(n)
+	pg := sc.partGraph(parts)
 	maps := sc.mapsBuf(st.Par.Workers(len(parts)))
 	st.Par.ForChunkedWorker(len(parts), func(wk, lo, hi int) {
 		blocked := maps[wk]
@@ -95,7 +101,7 @@ func MultiTrialPropose(st *State, parts []int32, x int, src RandSource, sc *Scra
 				continue
 			}
 			clear(blocked)
-			for _, u := range st.In.G.Neighbors(v) {
+			for _, u := range pg.neighbors(st.In.G, i, v) {
 				for _, c := range sets[u] {
 					blocked[c] = true
 				}
@@ -136,8 +142,10 @@ func GenerateSlackBits(maxPalette int) int {
 
 // GenerateSlackPropose implements Algorithm 6: sample each participant
 // into S independently with probability 1/10, then run one
-// TryRandomColor among S. The colored sample creates permanent slack for
-// its uncolored neighbors. sc may be nil (allocate fresh).
+// TryRandomColor among S, whose conflict pass reads only participant
+// neighbours on a Scratch bound to parts' PartGraph. The colored sample
+// creates permanent slack for its uncolored neighbors. sc may be nil
+// (allocate fresh).
 func GenerateSlackPropose(st *State, parts []int32, src RandSource, sc *Scratch) Proposal {
 	n := st.In.G.N()
 	sc.claim(parts)
@@ -157,13 +165,14 @@ func GenerateSlackPropose(st *State, parts []int32, src RandSource, sc *Scratch)
 		}
 	})
 	prop := sc.proposal(n)
+	pg := sc.partGraph(parts)
 	st.Par.For(len(parts), func(i int) {
 		v := parts[i]
 		c := cand[v]
 		if c == d1lc.Uncolored {
 			return
 		}
-		for _, u := range st.In.G.Neighbors(v) {
+		for _, u := range pg.neighbors(st.In.G, i, v) {
 			if cand[u] == c {
 				return
 			}

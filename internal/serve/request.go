@@ -15,8 +15,10 @@ import (
 type GraphSpec struct {
 	// N is the node count (required in both forms).
 	N int `json:"n"`
-	// Edges is the explicit edge list form.
-	Edges [][2]int32 `json:"edges,omitempty"`
+	// Edges is the explicit edge list form. It is never omitted: an empty
+	// non-nil list is an edgeless graph and marshals as [], while nil
+	// marshals as null, which decodes as absent.
+	Edges [][2]int32 `json:"edges"`
 	// Generator is the named-generator form ("gnp-sparse", "mixed", …).
 	Generator string `json:"generator,omitempty"`
 	// Seed drives the generator form.

@@ -152,6 +152,29 @@ func TestEdgeListFormMatchesGenerator(t *testing.T) {
 	}
 }
 
+// TestEdgelessEdgeListFromGoClient marshals an edgeless graph in
+// edge-list form, an empty non-nil Edges, as a Go client would: the body
+// must carry "edges":[] and be solved like the hand-written one, not
+// answered 400 as a graph with neither form.
+func TestEdgelessEdgeListFromGoClient(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	req := SolveRequest{Graph: GraphSpec{N: 1, Edges: [][2]int32{}}, IncludeColors: true}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"edges":[]`)) {
+		t.Fatalf("body %s does not carry the empty edge list", body)
+	}
+	sr, resp := postSolve(t, hs.URL, req)
+	if sr == nil {
+		t.Fatalf("HTTP %d, want 200", resp.StatusCode)
+	}
+	if sr.N != 1 || sr.M != 0 || len(sr.Colors) != 1 {
+		t.Fatalf("served n=%d m=%d colors=%v, want one node, no edges", sr.N, sr.M, sr.Colors)
+	}
+}
+
 // TestOverloadRejectsWith429 induces overload on a 1-slot, 1-queue server
 // and requires load shedding: extra concurrent requests answered 429 with
 // a Retry-After, while admitted requests still succeed.
