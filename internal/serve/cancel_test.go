@@ -36,7 +36,7 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	const n, seed = 30000, 11
+	const n, seed = 200000, 11
 	// Calibrate: the uncancelled wall time of this exact solve.
 	g := parcolor.GenerateGraph("powerlaw", n, seed)
 	in := parcolor.TrivialPalettes(g)
@@ -113,9 +113,9 @@ func TestDisconnectWhileQueuedReleasesQueue(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	// Occupy the only slot with a slow (~400ms) solve.
+	// Occupy the only slot with a slow (several hundred ms) solve.
 	slowBody, _ := json.Marshal(SolveRequest{
-		Graph:     GraphSpec{Generator: "powerlaw", N: 30000, Seed: 21},
+		Graph:     GraphSpec{Generator: "powerlaw", N: 100000, Seed: 21},
 		Algorithm: "deterministic",
 		NoCache:   true,
 	})
