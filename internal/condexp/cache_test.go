@@ -14,7 +14,7 @@ func TestSelectCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, bitwise := range []bool{false, true} {
-		res, err := Select(par.NewRunner(2).WithContext(ctx), 8, bitwise, score)
+		res, err := Select(par.NewRunner(2).WithContext(ctx), 8, bitwise, noFloor, score)
 		if err != context.Canceled {
 			t.Fatalf("bitwise=%v: err = %v, want context.Canceled", bitwise, err)
 		}
@@ -38,7 +38,7 @@ func TestSelectCancelledMidway(t *testing.T) {
 		}
 		return int64(seed)
 	}
-	_, err := Select(par.NewRunner(1).WithContext(ctx), seedBits, false, score)
+	_, err := Select(par.NewRunner(1).WithContext(ctx), seedBits, false, noFloor, score)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -70,9 +70,9 @@ func TestSelectReusesPooledTotalsAndStaysExact(t *testing.T) {
 	recycled := false
 	for tries := 0; !recycled && tries < 50; tries++ {
 		mustSelect(nil, 6, false, randomObjective(16, 2))
-		buf := totalsPool.Get().(*[]int64)
-		recycled = cap(*buf) >= 1<<6
-		totalsPool.Put(buf)
+		sc := selectPool.Get().(*selectScratch)
+		recycled = cap(sc.totals) >= 1<<6
+		selectPool.Put(sc)
 	}
 	if !recycled {
 		t.Error("pool never recycled a totals vector")

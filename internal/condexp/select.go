@@ -1,61 +1,136 @@
 package condexp
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"parcolor/internal/par"
 )
 
 // This file implements the engines' seed selection: the shared-memory
-// realization of Lemma 10's distributed selection. Every seed is scored
-// exactly once into a totals vector, and both selection strategies — full
-// enumeration and the bit-by-bit method of conditional expectations — read
-// that vector with no further scorer invocations.
+// realization of Lemma 10's distributed selection. Seeds are scored in
+// increasing order into a totals vector, and both selection strategies —
+// full enumeration and the bit-by-bit method of conditional expectations —
+// read that vector with no further scorer invocations.
 
-// totalsPool recycles the per-selection totals vector (one int64 per
-// seed) across steps and solves: its length recurs selection after
-// selection, so a warm selection allocates nothing.
-var totalsPool = sync.Pool{New: func() any { return new([]int64) }}
+// blocksPerWorker is how many equal seed blocks a multi-worker walk cuts
+// per worker: enough that a worker the host slows holds up at most one
+// small block, and that workers stay close to the walk's front when it
+// stops at the floor.
+const blocksPerWorker = 8
 
-// Select is one Lemma 10 seed selection over the 2^seedBits seed space:
-// score every seed exactly once on r's workers into a pooled totals
-// vector, then select by the bit-by-bit method when bitwise is set and by
-// full enumeration otherwise. Workers poll the runner's cancellation
-// between seeds; a cancelled runner stops scoring promptly and returns the
-// context's error. Within one worker, score is called for increasing
-// seeds of a contiguous range, so implementations may reuse per-worker
-// scratch from a sync.Pool.
-func Select(r *par.Runner, seedBits int, bitwise bool, score Scorer) (Result, error) {
+// selectScratch is one selection's pooled state: the totals vector (one
+// int64 per seed), the block offsets a multi-worker walk claims, and the
+// smallest seed found so far whose score equals the floor. Their sizes
+// recur selection after selection, so a warm selection allocates nothing
+// for them.
+type selectScratch struct {
+	totals    []int64
+	offsets   []int32
+	floorSeed atomic.Int64
+}
+
+var selectPool = sync.Pool{New: func() any { return new(selectScratch) }}
+
+// Select is one Lemma 10 seed selection over the 2^seedBits seed space.
+// It scores seeds in increasing order on r's workers into a pooled totals
+// vector, then selects by the bit-by-bit method when bitwise is set and
+// by full enumeration otherwise.
+//
+// floor must be at most every seed's score (the objective's least
+// possible value: 0 failures, or minus the participant count when every
+// participant wins). Flat selection commits the minimum and breaks ties
+// to the smallest seed, so the first seed whose score equals floor is its
+// result: the walk stops there, and the Result is the one full
+// enumeration returns, with AtFloor set and the accounting cut to seeds
+// 0..Seed (see Result). Bitwise selection ignores floor and scores every
+// seed, because its branch sums need every total. A score below floor is
+// a caller bug and panics.
+//
+// One worker scores the seeds in order inline. Several workers claim
+// equal blocks of consecutive seeds from an atomic cursor in increasing
+// order (par.Runner.ForRanges), share the smallest floor seed found so
+// far, and skip every seed above it; every seed below the final floor
+// seed is still scored, so the Result does not depend on the worker
+// count. Workers poll the runner's cancellation between seeds; a
+// cancelled runner stops scoring promptly and returns the context's
+// error. Within one block, score is called for increasing seeds on one
+// goroutine, so implementations may reuse per-worker scratch from a
+// sync.Pool.
+func Select(r *par.Runner, seedBits int, bitwise bool, floor int64, score Scorer) (Result, error) {
 	numSeeds := 1 << seedBits
-	buf := totalsPool.Get().(*[]int64)
-	if cap(*buf) < numSeeds {
-		*buf = make([]int64, numSeeds)
+	sc := selectPool.Get().(*selectScratch)
+	if cap(sc.totals) < numSeeds {
+		sc.totals = make([]int64, numSeeds)
 	}
-	totals := (*buf)[:numSeeds]
-	if r.Workers(numSeeds) == 1 {
+	totals := sc.totals[:numSeeds]
+	floorSeed := numSeeds // none found
+	if w := r.Workers(numSeeds); w == 1 {
 		// Inline loop: no goroutine fan-out and no escaping closure, so a
 		// warm single-worker selection performs zero allocations.
 		for s := 0; s < numSeeds && r.Err() == nil; s++ {
-			totals[s] = score(uint64(s))
+			v := score(uint64(s))
+			totals[s] = v
+			if !bitwise && v <= floor {
+				checkFloor(v, floor)
+				floorSeed = s
+				break
+			}
 		}
 	} else {
-		r.ForChunked(numSeeds, func(lo, hi int) {
-			for s := lo; s < hi && r.Err() == nil; s++ {
-				totals[s] = score(uint64(s))
+		blocks := min(numSeeds, blocksPerWorker*w)
+		offsets := sc.offsets[:0]
+		for i := 0; i <= blocks; i++ {
+			offsets = append(offsets, int32(i*numSeeds/blocks))
+		}
+		sc.offsets = offsets
+		best := &sc.floorSeed
+		best.Store(int64(numSeeds))
+		r.ForRanges(offsets, func(lo, hi int) {
+			for s := lo; s < hi && int64(s) < best.Load() && r.Err() == nil; s++ {
+				v := score(uint64(s))
+				totals[s] = v
+				if !bitwise && v <= floor {
+					checkFloor(v, floor)
+					for cur := best.Load(); int64(s) < cur; cur = best.Load() {
+						if best.CompareAndSwap(cur, int64(s)) {
+							break
+						}
+					}
+					return
+				}
 			}
 		})
+		floorSeed = int(best.Load())
 	}
 	var res Result
 	err := r.Err()
 	if err == nil {
-		if bitwise {
+		switch {
+		case bitwise:
 			res = SelectTotalsBitwise(totals, seedBits)
-		} else {
+		case floorSeed < numSeeds:
+			// Every seed below floorSeed was scored and none reached the
+			// floor, so floorSeed is the argmin with the smallest seed on
+			// ties: the seed full enumeration selects.
+			res = SelectTotals(totals[:floorSeed+1])
+			res.AtFloor = true
+		default:
 			res = SelectTotals(totals)
 		}
 	}
-	totalsPool.Put(buf)
+	selectPool.Put(sc)
 	return res, err
+}
+
+// checkFloor panics when a score v that reached the floor lies below it:
+// the caller's floor was not a lower bound, and stopping at it could
+// commit a seed other than the argmin.
+func checkFloor(v, floor int64) {
+	if v < floor {
+		panic(fmt.Sprintf("condexp: score %d below the objective's floor %d", v, floor))
+	}
 }
 
 // SelectTotals returns the minimum-total seed (smallest seed on ties) over

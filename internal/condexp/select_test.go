@@ -1,6 +1,7 @@
 package condexp
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -26,10 +27,14 @@ func sameSelection(a, b Result) bool {
 		a.SumScores == b.SumScores && a.NumSeeds == b.NumSeeds
 }
 
-// mustSelect is the tests' shorthand for an uncancellable selection; the
-// error path only fires on cancellation, tested separately.
+// noFloor is a floor no test objective reaches: Select then scores every
+// seed, as full enumeration does.
+const noFloor = math.MinInt64
+
+// mustSelect is the tests' shorthand for an uncancellable selection with
+// no floor; the error path only fires on cancellation, tested separately.
 func mustSelect(r *par.Runner, seedBits int, bitwise bool, score Scorer) Result {
-	res, err := Select(r, seedBits, bitwise, score)
+	res, err := Select(r, seedBits, bitwise, noFloor, score)
 	if err != nil {
 		panic(err)
 	}

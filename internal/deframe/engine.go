@@ -16,10 +16,13 @@ import (
 // monolithic full-graph proposal per seed — allocating a fresh PRG
 // expansion, ChunkedSource and Proposal each time — the engine
 //
-//   - scores each seed exactly once through condexp.Select, reusing
-//     per-worker scratch (a reseedable prg.LazySource and an
-//     hknt.Scratch) checked out of a package pool: pooled across seeds
-//     within a step, across steps and across runs,
+//   - scores seeds in increasing order, each at most once, through
+//     condexp.Select: a flat walk stops at the first seed that scores the
+//     step's floor (hknt.Step.Floor), the seed full enumeration would
+//     select, and a bitwise walk scores all 2^d. It reuses per-worker
+//     scratch (a reseedable prg.LazySource and an hknt.Scratch) checked
+//     out of a package pool: pooled across seeds within a step, across
+//     steps and across runs,
 //   - keeps each seed's cost proportional to the step's participants,
 //     their arcs and the PRG bits Propose's draws read, never to n or to
 //     the step's declared bit budget. The participants' induced subgraph
@@ -36,13 +39,14 @@ import (
 //   - after selection, re-proposes the selected seed once on pooled
 //     scratch and clones that proposal out of it: Propose is pure in
 //     (state, seed), so the committed proposal is the one the walk scored,
-//     at the cost of one more seed out of the 2^d.
+//     at the cost of one more seed.
 //
-// condexp.Select spreads the seeds over the owning solve's runner (its
-// worker budget bounds the walk, and its context cancels it between
-// seeds), and each seed runs on the one worker that scores it: Propose
-// and Score run on a shallow copy of the step's hknt.State whose Par is a
-// one-worker runner, so no seed fans out a second time.
+// condexp.Select hands blocks of consecutive seeds, in increasing order,
+// to the owning solve's runner's workers (its worker budget bounds the
+// walk, and its context cancels it between seeds), and each seed runs on
+// the one worker that scores it: Propose and Score run on a shallow copy
+// of the step's hknt.State whose Par is a one-worker runner, so no seed
+// fans out a second time.
 //
 // The tests' oracle (oracle_test.go) is the naive scorer: it proposes
 // with a nil hknt.Scratch (fresh n-sized buffers, masks from a pass over
@@ -54,12 +58,13 @@ import (
 // surfaces the context error. selectByEngine is the one a solve runs.
 type seedSelector func(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error)
 
-// selectByEngine is the seedSelector of every solve: score every seed
-// once, spread over the solve's runner, select (flat or bitwise), and
-// return the selected seed's result plus its proposal.
+// selectByEngine is the seedSelector of every solve: score the seeds in
+// order on the solve's runner, up to the first that scores the step's
+// floor when flat and all of them when bitwise, select, and return the
+// selected seed's result plus its proposal.
 func selectByEngine(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
 	e := newStepEngine(st, step, parts, gen, chunkOf, numChunks)
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, step.Floor(parts), e.score)
 	if err != nil {
 		return condexp.Result{}, hknt.Proposal{}, err
 	}

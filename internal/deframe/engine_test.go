@@ -20,21 +20,29 @@ func collectSteps(r *Report) []StepReport {
 	return out
 }
 
-// TestTableScoringMatchesNaive is the end-to-end differential test: the
-// incremental engine and the naive oracle must agree bit-for-bit on every
-// step's chosen seed, score and certificate, and on the final coloring —
-// across graphs, both PRG families, and both selection strategies.
-func TestTableScoringMatchesNaive(t *testing.T) {
-	cases := []struct {
-		name string
-		in   *d1lc.Instance
-	}{
+// namedInstance is a test instance with its subtest name.
+type namedInstance struct {
+	name string
+	in   *d1lc.Instance
+}
+
+// tableScoringCases are the instances of the end-to-end differential
+// tests: TestTableScoringMatchesNaive and the seed-transcript replay.
+func tableScoringCases() []namedInstance {
+	return []namedInstance{
 		{"gnp", d1lc.TrivialPalettes(graph.Gnp(140, 0.05, 3))},
 		{"cliques", d1lc.TrivialPalettes(graph.CliquesPlusMatching(3, 12, 2))},
 		{"mixed", d1lc.TrivialPalettes(graph.Mixed(150, 5))},
 		{"random-pal", d1lc.RandomPalettes(graph.Gnp(110, 0.08, 4), 2, 80, 5)},
 	}
-	for _, tc := range cases {
+}
+
+// TestTableScoringMatchesNaive is the end-to-end differential test: the
+// incremental engine and the naive oracle must agree bit-for-bit on every
+// step's chosen seed, score and certificate, and on the final coloring —
+// across graphs, both PRG families, and both selection strategies.
+func TestTableScoringMatchesNaive(t *testing.T) {
+	for _, tc := range tableScoringCases() {
 		for _, bitwise := range []bool{false, true} {
 			for _, prgKind := range []PRGKind{PRGKWise, PRGNisan} {
 				name := fmt.Sprintf("%s/bitwise=%v/prg=%d", tc.name, bitwise, prgKind)
@@ -76,27 +84,39 @@ func TestTableScoringMatchesNaive(t *testing.T) {
 
 // TestTableScoringDeterministicAcrossWorkerCounts pins the engine's output
 // to the worker count: pooled scratch and the parallel seed walk must not
-// leak scheduling order into results.
+// leak scheduling order into results. Every StepReport — Evals, floor
+// exit and certificate included — must be the same at every worker
+// count, flat and bitwise.
 func TestTableScoringDeterministicAcrossWorkerCounts(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Mixed(140, 6))
-	ref, refRep, err := Run(context.Background(), in, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 3, 7} {
+	for _, bitwise := range []bool{false, true} {
 		o := smallOpts()
-		o.Par = par.NewRunner(w)
-		col, rep, err := Run(context.Background(), in, o)
+		o.Bitwise = bitwise
+		ref, refRep, err := Run(context.Background(), in, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range col.Colors {
-			if col.Colors[v] != ref.Colors[v] {
-				t.Fatalf("workers=%d: coloring diverged at %d", w, v)
+		refSteps := collectSteps(refRep)
+		for _, w := range []int{1, 2, 3, 7} {
+			o.Par = par.NewRunner(w)
+			col, rep, err := Run(context.Background(), in, o)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if rep.TotalDeferred() != refRep.TotalDeferred() {
-			t.Fatalf("workers=%d: deferral accounting diverged", w)
+			for v := range col.Colors {
+				if col.Colors[v] != ref.Colors[v] {
+					t.Fatalf("bitwise=%v workers=%d: coloring diverged at %d", bitwise, w, v)
+				}
+			}
+			steps := collectSteps(rep)
+			if len(steps) != len(refSteps) {
+				t.Fatalf("bitwise=%v workers=%d: %d steps, want %d", bitwise, w, len(steps), len(refSteps))
+			}
+			for i := range steps {
+				if steps[i] != refSteps[i] {
+					t.Fatalf("bitwise=%v workers=%d: step %d diverged:\n%+v\nwant %+v", bitwise, w, i, steps[i], refSteps[i])
+				}
+			}
 		}
 	}
 }
@@ -104,7 +124,10 @@ func TestTableScoringDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestBitwiseEvalReduction verifies the acceptance bound on the live
 // pipeline: with d seed bits the engine path spends at most 2^d + d
 // scorer invocations per step, where the classical bitwise method spends
-// 2^(d+1)−2 (condexp's TestTableBitwiseEvalBudget pins that count).
+// 2^(d+1)−2 (condexp's TestTableBitwiseEvalBudget pins that count). On
+// the flat path, a step whose Score is its floor stopped there and
+// reports SeedChosen + 1 evaluations, every other step reports 2^d, and
+// at least one step of the instance reaches its floor.
 func TestBitwiseEvalReduction(t *testing.T) {
 	in := d1lc.TrivialPalettes(graph.Gnp(120, 0.06, 8))
 	o := smallOpts()
@@ -126,6 +149,30 @@ func TestBitwiseEvalReduction(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no populated steps to check")
+	}
+
+	o.Bitwise = false
+	_, repF, err := Run(context.Background(), in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atFloor := 0
+	for _, s := range collectSteps(repF) {
+		if s.Participants == 0 {
+			continue
+		}
+		want := 1 << d
+		if s.Score == s.Floor {
+			want = int(s.SeedChosen) + 1
+			atFloor++
+		}
+		if s.Evals != want || s.AtFloor != (s.Score == s.Floor) {
+			t.Fatalf("step %s: score %d, floor %d, seed %d: %d evals (at floor %v), want %d",
+				s.Name, s.Score, s.Floor, s.SeedChosen, s.Evals, s.AtFloor, want)
+		}
+	}
+	if atFloor == 0 {
+		t.Fatal("no flat step reached its floor")
 	}
 }
 

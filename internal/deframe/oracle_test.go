@@ -27,10 +27,10 @@ func naiveScorer(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, ch
 }
 
 // selectNaive is the seedSelector the engine is tested against: Select
-// over naiveScorer, then one eager, scratch-free re-proposal of the
-// selected seed.
+// over naiveScorer with the step's floor, then one eager, scratch-free
+// re-proposal of the selected seed.
 func selectNaive(st *hknt.State, step *hknt.Step, parts []int32, gen prg.PRG, chunkOf []int32, numChunks int, o Options) (condexp.Result, hknt.Proposal, error) {
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, naiveScorer(st, step, parts, gen, chunkOf, numChunks))
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, step.Floor(parts), naiveScorer(st, step, parts, gen, chunkOf, numChunks))
 	if err != nil {
 		return condexp.Result{}, hknt.Proposal{}, err
 	}
@@ -147,8 +147,11 @@ func TestStepEngineScratchOnParticipantSubsetMatchesOracle(t *testing.T) {
 // matchOracle pins the step engine to the naive oracle on one step of st:
 // every seed's score, and each selection's result and committed proposal
 // (flat and bitwise, at workers 1, 4 and the process default, against the
-// naive selection at the process default). It reports whether any
-// committed proposal marks a node.
+// naive selection at the process default). It also holds the selected
+// seed and score to SelectTotals (flat) or SelectTotalsBitwise (bitwise)
+// over every seed's naive score, so a walk that stops at the step's floor
+// is checked against full enumeration without going through Select. It
+// reports whether any committed proposal marks a node.
 func matchOracle(t *testing.T, st *hknt.State, step *hknt.Step) (marked bool) {
 	t.Helper()
 	g := st.In.G
@@ -162,13 +165,19 @@ func matchOracle(t *testing.T, st *hknt.State, step *hknt.Step) (marked bool) {
 	naive := naiveScorer(st, step, parts, gen, chunkOf, num)
 
 	eng := newStepEngine(st, step, parts, gen, chunkOf, num)
-	for seed := uint64(0); seed < 1<<o.SeedBits; seed++ {
-		if got, want := eng.score(seed), naive(seed); got != want {
-			t.Fatalf("seed %d: engine score %d, naive %d", seed, got, want)
+	scores := make([]int64, 1<<o.SeedBits)
+	for seed := range scores {
+		scores[seed] = naive(uint64(seed))
+		if got := eng.score(uint64(seed)); got != scores[seed] {
+			t.Fatalf("seed %d: engine score %d, naive %d", seed, got, scores[seed])
 		}
 	}
 	for _, bitwise := range []bool{false, true} {
 		o.Bitwise = bitwise
+		full := condexp.SelectTotals(scores)
+		if bitwise {
+			full = condexp.SelectTotalsBitwise(scores, o.SeedBits)
+		}
 		want, b, err := selectNaive(st, step, parts, gen, chunkOf, num, o)
 		if err != nil {
 			t.Fatal(err)
@@ -178,6 +187,10 @@ func matchOracle(t *testing.T, st *hknt.State, step *hknt.Step) (marked bool) {
 			got, a, err := selectByEngine(st, step, parts, gen, chunkOf, num, o)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got.Seed != full.Seed || got.Score != full.Score {
+				t.Fatalf("w=%d bitwise=%v: engine selected (%d, %d), full enumeration (%d, %d)",
+					w, bitwise, got.Seed, got.Score, full.Seed, full.Score)
 			}
 			if got != want {
 				t.Fatalf("w=%d bitwise=%v: engine %+v, naive %+v", w, bitwise, got, want)

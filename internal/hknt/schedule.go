@@ -61,6 +61,16 @@ func (s *Step) Score(st *State, parts []int32, prop Proposal) int64 {
 	return -wins
 }
 
+// Floor returns the least value Score can take over parts: 0 failures
+// with an SSP, −len(parts) (every participant wins) without one. Flat
+// seed selection stops at the first seed that scores it (condexp.Select).
+func (s *Step) Floor(parts []int32) int64 {
+	if s.SSP != nil {
+		return 0
+	}
+	return -int64(len(parts))
+}
+
 // Failures lists participants whose SSP fails under the proposal.
 func (s *Step) Failures(st *State, parts []int32, prop Proposal) []int32 {
 	if s.SSP == nil {

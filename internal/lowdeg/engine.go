@@ -19,10 +19,12 @@ import (
 //     live-live edge list, remaining palettes and palette-size
 //     reciprocals all flattened over the participants — so every per-seed
 //     structure scales with the shrinking live set instead of n,
-//   - scores each seed exactly once, reusing per-worker candidate buffers
-//     from a package pool shared across seeds, rounds and runs, with the
-//     per-seed loser state packed into a word-wide bitset.Mask — the
-//     elimination pass sets loser bits, a seed's wins are the
+//   - scores seeds in increasing order, each at most once, stopping a
+//     flat walk at the first seed where every candidate wins (the
+//     objective's floor, −candCnt), and reuses per-worker candidate
+//     buffers from a package pool shared across seeds, rounds and runs,
+//     with the per-seed loser state packed into a word-wide bitset.Mask —
+//     the elimination pass sets loser bits, a seed's wins are the
 //     seed-invariant candidate count minus the losers' popcount (64
 //     participants per word), and the per-seed reset is a word clear
 //     instead of a byte-per-participant sweep, and
@@ -41,12 +43,13 @@ import (
 // selectByEngine is the one IterativeDerandomized runs.
 type trialSelector func(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, hknt.Proposal, error)
 
-// selectByEngine is the trialSelector of every run: score every seed once
-// on the round's runner, select (flat or bitwise), and return the
-// selected seed's result plus its proposal.
+// selectByEngine is the trialSelector of every run: score the seeds in
+// order on the round's runner, up to the first where every candidate wins
+// when flat and all of them when bitwise, select, and return the selected
+// seed's result plus its proposal.
 func selectByEngine(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, hknt.Proposal, error) {
 	e := newTrialEngine(st, parts, round)
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, -e.candCnt, e.score)
 	if err != nil || res.Score == 0 {
 		return res, hknt.Proposal{}, err
 	}

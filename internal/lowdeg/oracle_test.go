@@ -61,10 +61,17 @@ func countWins(st *hknt.State, parts []int32, seed, round uint64) int {
 }
 
 // selectNaive is the trialSelector the engine is tested against: Select
-// over −countWins, one fresh proposal per seed, and a fresh re-proposal
-// of the selected seed through proposeRound.
+// over −countWins, one fresh proposal per seed, with the engine's floor
+// (every participant with a non-empty palette wins), and a fresh
+// re-proposal of the selected seed through proposeRound.
 func selectNaive(st *hknt.State, parts []int32, round uint64, o Options) (condexp.Result, hknt.Proposal, error) {
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, func(seed uint64) int64 {
+	var floor int64
+	for _, v := range parts {
+		if len(st.Rem[v]) > 0 {
+			floor--
+		}
+	}
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, floor, func(seed uint64) int64 {
 		return -int64(countWins(st, parts, seed, round))
 	})
 	if err != nil || res.Score == 0 {

@@ -18,7 +18,9 @@ import (
 // allocating fresh priority/join arrays and a ChunkedSource each time —
 // the engine
 //
-//   - scores each seed exactly once, reusing per-worker scratch (a
+//   - scores seeds in increasing order, each at most once, stopping a
+//     flat walk at the first seed that leaves no participant undecided
+//     (the objective's floor, 0), and reuses per-worker scratch (a
 //     reseedable prg.LazySource, its reader cursor, a priority buffer and
 //     a word-packed join mask) from a package pool shared across seeds,
 //     rounds and runs,
@@ -45,12 +47,13 @@ import (
 // Derandomized runs.
 type roundSelector func(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error)
 
-// selectByEngine is the roundSelector of every run: score every seed once
-// on the round's runner, select (flat or bitwise), and return the
-// selected seed's result plus its join mask.
+// selectByEngine is the roundSelector of every run: score the seeds in
+// order on the round's runner, up to the first that leaves no participant
+// undecided when flat and all of them when bitwise, select, and return
+// the selected seed's result plus its join mask.
 func selectByEngine(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error) {
 	e := newRoundEngine(g, state, parts, gen, chunkOf, g.N())
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, e.score)
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, 0, e.score)
 	if err != nil {
 		return condexp.Result{}, nil, err
 	}

@@ -48,10 +48,11 @@ func simulateDecided(r *par.Runner, g *graph.Graph, state []NodeState, join []bo
 }
 
 // selectNaive is the roundSelector the engine is tested against: Select
-// over naiveScorer, then one eager re-simulation of the selected seed,
-// its join set copied into a mask.
+// over naiveScorer with the engine's floor (0: no participant left
+// undecided), then one eager re-simulation of the selected seed, its join
+// set copied into a mask.
 func selectNaive(g *graph.Graph, state []NodeState, parts []int32, gen prg.PRG, chunkOf []int32, o Options) (condexp.Result, bitset.Mask, error) {
-	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, naiveScorer(o.Par, g, state, gen, chunkOf, len(parts)))
+	res, err := condexp.Select(o.Par, o.SeedBits, o.Bitwise, 0, naiveScorer(o.Par, g, state, gen, chunkOf, len(parts)))
 	if err != nil {
 		return condexp.Result{}, nil, err
 	}
