@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE all build test race test-scratch-race vet vet-bitset fmt bench bench-smoke bench-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff test-bench
+.PHONY: FORCE all build test race test-scratch-race vet vet-bitset fmt bench bench-smoke bench-diff test-chaos bench-scale bench-scale-smoke bench-scale-diff test-serve bench-serving bench-serving-smoke bench-serving-diff test-bench bench-pairs
 
 all: build test
 
@@ -43,6 +43,17 @@ vet:
 # test never compile it, yet it calls into the solver packages.
 test-bench:
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
+
+# bench-pairs runs the end-to-end benchmark for BASE (a git revision,
+# checked out into a temporary worktree) and for the working tree in
+# alternating pairs, one 35 s run of WORKLOAD per seed in SEEDS on each
+# side, writes .bench_scratch/pairs/{parent,change}.txt and compares
+# them with `bench/run.sh -compare`; it also prints both benchmark
+# binaries' address of graph.(*ballScratch).ball (see
+# scripts/bench-pairs.sh). Example:
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=serve-mix SEEDS='1 2 3 4'
+bench-pairs:
+	bash scripts/bench-pairs.sh '$(BASE)' '$(WORKLOAD)' '$(SEEDS)'
 
 # vet-bitset is the dedicated vet gate for the word-parallel mask layer:
 # every engine's per-seed state rides this package, so it stays vet-clean

@@ -8,11 +8,12 @@
 //	d1lc -graph regular -n 600 -alg lowdeg -print
 //	d1lc -graph mixed -n 3000 -workers 4 -timeout 2s -trace
 //
-// Algorithms (the names parcolor.AlgorithmByName accepts; an unknown name
-// exits with status 2): deterministic (Theorem 1), randomized (Lemma 4),
-// greedy (sequential baseline), lowdeg (conditional-expectations
-// iterative solver), jp (Jones–Plassmann classical baseline), luby
-// (Luby-MIS classical baseline).
+// Algorithms (the names parcolor.AlgorithmByName accepts): deterministic
+// (Theorem 1), randomized (Lemma 4), greedy (sequential baseline), lowdeg
+// (conditional-expectations iterative solver), jp (Jones–Plassmann
+// classical baseline), luby (Luby-MIS classical baseline). An unknown
+// -alg, -graph or -palette, or a negative -n, exits with status 2 before
+// anything is generated.
 //
 // The command drives the reusable Solver API: -workers scopes the worker
 // budget to this run, -timeout cancels the solve through its context (a
@@ -28,12 +29,38 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"parcolor"
 	"parcolor/internal/graph"
 )
+
+// paletteNames are the palette families -palette accepts.
+var paletteNames = []string{"trivial", "delta1", "random"}
+
+// checkFlags rejects, before anything is generated, an algorithm,
+// generator or palette name the command does not know and a negative node
+// count, naming the valid values.
+func checkFlags(alg, graphName, palette string, n int) error {
+	for _, f := range []struct {
+		flag, value string
+		valid       []string
+	}{
+		{"alg", alg, parcolor.AlgorithmNames()},
+		{"graph", graphName, parcolor.GraphNames()},
+		{"palette", palette, paletteNames},
+	} {
+		if !slices.Contains(f.valid, f.value) {
+			return fmt.Errorf("unknown -%s %q (valid: %s)", f.flag, f.value, strings.Join(f.valid, ", "))
+		}
+	}
+	if n < 0 {
+		return fmt.Errorf("-n must be at least 0, got %d", n)
+	}
+	return nil
+}
 
 func main() {
 	var (
@@ -45,10 +72,10 @@ func main() {
 		seedBits  = flag.Int("seedbits", 0, "PRG seed bits for derandomization (0 = auto)")
 		nisan     = flag.Bool("nisan", false, "use the Nisan-style PRG")
 		bitwise   = flag.Bool("bitwise", false, "bit-by-bit conditional expectations")
-		palette   = flag.String("palette", "trivial", "trivial|delta1|random")
+		palette   = flag.String("palette", "trivial", strings.Join(paletteNames, "|"))
 		extra     = flag.Int("extra", 2, "extra palette slack for -palette random")
 		printCols = flag.Bool("print", false, "print the coloring")
-		dsshard   = flag.Bool("degreeshard", false, "solve on the degree-sorted sharded relabeling (coloring mapped back)")
+		dsshard   = flag.Bool("degreeshard", false, "solve on the degree-sorted relabeling (coloring mapped back)")
 		workers   = flag.Int("workers", 0, "worker goroutine bound for this solve (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "cancel the solve after this long (0 = no timeout)")
 		traceFlag = flag.Bool("trace", false, "print the per-phase trace summary")
@@ -57,6 +84,12 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile (post-solve) to this file")
 	)
 	flag.Parse()
+
+	if err := checkFlags(*alg, *graphName, *palette, *n); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
+	algorithm, _ := parcolor.AlgorithmByName(*alg) // checked above
 
 	var g *parcolor.Graph
 	if *input != "" {
@@ -83,12 +116,6 @@ func main() {
 		in = parcolor.RandomPalettes(g, *extra, 4*(g.MaxDegree()+1), *seed)
 	default:
 		in = parcolor.TrivialPalettes(g)
-	}
-
-	algorithm, err := parcolor.AlgorithmByName(*alg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
 	}
 
 	opts := []parcolor.Option{

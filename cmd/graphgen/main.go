@@ -16,6 +16,10 @@
 // stream ends. Streamed chunglu output may contain duplicate pairs — the
 // reader's builder semantics deduplicate them, exactly as the in-memory
 // path does.
+//
+// An unknown -graph, a negative -n, or -stream with a generator that has
+// no streaming path exits with status 2 before any output file is
+// created.
 package main
 
 import (
@@ -23,6 +27,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"parcolor"
 	"parcolor/internal/graph"
@@ -32,27 +38,25 @@ import (
 // place once the edge count is known.
 const headerWidth = 48
 
-// streamEdges drives the named generator's edge emitter; the supported
+// edgeStream returns the named generator's edge emitter; the supported
 // names mirror the parameter choices of graph.Named.
-func streamEdges(name string, n int, seed uint64, emit func(u, v int32)) error {
+func edgeStream(name string, n int, seed uint64) (func(emit func(u, v int32)), error) {
 	switch name {
 	case "gnp-sparse":
 		p := 6 / float64(n)
 		if n < 7 {
 			p = 6.0 / 7
 		}
-		graph.GnpEdges(n, p, seed, emit)
+		return func(emit func(u, v int32)) { graph.GnpEdges(n, p, seed, emit) }, nil
 	case "gnp-dense":
-		graph.GnpEdges(n, 0.3, seed, emit)
+		return func(emit func(u, v int32)) { graph.GnpEdges(n, 0.3, seed, emit) }, nil
 	case "chunglu":
-		graph.ChungLuEdges(n, 2.5, 8, seed, emit)
-	default:
-		return fmt.Errorf("generator %q has no streaming path (supported: gnp-sparse, gnp-dense, chunglu)", name)
+		return func(emit func(u, v int32)) { graph.ChungLuEdges(n, 2.5, 8, seed, emit) }, nil
 	}
-	return nil
+	return nil, fmt.Errorf("generator %q has no streaming path (supported: gnp-sparse, gnp-dense, chunglu)", name)
 }
 
-func stream(name string, n int, seed uint64, path string) error {
+func stream(edges func(emit func(u, v int32)), n int, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -67,16 +71,13 @@ func stream(name string, n int, seed uint64, path string) error {
 	}
 	var m int64
 	var werr error
-	err = streamEdges(name, n, seed, func(u, v int32) {
+	edges(func(u, v int32) {
 		if werr != nil {
 			return
 		}
 		m++
 		_, werr = fmt.Fprintf(w, "%d %d\n", u, v)
 	})
-	if err != nil {
-		return err
-	}
 	if werr != nil {
 		return werr
 	}
@@ -88,6 +89,19 @@ func stream(name string, n int, seed uint64, path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// checkFlags rejects, before anything is generated or any output file is
+// created, a generator name the command does not know and a negative node
+// count, naming the valid values.
+func checkFlags(name string, n int) error {
+	if !slices.Contains(parcolor.GraphNames(), name) {
+		return fmt.Errorf("unknown -graph %q (valid: %s)", name, strings.Join(parcolor.GraphNames(), ", "))
+	}
+	if n < 0 {
+		return fmt.Errorf("-n must be at least 0, got %d", n)
+	}
+	return nil
 }
 
 func main() {
@@ -109,6 +123,11 @@ func main() {
 		return
 	}
 
+	if err := checkFlags(*name, *n); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
+
 	if *doStr {
 		if *stat {
 			fmt.Fprintln(os.Stderr, "error: -stream and -stats are mutually exclusive")
@@ -118,7 +137,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error: -stream requires -o (the header is back-patched in place)")
 			os.Exit(2)
 		}
-		if err := stream(*name, *n, *seed, *outArg); err != nil {
+		edges, err := edgeStream(*name, *n, *seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(2)
+		}
+		if err := stream(edges, *n, *outArg); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}

@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -111,7 +112,7 @@ func main() {
 		algsArg   = flag.String("algs", "deterministic,jp,luby", "comma-separated algorithms: deterministic|randomized|greedy|jp|luby")
 		seed      = flag.Uint64("seed", 1, "generator and solver seed")
 		out       = flag.String("out", "BENCH_scale.json", "output stream path")
-		shard     = flag.Bool("degreeshard", false, "solve on the degree-sorted sharded relabeling")
+		shard     = flag.Bool("degreeshard", false, "solve on the degree-sorted relabeling")
 		timeout   = flag.Duration("timeout", 0, "per-solve timeout (0 = none)")
 	)
 	flag.Parse()
@@ -126,6 +127,13 @@ func main() {
 		sizes = append(sizes, n)
 	}
 	graphs := strings.Split(*graphsArg, ",")
+	for i, gname := range graphs {
+		graphs[i] = strings.TrimSpace(gname)
+		if !slices.Contains(parcolor.GraphNames(), graphs[i]) {
+			fmt.Fprintf(os.Stderr, "scalebench: unknown graph %q in -graphs (valid: %s)\n", graphs[i], strings.Join(parcolor.GraphNames(), ", "))
+			os.Exit(2)
+		}
+	}
 	algs := strings.Split(*algsArg, ",")
 	for _, a := range algs {
 		if _, err := algByName(strings.TrimSpace(a)); err != nil {
@@ -160,7 +168,6 @@ func main() {
 	}
 
 	for _, gname := range graphs {
-		gname = strings.TrimSpace(gname)
 		for _, n := range sizes {
 			g := parcolor.GenerateGraph(gname, n, *seed)
 			in := parcolor.TrivialPalettes(g)

@@ -86,56 +86,51 @@ type ACD struct {
 	Params   *params.Params
 }
 
-// ComputePar builds the decomposition for an instance, with the parallel
-// friend-edge pass — the decomposition's dominant cost, quadratic in
-// degree — scoped to r's worker budget and cancellation (nil = the
-// default runner). When r is cancelled mid-pass the remaining nodes are
-// skipped and the returned decomposition is incomplete; callers that
-// thread a cancellable runner must check r.Err() before using the result
-// (the solve drivers do, and discard it).
+// ComputePar builds the decomposition for an instance. Its two passes
+// over 2-hop neighbourhoods, the Definition 2 parameters and the
+// friend-edge count, run on node ranges of about equal arc count
+// (graph.ArcRanges) that r's workers claim dynamically (nil = the default
+// runner), polling r's cancellation once per range. The friend pass reads
+// the per-arc common-neighbour counts of the parameter pass
+// (Params.CommonNbrs) instead of re-intersecting adjacency lists, counts
+// each node's friend arcs and marks it dense in place; the clique search
+// then re-tests the same predicate while it walks a dense node's
+// adjacency list, so no friend list is ever stored. When r is cancelled
+// mid-pass the remaining nodes are skipped and the returned decomposition
+// is incomplete; callers that thread a cancellable runner must check
+// r.Err() before using the result (the solve drivers do, and discard it).
 func ComputePar(r *par.Runner, in *d1lc.Instance, opts Options) *ACD {
 	opts = opts.withDefaults()
 	g := in.G
 	n := g.N()
 	pr := params.ComputePar(r, in)
+	share := 1 - opts.EpsFriend
+	// friend reports whether the arc at offset arc, from a node of degree
+	// dv to one of degree du, is an ε-friend edge:
+	// |N(v) ∩ N(u)| ≥ (1−ε)·max(d(v), d(u)).
+	friend := func(arc, dv, du int) bool {
+		return float64(pr.CommonNbrs[arc]) >= share*float64(max(dv, du))
+	}
 
-	// Friend-edge counts per node, reading the per-arc common-neighbor
-	// counts the parameter pass just computed (CommonNbrs) instead of
-	// re-intersecting every adjacency pair — the friend test is the only
-	// consumer of the intersection sizes, and recomputing them here used
-	// to double the schedule build's quadratic-in-degree work.
-	friendDeg := make([]int, n)
-	friendAdj := make([][]int32, n)
-	r.For(n, func(i int) {
+	dense := make([]bool, n)
+	r.ForRanges(graph.ArcRanges(r, g), func(lo, hi int) {
 		if r.Err() != nil {
 			return // cancelled: the parameter pass was skipped too
 		}
-		v := int32(i)
-		dv := g.Degree(v)
-		lo := g.ArcOffset(v)
-		for k, u := range g.Neighbors(v) {
-			du := g.Degree(u)
-			maxd := dv
-			if du > maxd {
-				maxd = du
+		for v := int32(lo); v < int32(hi); v++ {
+			dv, off, friends := g.Degree(v), g.ArcOffset(v), 0
+			for k, u := range g.Neighbors(v) {
+				if friend(off+k, dv, g.Degree(u)) {
+					friends++
+				}
 			}
-			common := int(pr.CommonNbrs[lo+k])
-			if float64(common) >= (1-opts.EpsFriend)*float64(maxd) {
-				friendAdj[v] = append(friendAdj[v], u)
-			}
+			dense[v] = dv > 0 && float64(friends) >= share*float64(dv)
 		}
-		friendDeg[v] = len(friendAdj[v])
 	})
 
-	dense := make([]bool, n)
-	for v := 0; v < n; v++ {
-		d := g.Degree(int32(v))
-		if d > 0 && float64(friendDeg[v]) >= (1-opts.EpsFriend)*float64(d) {
-			dense[v] = true
-		}
-	}
-
-	// Almost-cliques: components of the friend graph on dense nodes.
+	// Almost-cliques: components of the friend graph on dense nodes,
+	// each grown by a depth-first search that pushes a node's dense,
+	// unassigned friends in adjacency order.
 	cliqueOf := make([]int32, n)
 	for i := range cliqueOf {
 		cliqueOf[i] = -1
@@ -154,8 +149,9 @@ func ComputePar(r *par.Runner, in *d1lc.Instance, opts Options) *ACD {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, u)
-			for _, w := range friendAdj[u] {
-				if dense[w] && cliqueOf[w] < 0 {
+			du, off := g.Degree(u), g.ArcOffset(u)
+			for k, w := range g.Neighbors(u) {
+				if dense[w] && cliqueOf[w] < 0 && friend(off+k, du, g.Degree(w)) {
 					cliqueOf[w] = id
 					stack = append(stack, w)
 				}

@@ -24,14 +24,15 @@
 //     directly into the final adjacency array. No intermediate edge list
 //     exists at any point, so peak memory is exactly the output CSR.
 //
-// # Degree-sorted sharding (relabel.go)
+// # Degree-sorted relabeling and equal-arc ranges (relabel.go)
 //
-// Relabeling permutes vertices into degree-sorted order and cuts the new
-// id space into shards whose adjacency storage fits a cache budget.
-// NewOf/OldOf are inverse bijections; a coloring computed on the relabeled
-// graph maps back through OldOf exactly (MapBack), so the layout
-// is a pure optimization — solvers observe a relabeled instance, callers
-// observe original ids, bit-for-bit.
+// Relabeling permutes vertices into degree-sorted order. NewOf/OldOf are
+// inverse bijections; a coloring computed on the relabeled graph maps
+// back through OldOf exactly (MapBack), so the layout is a pure
+// optimization — solvers observe a relabeled instance, callers observe
+// original ids, bit-for-bit. ArcRanges cuts the id space into ranges of
+// about equal arc count, the work split of every per-node pass whose
+// cost follows degree.
 package graph
 
 import (

@@ -2,56 +2,33 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 
 	"parcolor/internal/par"
 )
 
-// This file implements the degree-sorted sharded relabeling layer: a
-// permutation of the vertex space that places high-degree vertices first
-// (stable within equal degrees, so regular graphs relabel to the
-// identity), plus shard boundaries cutting the permuted id space into
-// runs whose CSR adjacency storage fits a cache budget. The permuted
-// graph is a plain Graph — every algorithm runs on it unchanged — and the
+// This file holds two views of the vertex space. Relabeling is the
+// degree-sorted permutation: high-degree vertices first, stable within
+// equal degrees, so regular graphs relabel to the identity. The permuted
+// graph is a plain Graph, every algorithm runs on it unchanged, and the
 // inverse permutation maps any per-node result back to original ids
-// exactly (MapBack), so relabeling is a pure layout optimization:
-// hub-adjacent traversals touch one dense shard instead of striding the
-// whole adjacency array.
+// exactly (MapBack). ArcRanges cuts the id space into ranges of about
+// equal arc count, which every per-node pass whose cost follows degree
+// hands to par.Runner.ForRanges.
 
-// DefaultShardAdjEntries is the default per-shard adjacency budget:
-// 64Ki int32 entries = 256 KiB, sized for a typical L2 so one shard's
-// adjacency walks stay cache-resident.
-const DefaultShardAdjEntries = 64 << 10
-
-// Relabeling is a vertex bijection with shard boundaries. NewOf and OldOf
-// are inverse permutations: NewOf[old] = new, OldOf[new] = old.
+// Relabeling is a vertex bijection. NewOf and OldOf are inverse
+// permutations: NewOf[old] = new, OldOf[new] = old.
 type Relabeling struct {
 	NewOf []int32
 	OldOf []int32
-	// ShardOffsets cuts the new id space: shard s is the half-open range
-	// [ShardOffsets[s], ShardOffsets[s+1]) of new ids; one entry more
-	// than there are shards.
-	ShardOffsets []int32
 }
 
-// DegreeSorted returns the degree-descending stable relabeling of g with
-// the default shard budget. Stability means vertices of equal degree keep
-// their relative id order — in particular, a regular graph's relabeling
-// is the identity permutation.
+// DegreeSorted returns the degree-descending stable relabeling of g.
+// Stability means vertices of equal degree keep their relative id order;
+// in particular, a regular graph's relabeling is the identity
+// permutation. The permutation is a counting sort by degree: O(n + Δ), no
+// comparison sort.
 func DegreeSorted(g *Graph) *Relabeling {
-	return DegreeSortedSharded(g, DefaultShardAdjEntries)
-}
-
-// DegreeSortedSharded is DegreeSorted with an explicit per-shard
-// adjacency budget in entries (≤ 0 means DefaultShardAdjEntries). The
-// permutation is a counting sort by degree — O(n + Δ), no comparison
-// sort — and sharding is one greedy pass packing consecutive permuted
-// vertices until the next vertex would push the shard's adjacency volume
-// past the budget (a single vertex whose degree exceeds the budget gets a
-// shard of its own).
-func DegreeSortedSharded(g *Graph, shardAdjEntries int) *Relabeling {
-	if shardAdjEntries <= 0 {
-		shardAdjEntries = DefaultShardAdjEntries
-	}
 	n := g.N()
 	maxD := g.MaxDegree()
 	// Counting sort, descending degree: bucket b collects degree maxD-b.
@@ -73,18 +50,6 @@ func DegreeSortedSharded(g *Graph, shardAdjEntries int) *Relabeling {
 		rl.NewOf[v] = i
 		rl.OldOf[i] = int32(v)
 	}
-	// Greedy shard packing over the permuted order.
-	rl.ShardOffsets = append(rl.ShardOffsets, 0)
-	vol := 0
-	for i := 0; i < n; i++ {
-		d := g.Degree(rl.OldOf[i])
-		if vol > 0 && vol+d > shardAdjEntries {
-			rl.ShardOffsets = append(rl.ShardOffsets, int32(i))
-			vol = 0
-		}
-		vol += d
-	}
-	rl.ShardOffsets = append(rl.ShardOffsets, int32(n))
 	return rl
 }
 
@@ -127,4 +92,32 @@ func (rl *Relabeling) MapBack(vals []int32) []int32 {
 		out[old] = vals[newID]
 	}
 	return out
+}
+
+// rangesPerWorker is how many node ranges of equal arc count ArcRanges
+// gives each worker on average. The work per arc is uneven too (params
+// charges an edge to its higher-degree endpoint, and generators such as
+// Chung–Lu number hubs first), so workers claim several smaller ranges
+// rather than one fixed share each.
+const rangesPerWorker = 8
+
+// ArcRanges cuts g's nodes into k = rangesPerWorker·r.Workers(n) ranges
+// of about equal arc count, as par.Runner.ForRanges offsets (k+1 cuts,
+// non-decreasing from 0 to n): range i starts at the first node whose
+// arcs start at or past i/k of all arcs. It is the work split of every
+// per-node pass whose cost follows degree (the Definition 2 parameters,
+// the ACD friend pass, sparsify's same-bin degrees), where one equal node
+// range per worker is not equal work on weight-ordered graphs. A node
+// with more than one range's share of arcs ends up alone in its range,
+// and empty ranges are left in place (ForRanges skips them).
+func ArcRanges(r *par.Runner, g *Graph) []int32 {
+	n, arcs := g.N(), int64(2*g.M())
+	k := rangesPerWorker * r.Workers(n)
+	offs := make([]int32, k+1)
+	for i := 1; i < k; i++ {
+		target := int(int64(i) * arcs / int64(k))
+		offs[i] = int32(sort.Search(n, func(v int) bool { return g.ArcOffset(int32(v)) >= target }))
+	}
+	offs[k] = int32(n)
+	return offs
 }

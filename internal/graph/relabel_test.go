@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"parcolor/internal/par"
@@ -18,8 +19,8 @@ func (rl *Relabeling) MapForward(vals []int32) []int32 {
 	return out
 }
 
-// Validate checks the bijection invariants (each of NewOf/OldOf is the
-// other's inverse) and the shard cover (offsets ascending from 0 to n).
+// Validate checks the bijection invariants: each of NewOf/OldOf is the
+// other's inverse.
 func (rl *Relabeling) Validate() error {
 	n := len(rl.NewOf)
 	if len(rl.OldOf) != n {
@@ -32,14 +33,6 @@ func (rl *Relabeling) Validate() error {
 		}
 		if rl.OldOf[i] != int32(v) {
 			return fmt.Errorf("graph: OldOf[NewOf[%d]] = %d, want %d", v, rl.OldOf[i], v)
-		}
-	}
-	if len(rl.ShardOffsets) < 2 || rl.ShardOffsets[0] != 0 || rl.ShardOffsets[len(rl.ShardOffsets)-1] != int32(n) {
-		return fmt.Errorf("graph: shard offsets %v do not cover [0,%d)", rl.ShardOffsets, n)
-	}
-	for s := 1; s < len(rl.ShardOffsets); s++ {
-		if rl.ShardOffsets[s] <= rl.ShardOffsets[s-1] && n > 0 {
-			return fmt.Errorf("graph: shard %d empty or out of order", s-1)
 		}
 	}
 	return nil
@@ -92,7 +85,7 @@ func TestDegreeSortedRegularIsIdentity(t *testing.T) {
 func TestRelabelApplyPreservesStructure(t *testing.T) {
 	r := par.NewRunner(0)
 	for name, g := range relabelTestGraphs() {
-		rl := DegreeSortedSharded(g, 64)
+		rl := DegreeSorted(g)
 		pg := rl.Apply(r, g)
 		if err := pg.Validate(); err != nil {
 			t.Fatalf("%s: permuted graph invalid: %v", name, err)
@@ -109,28 +102,6 @@ func TestRelabelApplyPreservesStructure(t *testing.T) {
 					t.Fatalf("%s: edge (%d,%d) lost under relabeling", name, v, u)
 				}
 			}
-		}
-	}
-}
-
-func TestRelabelShardBudget(t *testing.T) {
-	g := Gnp(500, 0.05, 3)
-	budget := 128
-	rl := DegreeSortedSharded(g, budget)
-	shards := len(rl.ShardOffsets) - 1
-	if shards < 2 {
-		t.Fatalf("expected multiple shards, got %d", shards)
-	}
-	for s := 0; s < shards; s++ {
-		lo, hi := rl.ShardOffsets[s], rl.ShardOffsets[s+1]
-		vol := 0
-		for i := lo; i < hi; i++ {
-			vol += g.Degree(rl.OldOf[i])
-		}
-		// A shard may exceed the budget only when it is a single vertex
-		// whose degree alone does.
-		if vol > budget && hi-lo > 1 {
-			t.Fatalf("shard %d: volume %d over budget %d with %d vertices", s, vol, budget, hi-lo)
 		}
 	}
 }
@@ -171,7 +142,7 @@ func FuzzDegreeSortedBijection(f *testing.F) {
 			b.AddEdge(int32(s.Intn(n)), int32(s.Intn(n)))
 		}
 		g := b.Build()
-		rl := DegreeSortedSharded(g, 1+int(seed%512))
+		rl := DegreeSorted(g)
 		if err := rl.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -183,4 +154,58 @@ func FuzzDegreeSortedBijection(f *testing.F) {
 			t.Fatalf("edge count changed %d -> %d", g.M(), pg.M())
 		}
 	})
+}
+
+// TestArcRanges checks the equal-arc cut: k+1 non-decreasing offsets from
+// 0 to n, k = rangesPerWorker per worker, and no range holding more than
+// one share of the arcs unless it is a single node. A hub heavier than a
+// share sits alone in its range, with empty ranges after it; the empty
+// and edgeless graphs cut to empty ranges plus, at most, one range of
+// every node.
+func TestArcRanges(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"chunglu", ChungLu(4000, 2.5, 8, 1)},
+		{"star", Star(200)},
+		{"gnp", Gnp(300, 0.03, 7)},
+		{"n0", Empty(0)},
+		{"edgeless", Empty(50)},
+	}
+	for _, gc := range graphs {
+		g, n, arcs := gc.g, gc.g.N(), 2*gc.g.M()
+		for _, workers := range []int{1, 2, 4} {
+			r := par.NewRunner(workers)
+			offs := ArcRanges(r, g)
+			k := rangesPerWorker * r.Workers(n)
+			if len(offs) != k+1 || offs[0] != 0 || offs[k] != int32(n) {
+				t.Fatalf("%s w=%d: %d offsets from %d to %d, want %d from 0 to %d", gc.name, workers, len(offs), offs[0], offs[len(offs)-1], k+1, n)
+			}
+			for i := 0; i < k; i++ {
+				lo, hi := offs[i], offs[i+1]
+				if hi < lo {
+					t.Fatalf("%s w=%d: offsets decrease at %d: %v", gc.name, workers, i, offs)
+				}
+				rangeArcs := 0
+				if hi > lo {
+					rangeArcs = g.ArcOffset(hi-1) + g.Degree(hi-1) - g.ArcOffset(lo)
+				}
+				if hi-lo > 1 && rangeArcs > arcs/k+g.Degree(hi-1) {
+					t.Fatalf("%s w=%d: range %d [%d,%d) holds %d arcs, a share is %d", gc.name, workers, i, lo, hi, rangeArcs, arcs/k)
+				}
+			}
+		}
+	}
+	// The star's hub holds half of all arcs: at two workers (16 ranges)
+	// it is alone in range 0, and ranges 1..7 are empty.
+	offs := ArcRanges(par.NewRunner(2), Star(200))
+	if offs[1] != 1 || offs[8] != 1 {
+		t.Fatalf("star: hub not alone ahead of empty ranges: %v", offs)
+	}
+	// No arcs: every cut but the last is node 0.
+	offs = ArcRanges(par.NewRunner(2), Empty(50))
+	if slices.ContainsFunc(offs[:len(offs)-1], func(o int32) bool { return o != 0 }) {
+		t.Fatalf("edgeless: %v", offs)
+	}
 }

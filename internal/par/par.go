@@ -176,12 +176,13 @@ func (r *Runner) Split(k int) []*Runner {
 
 // ForRanges runs body over the half-open ranges offsets[i]..offsets[i+1],
 // handing each range to a worker as one indivisible work unit — the
-// shard-aware counterpart of ForChunked: a degree-sharded instance hands
-// whole cache-resident shards to workers instead of arbitrary contiguous
-// index splits. Ranges are claimed dynamically (an atomic cursor), so a
-// heavy shard does not serialize the light ones behind it; body must
-// write only to data owned by its range, which keeps the result
-// deterministic under any claim order. Empty ranges are skipped.
+// counterpart of ForChunked for work that is uneven across the index
+// space: per-node passes over graph.ArcRanges' equal-arc ranges, and the
+// seed walk's blocks. Ranges are claimed dynamically (an atomic cursor),
+// in increasing order, so a heavy range does not serialize the light ones
+// behind it; body must write only to data owned by its range, which
+// keeps the result deterministic under any claim order. Empty ranges are
+// skipped.
 func (r *Runner) ForRanges(offsets []int32, body func(lo, hi int)) {
 	k := len(offsets) - 1
 	if k <= 0 {

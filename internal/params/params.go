@@ -15,7 +15,6 @@ package params
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"parcolor/internal/bitset"
@@ -42,16 +41,9 @@ type Params struct {
 	CommonNbrs []int32
 }
 
-// rangesPerWorker is how many node ranges of equal arc count each worker
-// gets on average. Common-neighbour work per arc is uneven (an edge is
-// charged to its higher-degree endpoint, and generators such as Chung–Lu
-// number hubs first), so workers claim several smaller ranges rather than
-// one fixed share each.
-const rangesPerWorker = 8
-
 // ComputePar evaluates all parameters for the instance in two passes,
-// each over node ranges of about equal arc count that r's workers (nil =
-// process default) claim dynamically:
+// each over node ranges of about equal arc count (graph.ArcRanges) that
+// r's workers (nil = process default) claim dynamically:
 //
 //   - pass 1 counts every edge's common neighbours once, into both of its
 //     arcs (countCommon);
@@ -74,7 +66,7 @@ func ComputePar(r *par.Runner, in *d1lc.Instance) *Params {
 		Slackab:     make([]float64, n),
 		CommonNbrs:  make([]int32, 2*g.M()),
 	}
-	ranges := arcRanges(g, rangesPerWorker*r.Workers(n))
+	ranges := graph.ArcRanges(r, g)
 	r.ForRanges(ranges, func(lo, hi int) {
 		if r.Err() != nil {
 			return // cancelled: skip the quadratic work, result discarded
@@ -111,22 +103,6 @@ func ComputePar(r *par.Runner, in *d1lc.Instance) *Params {
 		}
 	})
 	return p
-}
-
-// arcRanges splits the nodes into k ranges of about equal arc count, as
-// ForRanges offsets: range i starts at the first node whose arcs start at
-// or past i/k of all arcs. A node with more than a range's share of arcs
-// ends up alone in its range, and empty ranges are left in place
-// (ForRanges skips them).
-func arcRanges(g *graph.Graph, k int) []int32 {
-	n, arcs := g.N(), int64(2*g.M())
-	offs := make([]int32, k+1)
-	for i := 1; i < k; i++ {
-		target := int(int64(i) * arcs / int64(k))
-		offs[i] = int32(sort.Search(n, func(v int) bool { return g.ArcOffset(int32(v)) >= target }))
-	}
-	offs[k] = int32(n)
-	return offs
 }
 
 // marks pools pass 1's neighbourhood masks, one per range in flight.

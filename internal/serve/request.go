@@ -41,7 +41,7 @@ type SolveRequest struct {
 	SeedBits int `json:"seed_bits,omitempty"`
 	// Bitwise selects bit-by-bit conditional expectations.
 	Bitwise bool `json:"bitwise,omitempty"`
-	// DegreeShard solves on the degree-sorted sharded relabeling.
+	// DegreeShard solves on the degree-sorted relabeling.
 	DegreeShard bool `json:"degree_shard,omitempty"`
 	// TimeoutMillis lowers the server's per-request solve deadline for
 	// this request (0 = server default; values above the server default

@@ -64,33 +64,6 @@ func TestFusedMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestFusedShardOffsetsInvariant pins that shard-aware chunking is a pure
-// scheduling hint: handing the top level whole degree-shards changes
-// nothing about the result.
-func TestFusedShardOffsetsInvariant(t *testing.T) {
-	in := d1lc.TrivialPalettes(graph.Gnp(600, 0.15, 1))
-	base := Options{Bins: 4, MidDegree: 12}
-	base.Par = par.NewRunner(4)
-	wantCol, wantRep, err := ColorReduce(context.Background(), in, base, greedyBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := base
-	sharded.ShardOffsets = []int32{0, 100, 350, 600}
-	col, rep, err := ColorReduce(context.Background(), in, sharded, greedyBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range wantCol.Colors {
-		if col.Colors[v] != wantCol.Colors[v] {
-			t.Fatalf("sharded color[%d] = %d, want %d", v, col.Colors[v], wantCol.Colors[v])
-		}
-	}
-	if *rep != *wantRep {
-		t.Fatalf("sharded report %+v, want %+v", *rep, *wantRep)
-	}
-}
-
 // TestFusedEmitsBinSpans pins the per-bin trace spans: phase "bin" under
 // engine "sparsify", one span per non-empty bin per partition level.
 func TestFusedEmitsBinSpans(t *testing.T) {

@@ -200,11 +200,6 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 	}
 	bucket := func(b int) []int32 { return bucketed[bucketOff[b]:bucketOff[b+1]] }
 
-	// Recursion levels are relabeled instances: shard offsets describe
-	// only this level's node ids.
-	subOpts := o
-	subOpts.ShardOffsets = nil
-
 	col := d1lc.NewColoring(n)
 
 	// Bins 0..Bins−2: disjoint palettes, solved independently
@@ -228,7 +223,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			bo := subOpts
+			bo := o
 			bo.Par = runners[b]
 			binReps[b], binErrs[b] = solveBin(in, col, part, int32(b), bucket(b), bo, base, depth, true)
 		}(b)
@@ -249,7 +244,7 @@ func colorReduce(in *d1lc.Instance, o Options, base BaseSolver, depth int) (*d1l
 	if err := o.Par.Err(); err != nil {
 		return nil, rep, err
 	}
-	subRep, err := solveBin(in, col, part, int32(part.Bins-1), bucket(part.Bins-1), subOpts, base, depth, false)
+	subRep, err := solveBin(in, col, part, int32(part.Bins-1), bucket(part.Bins-1), o, base, depth, false)
 	if err != nil {
 		return nil, rep, err
 	}

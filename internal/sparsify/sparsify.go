@@ -37,10 +37,10 @@
 // binary search) and restricted palettes are carved from one flat slab
 // with per-node upper-bound slots, so the parallel fill writes disjoint
 // ranges and allocates nothing per node. d′(v) is computed once per
-// partition in a parallel neighbor pass (shard-aware when the caller
-// provides Options.ShardOffsets) and reused across the color-seed
-// search, property enforcement and the Lemma 23(a) certificate, instead
-// of being recomputed per seed try. Property enforcement is itself
+// partition in a parallel neighbor pass over node ranges of equal arc
+// count (graph.ArcRanges) and reused across the color-seed search,
+// property enforcement and the Lemma 23(a) certificate, instead of being
+// recomputed per seed try. Property enforcement is itself
 // parallel and uses the pre-move d′: it flags a (deterministic) superset
 // of the nodes a live sequential sweep would move, and every kept node's
 // certificate still holds because moves only ever decrease d′.
@@ -106,13 +106,6 @@ type Options struct {
 	// bin solved (phase "bin", round = bin id, participants = sub-instance
 	// size). nil disables tracing.
 	Trace trace.Tracer
-	// ShardOffsets, when non-empty, describes the degree-sorted shard
-	// boundaries of the top-level instance (shard s = nodes
-	// [ShardOffsets[s], ShardOffsets[s+1])): the per-node neighbor passes
-	// hand whole cache-resident shards to workers instead of arbitrary
-	// contiguous index splits. Only the top partition level uses it —
-	// sub-instances are relabeled and carry no shard structure.
-	ShardOffsets []int32
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -251,7 +244,7 @@ func Compute(in *d1lc.Instance, o Options) (*Partition, error) {
 	// d′ under the chosen node bins: one parallel neighbor pass, reused by
 	// the color-seed search and property enforcement below instead of
 	// being recomputed per node per seed try.
-	sbd := sameBinDegrees(g, part.NodeBin, o)
+	sbd := sameBinDegrees(g, part.NodeBin, o.Par)
 
 	// Color bins: pairwise polynomial hash over colors, seed chosen to
 	// maximize the number of nodes keeping p′(v) > d′(v). (GF2 may have
@@ -280,19 +273,16 @@ func Compute(in *d1lc.Instance, o Options) (*Partition, error) {
 		return 0
 	}))
 	// Publish the post-move d′ for the certificate and the bin schedule.
-	part.SameBinDeg = sameBinDegrees(g, part.NodeBin, o)
+	part.SameBinDeg = sameBinDegrees(g, part.NodeBin, o.Par)
 	return part, nil
 }
 
 // sameBinDegrees computes d′(v) for every node in one parallel neighbor
-// pass (G_mid members get 0). When the caller supplied shard offsets,
-// whole degree-sorted shards become the work units — each worker walks
-// cache-resident adjacency storage — otherwise the index space is split
-// into contiguous chunks.
-func sameBinDegrees(g *graph.Graph, nodeBin []int32, o Options) []int32 {
-	n := g.N()
-	out := make([]int32, n)
-	body := func(lo, hi int) {
+// pass (G_mid members get 0), over node ranges of about equal arc count
+// (graph.ArcRanges): a node's cost is its degree.
+func sameBinDegrees(g *graph.Graph, nodeBin []int32, r *par.Runner) []int32 {
+	out := make([]int32, g.N())
+	r.ForRanges(graph.ArcRanges(r, g), func(lo, hi int) {
 		for v := int32(lo); v < int32(hi); v++ {
 			b := nodeBin[v]
 			if b < 0 {
@@ -306,12 +296,7 @@ func sameBinDegrees(g *graph.Graph, nodeBin []int32, o Options) []int32 {
 			}
 			out[v] = d
 		}
-	}
-	if len(o.ShardOffsets) >= 2 && int(o.ShardOffsets[len(o.ShardOffsets)-1]) == n {
-		o.Par.ForRanges(o.ShardOffsets, body)
-	} else {
-		o.Par.ForChunked(n, body)
-	}
+	})
 	return out
 }
 

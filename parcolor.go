@@ -48,10 +48,9 @@
 // Both scale past 10^6 vertices; `make bench-scale` (cmd/scalebench)
 // sweeps them alongside the deterministic solver on gnp and Chung–Lu
 // power-law graphs and records wall time, rounds, peak live heap and
-// color counts. parcolor.WithDegreeShard(true) additionally solves on a
-// degree-sorted sharded relabeling of the input (cache-friendly CSR
-// layout for skewed degree distributions) and maps the coloring back to
-// the original ids.
+// color counts. parcolor.WithDegreeShard(true) additionally solves on the
+// degree-sorted relabeling of the input (vertices in descending degree
+// order) and maps the coloring back to the original ids.
 package parcolor
 
 import (

@@ -133,12 +133,12 @@ func WithTrace(t Tracer) Option {
 	return func(s *Solver) error { s.tracer = t; return nil }
 }
 
-// WithDegreeShard solves on the degree-sorted sharded relabeling of the
-// input graph — vertices permuted into cache-resident, degree-sorted
-// shards — and maps the coloring back to original ids through the inverse
-// permutation. Verification always runs against the original instance,
-// and on regular graphs (identity relabeling) the result is bit-identical
-// to the unsharded solve.
+// WithDegreeShard solves on the degree-sorted relabeling of the input
+// graph — vertices permuted into descending degree order, stable within
+// equal degrees — and maps the coloring back to original ids through the
+// inverse permutation. Verification always runs against the original
+// instance, and on regular graphs (identity relabeling) the result is
+// bit-identical to the unsharded solve.
 func WithDegreeShard(on bool) Option {
 	return func(s *Solver) error { s.cfg.degreeShard = on; return nil }
 }
@@ -199,10 +199,10 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Degree sharding: permute the instance into the degree-sorted
-	// cache-resident layout, solve the permuted instance, and map the
-	// coloring back through the inverse permutation. Verification below
-	// always runs against the caller's original instance.
+	// Degree sharding: permute the instance into degree-sorted order,
+	// solve the permuted instance, and map the coloring back through the
+	// inverse permutation. Verification below always runs against the
+	// caller's original instance.
 	solveIn := in
 	var rl *graph.Relabeling
 	if s.cfg.degreeShard {
@@ -230,7 +230,7 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (*Result, error) {
 	case LubyColoring:
 		res, err = s.solveLuby(ctx, solveIn)
 	default:
-		res, err = s.solveDeterministic(ctx, solveIn, rl)
+		res, err = s.solveDeterministic(ctx, solveIn)
 	}
 	if err != nil {
 		return nil, err
@@ -262,10 +262,8 @@ func (s *Solver) deframeOptions(tr Tracer) deframe.Options {
 // solveDeterministic is Theorem 1: LowSpaceColorReduce over the deframe
 // base solver. Rounds are accounted for parallel composition: base
 // instances at one recursion level run concurrently on disjoint machine
-// groups, so the level cost is the maximum, not the sum. rl is the
-// degree-shard relabeling the instance was permuted by (nil when
-// unsharded); its shard cuts feed the partitioner's shard-aware loops.
-func (s *Solver) solveDeterministic(ctx context.Context, in *Instance, rl *graph.Relabeling) (*Result, error) {
+// groups, so the level cost is the maximum, not the sum.
+func (s *Solver) solveDeterministic(ctx context.Context, in *Instance) (*Result, error) {
 	rounds, residue := 0, 0
 	deferral := 0.0
 	var statMu sync.Mutex // base runs concurrently across restricted bins
@@ -294,9 +292,6 @@ func (s *Solver) solveDeterministic(ctx context.Context, in *Instance, rl *graph
 		MidDegree: s.cfg.midDegree,
 		Par:       s.run,
 		Trace:     s.tracer,
-	}
-	if rl != nil {
-		sopt.ShardOffsets = rl.ShardOffsets
 	}
 	col, srep, err := sparsify.ColorReduce(ctx, in, sopt, base)
 	if err != nil {
